@@ -1,6 +1,6 @@
 //! Eigenvalue machinery.
 //!
-//! Three tools, matched to how the paper uses spectra:
+//! Four tools, matched to how the paper uses spectra:
 //!
 //! * [`symmetric_eigenvalues`] — a cyclic Jacobi rotation eigensolver for
 //!   dense symmetric matrices. Used to examine iteration matrices `G` and
@@ -10,8 +10,17 @@
 //!   non-symmetric, non-negative) operator such as `|G|`, needed for the
 //!   Chazan–Miranker condition `ρ(|G|) < 1`.
 //! * [`lanczos_extreme`] — extreme eigenvalues of a large sparse symmetric
-//!   operator (with full reorthogonalization), used to compute
-//!   `ρ(G) = max |1 − λ(A)|` for unit-diagonal SPD `A` without forming `G`.
+//!   operator, used to compute `ρ(G) = max |1 − λ(A)|` for unit-diagonal
+//!   SPD `A` without forming `G`, and by every `omega=auto` resolution.
+//!   It runs the plain three-term recurrence: three rolling vectors, no
+//!   stored basis, no reorthogonalization. Lost orthogonality only makes
+//!   the Lanczos tridiagonal repeat Ritz values that have already converged
+//!   ("ghosts"), and every Ritz value stays inside the operator's spectrum
+//!   up to `O(ε‖A‖)` (Paige), so the extremes are as good as with full
+//!   reorthogonalization at a fraction of the cost.
+//! * [`tridiagonal_extremes`] — the smallest and largest eigenvalue of a
+//!   symmetric tridiagonal matrix by Sturm-count bisection, `O(k)` per
+//!   count; this is how [`lanczos_extreme`] reads its tridiagonal.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
@@ -134,7 +143,7 @@ pub fn symmetric_eigenvalues(m: &DenseMatrix) -> Result<Vec<f64>, LinalgError> {
         }
         if off <= tol {
             let mut ev: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
-            ev.sort_by(|x, y| x.partial_cmp(y).unwrap());
+            ev.sort_by(f64::total_cmp);
             return Ok(ev);
         }
         for p in 0..n {
@@ -197,9 +206,18 @@ pub struct ExtremeEigenvalues {
     pub steps: usize,
 }
 
-/// Lanczos with full reorthogonalization for the extreme eigenvalues of a
-/// symmetric operator. `steps` Krylov vectors are built (capped at `dim`);
-/// the tridiagonal matrix's extremes are extracted with the dense solver.
+/// Extreme eigenvalues of a symmetric operator by the Lanczos three-term
+/// recurrence. `steps` Krylov steps are taken (capped at `dim`, stopping
+/// early when the Krylov space is exhausted) from a fixed pseudo-random
+/// start vector, so the estimate is deterministic; only the current,
+/// previous and next Lanczos vectors are kept. The tridiagonal's extremes
+/// come from [`tridiagonal_extremes`]. See the [module docs](self) for why
+/// no reorthogonalization is needed for the extremes.
+///
+/// # Errors
+/// Returns [`LinalgError::InvalidStructure`] as soon as a Lanczos
+/// coefficient is not finite, which happens when the operator holds a NaN
+/// or infinite entry.
 pub fn lanczos_extreme<T: LinearOperator>(
     op: &T,
     steps: usize,
@@ -213,7 +231,6 @@ pub fn lanczos_extreme<T: LinearOperator>(
         });
     }
     let m = steps.min(n);
-    let mut qs: Vec<Vec<f64>> = Vec::with_capacity(m);
     let mut alpha = Vec::with_capacity(m);
     let mut beta: Vec<f64> = Vec::with_capacity(m);
     // Deterministic start.
@@ -229,44 +246,135 @@ pub fn lanczos_extreme<T: LinearOperator>(
             .collect::<Vec<f64>>()
     };
     vecops::normalize(&mut q);
+    let mut q_prev = vec![0.0; n];
     let mut w = vec![0.0; n];
+    let not_finite = |what: &str, k: usize, v: f64| {
+        LinalgError::InvalidStructure(format!(
+            "lanczos step {k}: {what} = {v} is not finite (the operator has a non-finite entry)"
+        ))
+    };
     for k in 0..m {
         op.apply(&q, &mut w);
         let a_k = vecops::dot(&q, &w);
+        if !a_k.is_finite() {
+            return Err(not_finite("alpha", k, a_k));
+        }
         alpha.push(a_k);
-        // w ← w − α q − β q_prev, then full reorthogonalization.
+        // w ← w − α q − β q_prev.
         vecops::axpy(-a_k, &q, &mut w);
         if k > 0 {
-            vecops::axpy(-beta[k - 1], &qs[k - 1], &mut w);
+            vecops::axpy(-beta[k - 1], &q_prev, &mut w);
         }
-        for prev in &qs {
-            let proj = vecops::dot(prev, &w);
-            vecops::axpy(-proj, prev, &mut w);
-        }
-        qs.push(q.clone());
         let b_k = vecops::norm(&w, vecops::Norm::L2);
+        if !b_k.is_finite() {
+            return Err(not_finite("beta", k, b_k));
+        }
         if b_k < 1e-13 || k == m - 1 {
-            beta.push(0.0);
             break;
         }
         beta.push(b_k);
-        q = w.iter().map(|v| v / b_k).collect();
-    }
-    let k = alpha.len();
-    let mut tri = DenseMatrix::zeros(k, k);
-    for i in 0..k {
-        tri[(i, i)] = alpha[i];
-        if i + 1 < k {
-            tri[(i, i + 1)] = beta[i];
-            tri[(i + 1, i)] = beta[i];
+        // Roll the vectors: q_prev ← q, q ← w / β.
+        std::mem::swap(&mut q_prev, &mut q);
+        for (qi, wi) in q.iter_mut().zip(&w) {
+            *qi = wi / b_k;
         }
     }
-    let ev = symmetric_eigenvalues(&tri)?;
+    let (min, max) = tridiagonal_extremes(&alpha, &beta)?;
     Ok(ExtremeEigenvalues {
-        min: ev[0],
-        max: *ev.last().unwrap(),
-        steps: k,
+        min,
+        max,
+        steps: alpha.len(),
     })
+}
+
+/// Smallest and largest eigenvalue of the symmetric tridiagonal matrix with
+/// diagonal `diag` and off-diagonal `off` (`off.len() + 1 == diag.len()`).
+///
+/// Each extreme is bisected inside the Gershgorin interval on the Sturm
+/// count — the number of negative pivots of the `LDLᵀ` factorization of
+/// `T − xI`, which equals the number of eigenvalues below `x` — until the
+/// bracket is two adjacent floating-point numbers. A count costs `O(k)`,
+/// and an extreme takes about 60 counts (at most about 1,100, for an
+/// eigenvalue at zero). The entries are first scaled by a power of two to
+/// magnitude at most one, which is exact and keeps the squared
+/// off-diagonals and the Gershgorin sums from overflowing.
+///
+/// # Errors
+/// Returns [`LinalgError::InvalidStructure`] for an empty matrix, mismatched
+/// lengths, or any entry that is not finite.
+pub fn tridiagonal_extremes(diag: &[f64], off: &[f64]) -> Result<(f64, f64), LinalgError> {
+    let k = diag.len();
+    if k == 0 || off.len() + 1 != k {
+        return Err(LinalgError::InvalidStructure(format!(
+            "tridiagonal_extremes needs k ≥ 1 diagonal and k − 1 off-diagonal entries, \
+             got {k} and {}",
+            off.len()
+        )));
+    }
+    if let Some(v) = diag.iter().chain(off).find(|v| !v.is_finite()) {
+        return Err(LinalgError::InvalidStructure(format!(
+            "tridiagonal_extremes: entry {v} is not finite"
+        )));
+    }
+    let largest = diag.iter().chain(off).fold(0.0, |m: f64, v| m.max(v.abs()));
+    if largest == 0.0 {
+        return Ok((0.0, 0.0));
+    }
+    let scale = 2f64.powi(-(largest.log2().ceil() as i32).clamp(-1000, 1000));
+    let d: Vec<f64> = diag.iter().map(|v| v * scale).collect();
+    let e: Vec<f64> = off.iter().map(|v| v * scale).collect();
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (i, di) in d.iter().enumerate() {
+        let r = if i > 0 { e[i - 1].abs() } else { 0.0 } + e.get(i).map_or(0.0, |v| v.abs());
+        lo = lo.min(di - r);
+        hi = hi.max(di + r);
+    }
+    let e2: Vec<f64> = e.iter().map(|v| v * v).collect();
+    // Eigenvalues at or below `x`, counting a vanishing pivot as negative.
+    let count = |x: f64| {
+        let mut pivot = 1.0;
+        let mut below = 0;
+        for (i, di) in d.iter().enumerate() {
+            let coupling = if i > 0 { e2[i - 1] / pivot } else { 0.0 };
+            pivot = di - x - coupling;
+            if pivot.abs() < f64::MIN_POSITIVE {
+                pivot = -f64::MIN_POSITIVE;
+            }
+            if pivot < 0.0 {
+                below += 1;
+            }
+        }
+        below
+    };
+    // Widen the Gershgorin interval past the counts' rounding so the
+    // bracket starts with no eigenvalue at or below its low end and every
+    // eigenvalue at or below its high end.
+    let slack = 4.0 * k as f64 * f64::EPSILON * lo.abs().max(hi.abs());
+    let bracket = (lo - slack, hi + slack);
+    let min = bisect(bracket, |x| count(x) >= 1);
+    let max = bisect(bracket, |x| count(x) >= k);
+    // Eigenvalues lie in the Gershgorin interval; clamping only drops the
+    // slack a tie at its edge can leave.
+    Ok((min.clamp(lo, hi) / scale, max.clamp(lo, hi) / scale))
+}
+
+/// The smallest `x` of the bracket with `at_or_above(x)`, to one
+/// floating-point step: bisects while the midpoint lies strictly inside the
+/// bracket. Each step halves the bracket's width, so a finite bracket ends
+/// once the width reaches the spacing of the floating-point numbers there;
+/// a NaN midpoint fails the comparison and ends it too.
+fn bisect((mut lo, mut hi): (f64, f64), at_or_above: impl Fn(f64) -> bool) -> f64 {
+    loop {
+        let mid = 0.5 * lo + 0.5 * hi;
+        if !(lo < mid && mid < hi) {
+            return hi;
+        }
+        if at_or_above(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
 }
 
 /// Spectral radius of the Jacobi iteration matrix `G = I − A` for a
@@ -348,6 +456,41 @@ mod tests {
         );
         assert!((ext.max - hi).abs() < 1e-8, "max {} vs {}", ext.max, hi);
         assert!((ext.min - lo).abs() < 1e-6, "min {} vs {}", ext.min, lo);
+    }
+
+    #[test]
+    fn tridiagonal_extremes_match_analytic() {
+        for n in [1, 2, 7, 64] {
+            let eigs = tridiag_eigs(n);
+            let (lo, hi) = tridiagonal_extremes(&vec![2.0; n], &vec![-1.0; n - 1]).unwrap();
+            let (want_lo, want_hi) = (eigs[0], eigs[n - 1]);
+            assert!((lo - want_lo).abs() < 1e-13, "n={n}: min {lo} vs {want_lo}");
+            assert!((hi - want_hi).abs() < 1e-13, "n={n}: max {hi} vs {want_hi}");
+        }
+        assert_eq!(
+            tridiagonal_extremes(&[0.0; 3], &[0.0; 2]).unwrap(),
+            (0.0, 0.0)
+        );
+        // Bisection brackets a tie at the Gershgorin edge exactly.
+        assert_eq!(tridiagonal_extremes(&[3.0], &[]).unwrap(), (3.0, 3.0));
+    }
+
+    #[test]
+    fn tridiagonal_extremes_reject_bad_input() {
+        assert!(tridiagonal_extremes(&[], &[]).is_err());
+        assert!(tridiagonal_extremes(&[1.0, 2.0], &[]).is_err());
+        assert!(tridiagonal_extremes(&[1.0, f64::NAN], &[0.5]).is_err());
+        assert!(tridiagonal_extremes(&[1.0, 2.0], &[f64::INFINITY]).is_err());
+    }
+
+    #[test]
+    fn lanczos_fails_on_a_non_finite_entry() {
+        let mut coo = CooMatrix::new(3, 3);
+        for i in 0..3 {
+            coo.push(i, i, 1.0);
+        }
+        coo.push_sym(0, 1, f64::NAN);
+        assert!(lanczos_extreme(&coo.to_csr(), 3).is_err());
     }
 
     #[test]

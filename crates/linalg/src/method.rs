@@ -42,13 +42,18 @@
 use crate::csr::CsrMatrix;
 use crate::eigen;
 use crate::error::LinalgError;
+use crate::kernel::{self, SweepKernel};
 use crate::ops::LinearOperator;
 use crate::sweeps;
 use crate::vecops::{self, Norm};
+use std::cell::RefCell;
 
 /// Lanczos budget for `omega=auto` resolution. Extreme eigenvalues of the
-/// Laplacian-like suite matrices converge well within this many steps, and
-/// the run is deterministic (fixed start vector, full reorthogonalization).
+/// Laplacian-like suite matrices converge well within this many steps. The
+/// run is deterministic (fixed start vector) and uses the plain three-term
+/// recurrence: past the first few dozen steps orthogonality is lost, which
+/// only repeats Ritz values that have already converged, so the extremes
+/// need no reorthogonalization (see [`eigen`]).
 pub const AUTO_LANCZOS_STEPS: usize = 64;
 
 /// How `ω` is chosen for the Richardson methods.
@@ -204,11 +209,20 @@ fn check_beta(b: f64) -> Result<f64, LinalgError> {
     }
 }
 
-/// `D^{-1/2} A D^{-1/2}` applied matrix-free — same spectrum as `D⁻¹A` for
-/// SPD `A`, but symmetric, so Lanczos applies.
+/// `D^{-1/2} A D^{-1/2}` — the same spectrum as `D⁻¹A` for SPD `A`, but
+/// symmetric, so Lanczos applies — applied through one whole-matrix
+/// [`SweepKernel`] in [`kernel::auto_select`]'s format. The kernel computes
+/// residuals `b − A x`, so it runs with `b = 0` and the sign is folded into
+/// the output scaling. Each row's products accumulate in CSR column order,
+/// as in `CsrMatrix::spmv_into`.
 struct JacobiScaledOp<'a> {
     a: &'a CsrMatrix,
     dinv_sqrt: Vec<f64>,
+    /// The kernel's right-hand side `b = 0`.
+    zeros: Vec<f64>,
+    /// The kernel and its input `D^{-1/2} x`, built once and reused by
+    /// every apply.
+    scratch: RefCell<(SweepKernel, Vec<f64>)>,
 }
 
 impl LinearOperator for JacobiScaledOp<'_> {
@@ -217,26 +231,29 @@ impl LinearOperator for JacobiScaledOp<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let scaled: Vec<f64> = x.iter().zip(&self.dinv_sqrt).map(|(v, s)| v * s).collect();
-        self.a.spmv_into(&scaled, y);
+        let mut scratch = self.scratch.borrow_mut();
+        let (kernel, scaled) = &mut *scratch;
+        for ((t, v), s) in scaled.iter_mut().zip(x).zip(&self.dinv_sqrt) {
+            *t = v * s;
+        }
+        kernel.residuals_into(self.a, scaled, &self.zeros, y);
         for (v, s) in y.iter_mut().zip(&self.dinv_sqrt) {
-            *v *= s;
+            *v *= -s;
         }
     }
 }
 
-/// Extreme eigenvalues of the Jacobi-preconditioned operator, validated
-/// positive.
 /// Estimated extreme eigenvalues `(λ_min, λ_max)` of the Jacobi-
-/// preconditioned operator `D⁻¹A` (via Lanczos on the similar symmetric
-/// `D^{-1/2} A D^{-1/2}`). This is the spectrum every `omega=auto` rule is
-/// derived from; public so outer solvers can derive *smoothing*-targeted
-/// weights (which damp the oscillatory half-band rather than minimize over
-/// the whole spectrum) from the same estimate.
+/// preconditioned operator `D⁻¹A`, validated positive: Lanczos
+/// ([`AUTO_LANCZOS_STEPS`] steps of [`eigen::lanczos_extreme`]) on the
+/// similar symmetric `D^{-1/2} A D^{-1/2}`. This is the spectrum every
+/// `omega=auto` rule is derived from; public so outer solvers can derive
+/// *smoothing*-targeted weights (which damp the oscillatory half-band
+/// rather than minimize over the whole spectrum) from the same estimate.
 ///
 /// # Errors
-/// Fails on nonpositive diagonals or when the estimate says the operator
-/// is not positive definite.
+/// Fails on nonpositive diagonals, on a non-finite entry, or when the
+/// estimate says the operator is not positive definite.
 pub fn preconditioned_extremes(a: &CsrMatrix) -> Result<(f64, f64), LinalgError> {
     let diag = a.diagonal();
     let mut dinv_sqrt = Vec::with_capacity(diag.len());
@@ -252,7 +269,13 @@ pub fn preconditioned_extremes(a: &CsrMatrix) -> Result<(f64, f64), LinalgError>
         }
         dinv_sqrt.push(1.0 / d.sqrt());
     }
-    let op = JacobiScaledOp { a, dinv_sqrt };
+    let kernel = SweepKernel::build(a, 0..a.nrows(), kernel::auto_select(a))?;
+    let op = JacobiScaledOp {
+        a,
+        dinv_sqrt,
+        zeros: vec![0.0; a.nrows()],
+        scratch: RefCell::new((kernel, vec![0.0; a.ncols()])),
+    };
     let ext = eigen::lanczos_extreme(&op, AUTO_LANCZOS_STEPS)?;
     if ext.min <= 0.0 || !ext.min.is_finite() || !ext.max.is_finite() {
         return Err(LinalgError::InvalidStructure(format!(

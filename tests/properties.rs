@@ -338,3 +338,104 @@ proptest! {
         }
     }
 }
+
+/// A symmetric tridiagonal `(diagonal, off-diagonal)` of order `k` built
+/// from raw draws scaled by `magnitude`. `shape` picks the family: 0 plain
+/// random; 1 with about half the off-diagonals zero, so `T` splits into
+/// blocks; 2 with a constant diagonal; 3 with constant diagonal and
+/// off-diagonal and every third off-diagonal zero, so identical blocks
+/// repeat every eigenvalue.
+fn tridiagonal(
+    k: usize,
+    draws: &[(f64, f64, usize)],
+    shape: usize,
+    magnitude: f64,
+) -> (Vec<f64>, Vec<f64>) {
+    let (d0, e0, _) = draws[0];
+    let diag = (0..k)
+        .map(|i| magnitude * if shape >= 2 { d0 } else { draws[i].0 })
+        .collect();
+    let off = (0..k - 1)
+        .map(|i| {
+            let (_, e, coin) = draws[i];
+            magnitude
+                * match shape {
+                    1 if coin % 2 == 0 => 0.0,
+                    3 if i % 3 == 2 => 0.0,
+                    3 => e0,
+                    _ => e,
+                }
+        })
+        .collect();
+    (diag, off)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(120))]
+
+    /// Bisection on Sturm counts finds the same extremes as the dense
+    /// Jacobi eigensolver, inside the Gershgorin interval, for split and
+    /// repeated spectra alike.
+    #[test]
+    fn tridiagonal_extremes_match_the_dense_eigensolver(
+        k in 1usize..81,
+        draws in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, 0usize..4), 80),
+        shape in 0usize..4,
+        exponent in -3i64..4,
+    ) {
+        use async_jacobi_repro::linalg::{eigen, DenseMatrix};
+        let (diag, off) = tridiagonal(k, &draws, shape, 10f64.powi(exponent as i32));
+        let (lo, hi) = eigen::tridiagonal_extremes(&diag, &off).unwrap();
+        let mut dense = DenseMatrix::zeros(k, k);
+        let (mut g_lo, mut g_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for i in 0..k {
+            dense[(i, i)] = diag[i];
+            if i + 1 < k {
+                dense[(i, i + 1)] = off[i];
+                dense[(i + 1, i)] = off[i];
+            }
+            let r = if i > 0 { off[i - 1].abs() } else { 0.0 }
+                + off.get(i).map_or(0.0, |e| e.abs());
+            g_lo = g_lo.min(diag[i] - r);
+            g_hi = g_hi.max(diag[i] + r);
+        }
+        let ev = eigen::symmetric_eigenvalues(&dense).unwrap();
+        let tol = 1e-12 * (1.0 + dense.norm_inf());
+        prop_assert!(
+            (lo - ev[0]).abs() <= tol && (hi - ev[k - 1]).abs() <= tol,
+            "k={k} shape={shape}: bisection [{lo}, {hi}] vs dense [{}, {}]",
+            ev[0],
+            ev[k - 1]
+        );
+        prop_assert!(
+            g_lo <= lo && lo <= hi && hi <= g_hi,
+            "k={k} shape={shape}: [{lo}, {hi}] outside Gershgorin [{g_lo}, {g_hi}]"
+        );
+    }
+
+    /// A NaN or infinite entry anywhere gives an error (or non-finite
+    /// extremes), never a finite answer and never a hang.
+    #[test]
+    fn tridiagonal_extremes_reject_non_finite_entries(
+        k in 1usize..81,
+        draws in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, 0usize..4), 80),
+        shape in 0usize..4,
+        (at, bad) in (0usize..159, 0usize..3),
+    ) {
+        let (mut diag, mut off) = tridiagonal(k, &draws, shape, 1.0);
+        let value = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][bad];
+        let at = at % (2 * k - 1);
+        if at < k {
+            diag[at] = value;
+        } else {
+            off[at - k] = value;
+        }
+        match async_jacobi_repro::linalg::eigen::tridiagonal_extremes(&diag, &off) {
+            Err(_) => {}
+            Ok((lo, hi)) => prop_assert!(
+                !lo.is_finite() && !hi.is_finite(),
+                "k={k}: {value} at {at} gave finite extremes [{lo}, {hi}]"
+            ),
+        }
+    }
+}
