@@ -205,53 +205,51 @@ fn build_ranks(
     cost: &CostModel,
     fault_plan: Option<&FaultPlan>,
 ) -> Vec<Rank> {
-    let nparts = plan.nparts();
     // Base offset of each rank's span in the flat ghost-generation table
     // (one entry per in-neighbour, `recv_from` order); see `gen_base`.
     let gen_base = gen_base(plan);
-    // Ghost slot lookup per part: global index → position in ghost tail.
-    let ghost_slot: Vec<std::collections::HashMap<usize, usize>> = (0..nparts)
-        .map(|p| {
-            plan.plan(p)
-                .ghosts
-                .iter()
-                .enumerate()
-                .map(|(slot, &g)| (g, slot))
-                .collect()
-        })
-        .collect();
-    (0..nparts)
-        .map(|p| {
+    LocalSystem::build_all(a, plan)
+        .into_iter()
+        .enumerate()
+        .map(|(p, local)| {
             let sp = plan.plan(p);
-            let local = LocalSystem::build(a, sp);
-            let owned_pos: std::collections::HashMap<usize, usize> =
-                sp.owned.iter().enumerate().map(|(l, &g)| (g, l)).collect();
             let mut x = Vec::with_capacity(local.n_owned() + local.n_ghost());
             x.extend(sp.owned.iter().map(|&g| x0[g]));
             x.extend(sp.ghosts.iter().map(|&g| x0[g]));
             let b_local: Vec<f64> = sp.owned.iter().map(|&g| b[g]).collect();
+            // Plan lists are ascending, so a sent value's owned position and
+            // its ghost slot at the receiver are binary searches.
             let sends = sp
                 .send_to
                 .iter()
-                .map(|(to, globals)| SendPlan {
-                    to: *to,
-                    source_local: globals.iter().map(|g| owned_pos[g]).collect(),
-                    target_slot: globals
-                        .iter()
-                        .map(|g| ghost_slot[*to][g])
-                        .collect::<Vec<_>>()
-                        .into(),
-                    faults: fault_plan
-                        .map(|fp| fp.link_params(p, *to))
-                        .unwrap_or_default(),
-                    gen_idx: (gen_base[*to]
-                        + plan
-                            .plan(*to)
-                            .recv_from
+                .map(|(to, globals)| {
+                    let receiver = plan.plan(*to);
+                    SendPlan {
+                        to: *to,
+                        source_local: globals
                             .iter()
-                            .position(|(s, _)| *s == p)
-                            .expect("send_to mirrors recv_from"))
-                        as u32,
+                            .map(|g| sp.owned.binary_search(g).expect("send index not owned"))
+                            .collect(),
+                        target_slot: globals
+                            .iter()
+                            .map(|g| {
+                                receiver
+                                    .ghosts
+                                    .binary_search(g)
+                                    .expect("send index not a ghost of the receiver")
+                            })
+                            .collect::<Vec<_>>()
+                            .into(),
+                        faults: fault_plan
+                            .map(|fp| fp.link_params(p, *to))
+                            .unwrap_or_default(),
+                        gen_idx: (gen_base[*to]
+                            + receiver
+                                .recv_from
+                                .binary_search_by_key(&p, |(s, _)| *s)
+                                .expect("send_to mirrors recv_from"))
+                            as u32,
+                    }
                 })
                 .collect();
             Rank {

@@ -304,14 +304,18 @@ fn method_runs_match_golden_fingerprints() {
 /// holds one row per method run (same runs as [`capture_methods`]), and a
 /// fresh capture must regenerate it byte for byte. The file is the
 /// repo-level record; this test is what keeps it honest.
+///
+/// This file also compiles into the root package (`tests/dmsim_goldens.rs`),
+/// so the corpus is found by walking up from whichever manifest built it.
 #[test]
 fn method_schedule_corpus_matches_results_file() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/method_schedules.csv"
-    );
-    let recorded =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("corpus {path} must exist: {e}"));
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .map(|dir| dir.join("results/method_schedules.csv"))
+        .find(|p| p.is_file())
+        .expect("results/method_schedules.csv must exist above the manifest directory");
+    let recorded = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("corpus {} must be readable: {e}", path.display()));
     let mut fresh = String::from("run,samples,fingerprint\n");
     for (name, c, h) in capture_methods() {
         fresh.push_str(&format!("{name},{c},0x{h:016x}\n"));

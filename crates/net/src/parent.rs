@@ -39,7 +39,7 @@ use aj_dmsim::termination::RootAggregator;
 use aj_dmsim::TerminationStats;
 use aj_linalg::{CsrMatrix, ResolvedMethod, StorageFormat};
 use aj_obs::{ObsConfig, Snapshot};
-use aj_partition::CommPlan;
+use aj_partition::{CommPlan, LocalSystem, SubdomainPlan};
 
 use crate::child;
 use crate::wire::{self, Codec, JobMsg, MethodMsg, Msg};
@@ -186,17 +186,14 @@ fn broadcast(writers: &Writers, ranks: usize, msg: &Msg) -> u64 {
         .sum()
 }
 
-/// Builds rank `p`'s job message from the global problem and plan.
+/// Builds one rank's job message from its plan and local system.
 fn build_job(
-    a: &CsrMatrix,
+    sp: &SubdomainPlan,
+    ls: &LocalSystem,
     b: &[f64],
     x0: &[f64],
-    plan: &CommPlan,
-    p: usize,
     cfg: &NetConfig,
 ) -> JobMsg {
-    let sp = plan.plan(p);
-    let ls = aj_partition::LocalSystem::build(a, sp);
     let local_owned = |g: usize| sp.owned.binary_search(&g).expect("send index not owned");
     let ghost_slot = |g: usize| sp.ghosts.binary_search(&g).expect("recv index not a ghost");
     let method = match cfg.method {
@@ -430,8 +427,9 @@ pub fn run_net(
     listener.set_nonblocking(true).map_err(|e| e.to_string())?;
 
     let jobs = Arc::new(
-        (0..ranks)
-            .map(|p| build_job(a, b, x0, plan, p, cfg))
+        plan.iter()
+            .zip(&LocalSystem::build_all(a, plan))
+            .map(|(sp, ls)| build_job(sp, ls, b, x0, cfg))
             .collect::<Vec<_>>(),
     );
     let writers: Writers = Arc::new(Mutex::new(HashMap::new()));

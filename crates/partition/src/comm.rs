@@ -57,49 +57,70 @@ impl CommPlan {
     /// Derives the plan from the matrix sparsity: ghost = referenced column
     /// owned elsewhere; the send side is obtained by transposing the
     /// receive relation.
+    ///
+    /// Runs in O(nnz + ghosts·log ghosts) time and O(n + ghosts) memory:
+    /// a per-column stamp drops repeated references, each part's ghosts are
+    /// sorted and then grouped by owner, and the receive lists are
+    /// transposed into send lists, so nothing is sized by `nparts²`.
     pub fn build(a: &CsrMatrix, partition: &Partition) -> CommPlan {
         assert_eq!(a.nrows(), partition.len(), "matrix/partition size mismatch");
         let nparts = partition.nparts();
         let parts = partition.parts();
 
-        // Receive side: for each part, which external columns do its rows
-        // touch, grouped by owner.
-        let mut recv: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); nparts]; nparts];
+        // Receive side: for each part, the external columns its rows touch,
+        // grouped by owner. `stamp[j] == p` once part `p` has listed column
+        // `j`, so each ghost is listed once per part.
+        let mut stamp = vec![usize::MAX; a.nrows()];
+        let mut ghosts = Vec::with_capacity(nparts);
+        let mut recv_from: Vec<Vec<(usize, Vec<usize>)>> = Vec::with_capacity(nparts);
+        let mut by_owner: Vec<usize> = Vec::new();
         for (p, rows) in parts.iter().enumerate() {
-            let mut seen: Vec<usize> = Vec::new();
+            let mut mine: Vec<usize> = Vec::new();
             for &i in rows {
-                for (j, _) in a.row_iter(i) {
-                    let owner = partition.part_of(j);
-                    if owner != p {
-                        seen.push(j);
+                for &j in a.row_indices(i) {
+                    if partition.part_of(j) != p && stamp[j] != p {
+                        stamp[j] = p;
+                        mine.push(j);
                     }
                 }
             }
-            seen.sort_unstable();
-            seen.dedup();
-            for g in seen {
-                recv[p][partition.part_of(g)].push(g);
+            mine.sort_unstable();
+            // The stable sort keeps each owner's run ascending; with
+            // contiguous parts the runs already come in owner order.
+            by_owner.clone_from(&mine);
+            by_owner.sort_by_key(|&g| partition.part_of(g));
+            let mut recv: Vec<(usize, Vec<usize>)> = Vec::new();
+            for &g in &by_owner {
+                let q = partition.part_of(g);
+                match recv.last_mut() {
+                    Some((last, list)) if *last == q => list.push(g),
+                    _ => recv.push((q, vec![g])),
+                }
+            }
+            ghosts.push(mine);
+            recv_from.push(recv);
+        }
+
+        // Send side: part `p` receiving `list` from `q` means `q` sends
+        // `list` to `p`. Visiting receivers in ascending order keeps every
+        // `send_to` ascending by part.
+        let mut send_to: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); nparts];
+        for (p, recv) in recv_from.iter().enumerate() {
+            for (q, list) in recv {
+                send_to[*q].push((p, list.clone()));
             }
         }
 
-        let plans = (0..nparts)
-            .map(|p| {
-                let mut ghosts: Vec<usize> = recv[p].iter().flatten().copied().collect();
-                ghosts.sort_unstable();
-                let recv_from: Vec<(usize, Vec<usize>)> = (0..nparts)
-                    .filter(|&q| !recv[p][q].is_empty())
-                    .map(|q| (q, recv[p][q].clone()))
-                    .collect();
-                let send_to: Vec<(usize, Vec<usize>)> = (0..nparts)
-                    .filter(|&q| !recv[q][p].is_empty())
-                    .map(|q| (q, recv[q][p].clone()))
-                    .collect();
-                SubdomainPlan {
-                    owned: parts[p].clone(),
-                    ghosts,
-                    recv_from,
-                    send_to,
-                }
+        let plans = parts
+            .into_iter()
+            .zip(ghosts)
+            .zip(recv_from)
+            .zip(send_to)
+            .map(|(((owned, ghosts), recv_from), send_to)| SubdomainPlan {
+                owned,
+                ghosts,
+                recv_from,
+                send_to,
             })
             .collect();
         CommPlan { plans }

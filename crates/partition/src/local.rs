@@ -5,8 +5,8 @@
 //! unknowns and columns `n_owned..n_owned+n_ghost` refer to the ghost layer,
 //! which is how the paper's distributed implementation stores its halo.
 
-use crate::comm::SubdomainPlan;
-use aj_linalg::{CooMatrix, CsrMatrix, LinalgError, StorageFormat, SweepKernel};
+use crate::comm::{CommPlan, SubdomainPlan};
+use aj_linalg::{CsrMatrix, LinalgError, StorageFormat, SweepKernel};
 
 /// A subdomain's rows of `A` in local indexing, plus the index maps back to
 /// the global problem.
@@ -25,46 +25,27 @@ pub struct LocalSystem {
 }
 
 impl LocalSystem {
-    /// Extracts the subdomain described by `plan` from the global matrix.
+    /// Extracts the subdomain described by `plan` from the global matrix:
+    /// the one-rank entry point of [`LocalSystem::build_all`]. Each call
+    /// allocates an index over every column of `a`, so callers that
+    /// extract many parts use `build_all`.
     ///
     /// # Panics
     /// Panics when a referenced column is neither owned nor in the ghost
     /// list (i.e. the plan does not belong to this matrix), or when a
     /// diagonal entry is missing/zero.
     pub fn build(a: &CsrMatrix, plan: &SubdomainPlan) -> LocalSystem {
-        let n_owned = plan.owned.len();
-        let n_ghost = plan.ghosts.len();
-        // Global → local lookup. Owned rows map to 0..n_owned; ghosts map to
-        // n_owned..n_owned+n_ghost.
-        let mut local_of = std::collections::HashMap::with_capacity(n_owned + n_ghost);
-        for (l, &g) in plan.owned.iter().enumerate() {
-            local_of.insert(g, l);
-        }
-        for (l, &g) in plan.ghosts.iter().enumerate() {
-            local_of.insert(g, n_owned + l);
-        }
-        let mut coo = CooMatrix::new(n_owned, n_owned + n_ghost);
-        let mut diag_inv = Vec::with_capacity(n_owned);
-        for (r, &gi) in plan.owned.iter().enumerate() {
-            let mut diag = 0.0;
-            for (gj, v) in a.row_iter(gi) {
-                let lj = *local_of
-                    .get(&gj)
-                    .unwrap_or_else(|| panic!("column {gj} of row {gi} missing from plan"));
-                coo.push(r, lj, v);
-                if gj == gi {
-                    diag = v;
-                }
-            }
-            assert!(diag != 0.0, "zero/missing diagonal in global row {gi}");
-            diag_inv.push(1.0 / diag);
-        }
-        LocalSystem {
-            matrix: coo.to_csr(),
-            global_owned: plan.owned.clone(),
-            global_ghosts: plan.ghosts.clone(),
-            diag_inv,
-        }
+        LocalIndex::new(a).extract(a, plan)
+    }
+
+    /// Extracts every part of `plan`, in part order, over one shared
+    /// global → local index: O(n + nnz) for all parts together.
+    ///
+    /// # Panics
+    /// As [`LocalSystem::build`].
+    pub fn build_all(a: &CsrMatrix, plan: &CommPlan) -> Vec<LocalSystem> {
+        let mut index = LocalIndex::new(a);
+        plan.iter().map(|sp| index.extract(a, sp)).collect()
     }
 
     /// Number of owned unknowns.
@@ -132,6 +113,90 @@ impl LocalSystem {
         kernel.residuals_into(&self.matrix, x, b_local, residuals);
         for r in 0..n {
             x[r] += self.diag_inv[r] * residuals[r];
+        }
+    }
+}
+
+/// Dense global → local column map shared by the parts one extraction at
+/// a time: every entry is [`LocalIndex::NONE`] between extractions.
+struct LocalIndex {
+    local_of: Vec<u32>,
+    /// Entries of the row being copied that go after the ones written
+    /// directly: its ghosts, or the whole row when it needs sorting.
+    tail: Vec<(usize, f64)>,
+}
+
+impl LocalIndex {
+    const NONE: u32 = u32::MAX;
+
+    fn new(a: &CsrMatrix) -> Self {
+        LocalIndex {
+            local_of: vec![Self::NONE; a.ncols()],
+            tail: Vec::new(),
+        }
+    }
+
+    /// Owned rows map columns to `0..n_owned` and ghosts to
+    /// `n_owned..n_owned+n_ghost`. With ascending `owned` and `ghosts`
+    /// lists (every [`CommPlan`]) a row's owned columns, then its ghosts,
+    /// each in global order, are already in local-column order, so they are
+    /// written as they come; any other plan sorts each row.
+    fn extract(&mut self, a: &CsrMatrix, plan: &SubdomainPlan) -> LocalSystem {
+        let n_owned = plan.owned.len();
+        let width = n_owned + plan.ghosts.len();
+        assert!(
+            width < Self::NONE as usize,
+            "subdomain too wide for u32 columns"
+        );
+        let ascending = |list: &[usize]| list.windows(2).all(|w| w[0] < w[1]);
+        let in_order = ascending(&plan.owned) && ascending(&plan.ghosts);
+        for (l, &g) in plan.owned.iter().chain(&plan.ghosts).enumerate() {
+            self.local_of[g] = l as u32;
+        }
+        let nnz = plan.owned.iter().map(|&i| a.row_nnz(i)).sum();
+        let mut indptr = Vec::with_capacity(n_owned + 1);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        let mut diag_inv = Vec::with_capacity(n_owned);
+        indptr.push(0);
+        for &gi in &plan.owned {
+            let mut diag = 0.0;
+            self.tail.clear();
+            for (gj, v) in a.row_iter(gi) {
+                let lj = self.local_of[gj];
+                assert!(
+                    lj != Self::NONE,
+                    "column {gj} of row {gi} missing from plan"
+                );
+                let lj = lj as usize;
+                if in_order && lj < n_owned {
+                    indices.push(lj);
+                    values.push(v);
+                } else {
+                    self.tail.push((lj, v));
+                }
+                if gj == gi {
+                    diag = v;
+                }
+            }
+            if !in_order {
+                self.tail.sort_unstable_by_key(|&(lj, _)| lj);
+            }
+            indices.extend(self.tail.iter().map(|&(lj, _)| lj));
+            values.extend(self.tail.iter().map(|&(_, v)| v));
+            indptr.push(indices.len());
+            assert!(diag != 0.0, "zero/missing diagonal in global row {gi}");
+            diag_inv.push(1.0 / diag);
+        }
+        for &g in plan.owned.iter().chain(&plan.ghosts) {
+            self.local_of[g] = Self::NONE;
+        }
+        LocalSystem {
+            matrix: CsrMatrix::from_raw_parts(n_owned, width, indptr, indices, values)
+                .expect("local rows have strictly increasing columns"),
+            global_owned: plan.owned.clone(),
+            global_ghosts: plan.ghosts.clone(),
+            diag_inv,
         }
     }
 }

@@ -137,7 +137,11 @@ pub struct ShmemRun {
 ///
 /// Termination follows the §V flag protocol: a thread that has met the
 /// tolerance (or its iteration cap) raises its flag but keeps relaxing until
-/// every flag is up.
+/// every flag is up. A raised flag only reports a racy check, so when every
+/// flag is up the threads meet at the barrier and one of them evaluates the
+/// true residual of the now quiescent `x`: the threads then all stop (below
+/// the tolerance, every thread at its cap, or a controller abort) or all
+/// lower the flags of threads short of their cap and go on.
 ///
 /// # Panics
 /// Panics if `config.num_threads` is 0 or exceeds the number of rows, or if
@@ -187,6 +191,10 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
     let omega_cell = AtomicU64::new(base_omega.to_bits());
     let beta_cell = AtomicU64::new(base_beta.to_bits());
     let ctrl_abort = AtomicBool::new(false);
+    // The verdict of a stop meeting. Its leader writes it, and lowers the
+    // flags, between the meeting's two barrier waits; the barrier orders
+    // those writes before every thread's reads, so they can be Relaxed.
+    let stop_all = AtomicBool::new(false);
 
     let start = Instant::now();
     // Per-thread observability shards, returned through the join handles:
@@ -208,6 +216,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
             let omega_cell = &omega_cell;
             let beta_cell = &beta_cell;
             let ctrl_abort = &ctrl_abort;
+            let stop_all = &stop_all;
             handles.push(scope.spawn(move |_| {
                 let mut iters = 0usize;
                 // Momentum state over my rows only (thread-private; no other
@@ -252,7 +261,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                 } else {
                     None
                 };
-                loop {
+                'sweeps: loop {
                     // Sampled iteration timing: two clock reads per sampled
                     // iteration, nothing otherwise.
                     let iter_start = if let Some((_, _, sampler)) = shard.as_mut() {
@@ -475,15 +484,39 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                         hist.record(t0.elapsed().as_nanos() as u64);
                         tl.push(start.elapsed().as_nanos() as u64, SpanKind::SweepEnd);
                     }
-                    // Hard safety cap so a wedged peer cannot hang the test
-                    // suite; 4× the configured budget never triggers in
-                    // normal operation.
-                    let all_done = flags.iter().all(|f| f.load(Ordering::Acquire));
-                    if all_done
-                        || iters >= 4 * config.max_iterations
-                        || (ctrl_on && ctrl_abort.load(Ordering::Acquire))
-                    {
-                        break;
+                    // Flags and the abort only rise between meetings, so once
+                    // one thread sees a reason to meet, every thread will.
+                    // Past the hard safety cap (4× the budget, never reached
+                    // in normal operation) a thread stops sweeping but keeps
+                    // coming to meetings, so no peer waits for it in vain.
+                    // Only a thread that panics misses a meeting, as it
+                    // would miss a synchronous-mode barrier.
+                    let aborted = || ctrl_on && ctrl_abort.load(Ordering::Acquire);
+                    loop {
+                        if aborted() || flags.iter().all(|f| f.load(Ordering::Acquire)) {
+                            if barrier.wait().is_leader() {
+                                let res = a.relative_residual(&x.snapshot(), b, config.norm);
+                                let capped = |c: &AtomicU64| {
+                                    c.load(Ordering::Relaxed) >= config.max_iterations as u64
+                                };
+                                let stop =
+                                    aborted() || res < config.tol || iter_counts.iter().all(capped);
+                                if !stop {
+                                    for (f, c) in flags.iter().zip(iter_counts) {
+                                        f.store(capped(c), Ordering::Relaxed);
+                                    }
+                                }
+                                stop_all.store(stop, Ordering::Relaxed);
+                            }
+                            barrier.wait();
+                            if stop_all.load(Ordering::Relaxed) {
+                                break 'sweeps;
+                            }
+                        }
+                        if iters < 4 * config.max_iterations {
+                            break;
+                        }
+                        std::thread::yield_now();
                     }
                     // With more threads than cores (common here, and on the
                     // paper's 272-thread KNL runs), yield so the scheduler
