@@ -281,17 +281,11 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Builds a controller for a run starting on `method`.
-    /// `fallback_omega` is the engine's configured ω for methods that don't
-    /// carry their own (plain Jacobi).
-    pub fn new(
-        cfg: ControlConfig,
-        method: ResolvedMethod,
-        fallback_omega: f64,
-        interval: SafeInterval,
-    ) -> Controller {
+    /// Builds a controller for a run starting on `method` (an engine's
+    /// legacy ω already folded in, see [`ResolvedMethod::fold_omega`]).
+    pub fn new(cfg: ControlConfig, method: ResolvedMethod, interval: SafeInterval) -> Controller {
         let (omega, beta, adaptable, momentum) = match method {
-            ResolvedMethod::Jacobi => (fallback_omega, 0.0, true, false),
+            ResolvedMethod::Jacobi => (1.0, 0.0, true, false),
             ResolvedMethod::Richardson1 { omega } => (omega, 0.0, true, false),
             ResolvedMethod::Richardson2 { omega, beta } => (omega, beta, true, true),
             ResolvedMethod::RandomizedResidual { .. } => (1.0, 0.0, false, false),
@@ -449,27 +443,16 @@ impl Controller {
     }
 
     /// Applies an emitted decision to a running method value, returning the
-    /// method the next sweep should execute (plus the plain-Jacobi ω for
-    /// engines whose Jacobi arm reads a separate weight). Shared by every
-    /// engine so the decision→method mapping cannot drift between them.
-    pub fn retune(
-        method: ResolvedMethod,
-        fallback_omega: f64,
-        d: &Decision,
-    ) -> (ResolvedMethod, f64) {
+    /// method the next sweep should execute. Shared by every engine so the
+    /// decision→method mapping cannot drift between them; plain Jacobi
+    /// shrinks and widens as `Richardson1 { ω }`, its damped form.
+    pub fn retune(method: ResolvedMethod, d: &Decision) -> ResolvedMethod {
         match *d {
-            Decision::Shrink { omega, beta } | Decision::Widen { omega, beta } => match method {
-                ResolvedMethod::Jacobi => (ResolvedMethod::Jacobi, omega),
-                ResolvedMethod::Richardson1 { .. } => {
-                    (ResolvedMethod::Richardson1 { omega }, fallback_omega)
-                }
-                ResolvedMethod::Richardson2 { .. } => {
-                    (ResolvedMethod::Richardson2 { omega, beta }, fallback_omega)
-                }
-                keep @ ResolvedMethod::RandomizedResidual { .. } => (keep, fallback_omega),
-            },
-            Decision::Switch { omega } => (ResolvedMethod::Richardson1 { omega }, fallback_omega),
-            Decision::Shed { .. } | Decision::Rescue => (method, fallback_omega),
+            Decision::Shrink { omega, beta } | Decision::Widen { omega, beta } => {
+                method.with_params(omega, beta)
+            }
+            Decision::Switch { omega } => ResolvedMethod::Richardson1 { omega },
+            Decision::Shed { .. } | Decision::Rescue => method,
         }
     }
 
@@ -515,7 +498,7 @@ mod tests {
 
     #[test]
     fn clean_run_emits_no_decisions() {
-        let mut c = Controller::new(ControlConfig::default(), r2(), 1.0, interval());
+        let mut c = Controller::new(ControlConfig::default(), r2(), interval());
         let mut r = 1.0;
         for _ in 0..200 {
             r *= 0.8;
@@ -533,7 +516,7 @@ mod tests {
             window: 10_000, // stall detection off
             ..ControlConfig::default()
         };
-        let mut c = Controller::new(cfg, r2(), 1.0, interval());
+        let mut c = Controller::new(cfg, r2(), interval());
         let mut shrinks = 0;
         let mut r = 1.0;
         for _ in 0..50 {
@@ -558,7 +541,7 @@ mod tests {
             window: 10_000,
             ..ControlConfig::default()
         };
-        let mut c = Controller::new(cfg, r2(), 1.0, interval());
+        let mut c = Controller::new(cfg, r2(), interval());
         let mut r = 1.0;
         for _ in 0..10 {
             r *= 0.9;
@@ -580,7 +563,7 @@ mod tests {
             window: 4,
             ..ControlConfig::default()
         };
-        let mut c = Controller::new(cfg, r2(), 1.0, interval());
+        let mut c = Controller::new(cfg, r2(), interval());
         let mut saw_switch = false;
         let mut saw_rescue = false;
         for _ in 0..40 {
@@ -610,7 +593,6 @@ mod tests {
                 ..ControlConfig::default()
             },
             ResolvedMethod::Richardson1 { omega: 0.9 },
-            1.0,
             interval(),
         );
         let mut rescues = 0;
@@ -629,7 +611,7 @@ mod tests {
             window: 10_000,
             ..ControlConfig::default()
         };
-        let mut c = Controller::new(cfg, r2(), 1.0, interval());
+        let mut c = Controller::new(cfg, r2(), interval());
         assert_eq!(
             c.observe(Observation {
                 residual: 1.0,
@@ -661,7 +643,7 @@ mod tests {
             fraction: 0.5,
             seed: 1,
         };
-        let mut c = Controller::new(cfg, m, 1.0, interval());
+        let mut c = Controller::new(cfg, m, interval());
         for _ in 0..10 {
             if let Some(d) = c.observe(obs(0.5, 30.0)) {
                 // High regime but not adaptable: only the stall ladder may
@@ -679,36 +661,48 @@ mod tests {
             beta: 0.1,
         };
         assert_eq!(
-            Controller::retune(ResolvedMethod::Jacobi, 1.0, &shrink),
-            (ResolvedMethod::Jacobi, 0.25)
+            Controller::retune(ResolvedMethod::Jacobi, &shrink),
+            ResolvedMethod::Richardson1 { omega: 0.25 }
         );
         assert_eq!(
-            Controller::retune(ResolvedMethod::Richardson1 { omega: 0.9 }, 1.0, &shrink),
-            (ResolvedMethod::Richardson1 { omega: 0.25 }, 1.0)
+            Controller::retune(ResolvedMethod::Richardson1 { omega: 0.9 }, &shrink),
+            ResolvedMethod::Richardson1 { omega: 0.25 }
         );
         assert_eq!(
-            Controller::retune(r2(), 1.0, &shrink),
-            (
-                ResolvedMethod::Richardson2 {
-                    omega: 0.25,
-                    beta: 0.1
-                },
-                1.0
-            )
+            Controller::retune(r2(), &shrink),
+            ResolvedMethod::Richardson2 {
+                omega: 0.25,
+                beta: 0.1
+            }
         );
         let rwr = ResolvedMethod::RandomizedResidual {
             fraction: 0.5,
             seed: 7,
         };
-        assert_eq!(Controller::retune(rwr, 1.0, &shrink), (rwr, 1.0));
+        assert_eq!(Controller::retune(rwr, &shrink), rwr);
         assert_eq!(
-            Controller::retune(r2(), 1.0, &Decision::Switch { omega: 0.8 }),
-            (ResolvedMethod::Richardson1 { omega: 0.8 }, 1.0)
+            Controller::retune(r2(), &Decision::Switch { omega: 0.8 }),
+            ResolvedMethod::Richardson1 { omega: 0.8 }
         );
-        assert_eq!(
-            Controller::retune(r2(), 1.0, &Decision::Rescue),
-            (r2(), 1.0)
+        assert_eq!(Controller::retune(r2(), &Decision::Rescue), r2());
+    }
+
+    #[test]
+    fn jacobi_starts_where_its_damped_form_does() {
+        // Plain Jacobi is richardson1 at ω = 1: the two controllers are one.
+        let mut jacobi =
+            Controller::new(ControlConfig::default(), ResolvedMethod::Jacobi, interval());
+        let mut r1 = Controller::new(
+            ControlConfig::default(),
+            ResolvedMethod::Richardson1 { omega: 1.0 },
+            interval(),
         );
+        assert_eq!(jacobi.params(), (1.0, 0.0));
+        for i in 0..60 {
+            let o = obs(1.0 / (1.0 + i as f64), (i % 40) as f64);
+            assert_eq!(jacobi.observe(o), r1.observe(o));
+        }
+        assert_eq!(jacobi.into_stats(), r1.into_stats());
     }
 
     #[test]
@@ -724,8 +718,8 @@ mod tests {
                 worst: i % 5,
             })
             .collect();
-        let mut a = Controller::new(cfg, r2(), 1.0, interval());
-        let mut b = Controller::new(cfg, r2(), 1.0, interval());
+        let mut a = Controller::new(cfg, r2(), interval());
+        let mut b = Controller::new(cfg, r2(), interval());
         for o in &seq {
             assert_eq!(a.observe(*o), b.observe(*o));
         }

@@ -109,8 +109,8 @@ proptest! {
             shed_after,
             ..ControlConfig::default()
         };
-        let mut a = Controller::new(cfg, method, 1.0, iv);
-        let mut b = Controller::new(cfg, method, 1.0, iv);
+        let mut a = Controller::new(cfg, method, iv);
+        let mut b = Controller::new(cfg, method, iv);
         for &(residual, staleness, worst) in &raw {
             let o = Observation { residual, staleness, worst };
             let da = a.observe(o);

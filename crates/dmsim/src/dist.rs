@@ -150,6 +150,11 @@ struct Rank {
     local: LocalSystem,
     /// Owned values followed by the ghost tail (window).
     x: Vec<f64>,
+    /// Momentum state of the owned rows: each row's value before its last
+    /// committed relaxation (read only by richardson2). Seeded with `x0`,
+    /// so the first sweep's momentum term vanishes; a crashed rank keeps
+    /// it just as it keeps `x`, which is the restart semantics.
+    x_prev: Vec<f64>,
     b: Vec<f64>,
     /// For each neighbour: `(positions into our owned vector to send,
     ///  ghost-slot positions at the receiver)`.
@@ -254,6 +259,7 @@ fn build_ranks(
                 .collect();
             Rank {
                 local,
+                x_prev: x[..sp.owned.len()].to_vec(),
                 x,
                 b: b_local,
                 sends,
@@ -416,6 +422,9 @@ pub fn run_dist_async_plan(
     } else {
         Vec::new()
     };
+    // The method each sweep runs, with the legacy ω folded in; controller
+    // decisions retarget it mid-run.
+    let mut method = config.method.fold_omega(config.omega);
     // Controller state. Staleness is measured as commit age — the tick of a
     // rank's latest sweep — the same generation-tick definition the
     // shared-memory engine and the obs histograms use, so the two engines'
@@ -423,7 +432,7 @@ pub fn run_dist_async_plan(
     let mut ctrl = config
         .control
         .as_ref()
-        .map(|spec| Controller::new(spec.cfg, config.method, config.omega, spec.interval));
+        .map(|spec| Controller::new(spec.cfg, method, spec.interval));
     let mut ctrl_last_commit = vec![0u64; if ctrl.is_some() { nparts } else { 0 }];
     let mut ctrl_period = vec![0u64; if ctrl.is_some() { nparts } else { 0 }];
 
@@ -473,23 +482,9 @@ pub fn run_dist_async_plan(
             );
         }
     }
-    // Scratch reused across every Jacobi sweep (two-phase staging buffer).
-    let max_owned = ranks.iter().map(|r| r.local.n_owned()).max().unwrap_or(0);
-    let mut sweep_values: Vec<f64> = Vec::with_capacity(max_owned);
     // Kernel residual scratch, sliced per rank.
+    let max_owned = ranks.iter().map(|r| r.local.n_owned()).max().unwrap_or(0);
     let mut sweep_res: Vec<f64> = vec![0.0; max_owned];
-    // Residual-weight scratch for randomized row selection.
-    let mut sweep_weights: Vec<f64> = Vec::with_capacity(max_owned);
-    // Momentum state, globally indexed (each row has exactly one owner, so
-    // ranks never alias): x_prev[g] is the value row g held *before* its
-    // owner's last committed relaxation. Seeded with x0 so the first sweep's
-    // momentum term vanishes; a crashed rank's entries simply stay at the
-    // last committed state, which is exactly the restart semantics.
-    let mut x_prev_global: Vec<f64> = if config.method.needs_previous_iterate() {
-        x0.to_vec()
-    } else {
-        Vec::new()
-    };
     // Free list of put payload buffers: a consumed PutArrive returns its
     // `Vec<f64>` here instead of dropping it, so steady-state sweeps issue
     // puts without touching the allocator.
@@ -512,11 +507,6 @@ pub fn run_dist_async_plan(
 
     let mut now = 0.0f64;
     let mut done = false;
-    // The method/ω actually executed; controller decisions retarget these
-    // mid-run. Without a controller they never change, so every sweep reads
-    // exactly `config.method`/`config.omega` as before.
-    let mut cur_method = config.method;
-    let mut cur_omega = config.omega;
     while let Some(next_tick) = queue.peek_tick() {
         if done || next_tick as f64 / TICK_SCALE > config.max_time {
             break;
@@ -542,114 +532,42 @@ pub fn run_dist_async_plan(
                     continue;
                 }
                 // Relax against the freshest window contents as of now.
-                let n_owned = ranks[r].local.n_owned();
+                let rank = &mut ranks[r];
+                let n_owned = rank.local.n_owned();
                 let swept = match config.local_solve {
-                    LocalSolve::Jacobi => match cur_method {
-                        ResolvedMethod::Jacobi | ResolvedMethod::Richardson1 { .. } => {
-                            // Plain and first-order Richardson share one
-                            // arm: only ω differs, and the Jacobi path must
-                            // keep the exact pre-method arithmetic.
-                            let omega = match cur_method {
-                                ResolvedMethod::Richardson1 { omega } => omega,
-                                _ => cur_omega,
-                            };
-                            // Two-phase: all residuals from the same state.
-                            sweep_values.clear();
-                            {
-                                let rank = &ranks[r];
-                                kernels[r].residuals_into(
-                                    &rank.local.matrix,
-                                    &rank.x,
-                                    &rank.b,
-                                    &mut sweep_res[..n_owned],
-                                );
-                                for row in 0..n_owned {
-                                    let res = sweep_res[row];
-                                    sweep_values
-                                        .push(rank.x[row] + omega * rank.local.diag_inv[row] * res);
-                                }
-                            }
-                            for (l, v) in sweep_values.iter().enumerate() {
-                                ranks[r].x[l] = *v;
-                                x_global[ranks[r].local.global_owned[l]] = *v;
-                            }
-                            n_owned
-                        }
-                        ResolvedMethod::Richardson2 { omega, beta } => {
-                            // Heavy-ball over the owned block; the momentum
-                            // term compares against the owner's previous
-                            // committed value, never a ghost.
-                            sweep_values.clear();
-                            {
-                                let rank = &ranks[r];
-                                kernels[r].residuals_into(
-                                    &rank.local.matrix,
-                                    &rank.x,
-                                    &rank.b,
-                                    &mut sweep_res[..n_owned],
-                                );
-                                for row in 0..n_owned {
-                                    let res = sweep_res[row];
-                                    let g = rank.local.global_owned[row];
-                                    sweep_values.push(
-                                        rank.x[row]
-                                            + omega * rank.local.diag_inv[row] * res
-                                            + beta * (rank.x[row] - x_prev_global[g]),
-                                    );
-                                }
-                            }
-                            for (l, v) in sweep_values.iter().enumerate() {
-                                let g = ranks[r].local.global_owned[l];
-                                x_prev_global[g] = ranks[r].x[l];
-                                ranks[r].x[l] = *v;
-                                x_global[g] = *v;
-                            }
-                            n_owned
-                        }
-                        ResolvedMethod::RandomizedResidual { fraction, seed } => {
-                            // Residual-weighted selection over the owned
-                            // block; the stream index r+1 keeps rank draws
-                            // independent (stream 0 is the sync engine's).
-                            sweep_values.clear();
-                            sweep_weights.clear();
-                            {
-                                let rank = &ranks[r];
-                                kernels[r].residuals_into(
-                                    &rank.local.matrix,
-                                    &rank.x,
-                                    &rank.b,
-                                    &mut sweep_res[..n_owned],
-                                );
-                                sweep_values.extend_from_slice(&sweep_res[..n_owned]);
-                                sweep_weights.extend(sweep_res[..n_owned].iter().map(|v| v.abs()));
-                            }
-                            let k = ((fraction * n_owned as f64).ceil() as usize).max(1);
-                            let chosen = method::select_residual_weighted(
-                                &sweep_weights,
-                                k,
-                                method::selection_seed(seed, r as u64 + 1, ranks[r].iterations),
-                            );
-                            let swept = chosen.len();
-                            for l in chosen {
-                                let v =
-                                    ranks[r].x[l] + ranks[r].local.diag_inv[l] * sweep_values[l];
-                                ranks[r].x[l] = v;
-                                x_global[ranks[r].local.global_owned[l]] = v;
-                            }
-                            swept
-                        }
-                    },
+                    LocalSolve::Jacobi => {
+                        // Two-phase: all residuals from the same state. The
+                        // stream index r+1 keeps rwr's rank draws
+                        // independent (stream 0 is the sync engine's).
+                        let res = &mut sweep_res[..n_owned];
+                        kernels[r].residuals_into(&rank.local.matrix, &rank.x, &rank.b, res);
+                        method::relax_block(
+                            &method,
+                            res,
+                            &rank.local.diag_inv,
+                            &mut rank.x[..n_owned],
+                            &mut rank.x_prev,
+                            r as u64 + 1,
+                            rank.iterations,
+                        )
+                    }
                     LocalSolve::GaussSeidel => {
+                        // Only plain Jacobi reaches here (asserted above),
+                        // folded and retuned as richardson1.
+                        let ResolvedMethod::Richardson1 { omega } = method else {
+                            unreachable!("Gauss-Seidel local solve running {}", method.name());
+                        };
                         // In-place: each row sees its predecessors' updates.
-                        let rank = &mut ranks[r];
                         for row in 0..n_owned {
                             let res = rank.b[row] - rank.local.matrix.row_dot(row, &rank.x);
-                            rank.x[row] += cur_omega * rank.local.diag_inv[row] * res;
-                            x_global[rank.local.global_owned[row]] = rank.x[row];
+                            rank.x[row] += omega * rank.local.diag_inv[row] * res;
                         }
                         n_owned
                     }
                 };
+                for (&g, &v) in rank.local.global_owned.iter().zip(&rank.x) {
+                    x_global[g] = v;
+                }
                 ranks[r].iterations += 1;
                 relaxations += swept as u64;
                 if let Some(o) = obs.as_mut() {
@@ -790,9 +708,7 @@ pub fn run_dist_async_plan(
                             staleness,
                             worst,
                         }) {
-                            let (m, w0) = Controller::retune(cur_method, cur_omega, &d);
-                            cur_method = m;
-                            cur_omega = w0;
+                            method = Controller::retune(method, &d);
                             if let Some(o) = obs.as_mut() {
                                 o.event(0, tick, decision_kind(&d));
                             }
@@ -1079,14 +995,10 @@ pub fn run_dist_sync_plan(
         .map(|p| WorkerJitter::new(&config.cost.jitter, p))
         .collect();
 
+    let method = config.method.fold_omega(config.omega);
     let mut x = x0.to_vec();
     let mut x_next = vec![0.0; n];
-    // Previous-iterate buffer for momentum; empty (never read) otherwise.
-    let mut x_prev = if matches!(config.method, ResolvedMethod::Jacobi) {
-        Vec::new()
-    } else {
-        x0.to_vec()
-    };
+    let mut x_prev = x0.to_vec();
     let mut now = 0.0f64;
     let mut iters = 0u64;
     let mut relaxations = 0u64;
@@ -1120,40 +1032,13 @@ pub fn run_dist_sync_plan(
             slowest = slowest.max(cost);
         }
         let exchange = config.cost.put_latency + config.cost.per_value_comm * max_send as f64;
-        let swept = match config.method {
-            ResolvedMethod::Jacobi => {
-                // The pre-method path, untouched for bit-identity (and the
-                // only one where the legacy `omega` knob still applies).
-                aj_linalg::sweeps::weighted_jacobi_iteration(
-                    a,
-                    b,
-                    &diag_inv,
-                    config.omega,
-                    &x,
-                    &mut x_next,
-                );
-                std::mem::swap(&mut x, &mut x_next);
-                n
-            }
-            _ => {
-                // Synchronous mode is exactly one global dense-reference
-                // iteration per step, so every method-capable engine agrees
-                // bit-for-bit in sync mode.
-                let swept = method::method_iteration(
-                    a,
-                    b,
-                    &diag_inv,
-                    &config.method,
-                    iters,
-                    &x,
-                    &x_prev,
-                    &mut x_next,
-                );
-                std::mem::swap(&mut x_prev, &mut x);
-                std::mem::swap(&mut x, &mut x_next);
-                swept
-            }
-        };
+        // Synchronous mode is exactly one global dense-reference iteration
+        // per step, so every method-capable engine agrees bit-for-bit in
+        // sync mode.
+        let swept =
+            method::method_iteration(a, b, &diag_inv, &method, iters, &x, &x_prev, &mut x_next);
+        std::mem::swap(&mut x_prev, &mut x);
+        std::mem::swap(&mut x, &mut x_next);
         now += slowest + exchange;
         iters += 1;
         relaxations += swept as u64;

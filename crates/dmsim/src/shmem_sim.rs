@@ -172,13 +172,16 @@ pub fn run_shmem_async(
     // age of a neighbour's data at use is `commit tick − neighbour's last
     // commit tick` (values are visible the instant they commit).
     let mut obs = EngineObs::new(&config.obs, t);
+    // The method each sweep runs, with the legacy ω folded in; controller
+    // decisions retarget it mid-run.
+    let mut method = config.method.fold_omega(config.omega);
     // Controller state. Commit-tick tracking is shared with observability:
     // either consumer being on turns it on; with both off the loop body is
     // unchanged from the uncontrolled engine.
     let mut ctrl = config
         .control
         .as_ref()
-        .map(|spec| Controller::new(spec.cfg, config.method, config.omega, spec.interval));
+        .map(|spec| Controller::new(spec.cfg, method, spec.interval));
     let track_commits = obs.is_some() || ctrl.is_some();
     let neighbors: Vec<Vec<usize>> = if obs.is_some() {
         let mut owner = vec![0usize; n];
@@ -232,26 +235,14 @@ pub fn run_shmem_async(
 
     let mut now = 0.0f64;
     let mut done = false;
-    // Two-phase scratch, hoisted out of the event loop and reused by every
-    // sweep: the engine allocates nothing per event in steady state (the
-    // randomized-selection arm is the one exception — its weighted draw
-    // buffers are per-sweep).
+    // Residual scratch, hoisted out of the event loop and reused by every
+    // sweep: the engine allocates nothing per event in steady state (rwr's
+    // weighted draw is the one exception).
     let widest = ranges.iter().map(|r| r.len()).max().unwrap_or(0);
-    let mut values: Vec<f64> = Vec::with_capacity(widest);
     let mut res: Vec<f64> = vec![0.0; widest];
-    let mut weights: Vec<f64> = Vec::new();
-    // Momentum state: per-row value before the row's last relaxation, only
-    // materialized when the method reads it.
-    let mut x_prev = if config.method.needs_previous_iterate() {
-        x0.to_vec()
-    } else {
-        Vec::new()
-    };
-    // The method/ω actually executed; controller decisions retarget these
-    // mid-run. Without a controller they never change, so every sweep reads
-    // exactly `config.method`/`config.omega` as before.
-    let mut cur_method = config.method;
-    let mut cur_omega = config.omega;
+    // Momentum state: per-row value before the row's last relaxation (read
+    // only by richardson2).
+    let mut x_prev = x0.to_vec();
     while let Some(Reverse((tick, _, w))) = queue.pop() {
         if done {
             break;
@@ -264,59 +255,17 @@ pub fn run_shmem_async(
         // available values (just-in-time reads). Two-phase within the
         // block: all residuals from the same state, then all corrections.
         let range = ranges[w].clone();
-        let swept = match cur_method {
-            ResolvedMethod::Jacobi | ResolvedMethod::Richardson1 { .. } => {
-                let omega = match cur_method {
-                    ResolvedMethod::Richardson1 { omega } => omega,
-                    _ => cur_omega,
-                };
-                let blk = range.len();
-                kernels[w].residuals_into(a, &x, &b[range.clone()], &mut res[..blk]);
-                values.clear();
-                for (offset, i) in range.clone().enumerate() {
-                    values.push(x[i] + omega * diag_inv[i] * res[offset]);
-                }
-                for (offset, i) in range.clone().enumerate() {
-                    x[i] = values[offset];
-                }
-                blk
-            }
-            ResolvedMethod::Richardson2 { omega, beta } => {
-                let blk = range.len();
-                kernels[w].residuals_into(a, &x, &b[range.clone()], &mut res[..blk]);
-                values.clear();
-                for (offset, i) in range.clone().enumerate() {
-                    let r = res[offset];
-                    values.push(x[i] + omega * diag_inv[i] * r + beta * (x[i] - x_prev[i]));
-                }
-                for (offset, i) in range.clone().enumerate() {
-                    x_prev[i] = x[i];
-                    x[i] = values[offset];
-                }
-                blk
-            }
-            ResolvedMethod::RandomizedResidual { fraction, seed } => {
-                // Residual-weighted draw over the block, then plain Jacobi
-                // on the chosen rows; all residuals read the same state.
-                let blk = range.len();
-                kernels[w].residuals_into(a, &x, &b[range.clone()], &mut res[..blk]);
-                values.clear();
-                values.extend_from_slice(&res[..blk]);
-                weights.clear();
-                weights.extend(values.iter().map(|r| r.abs()));
-                let k = ((fraction * range.len() as f64).ceil() as usize).max(1);
-                let chosen = method::select_residual_weighted(
-                    &weights,
-                    k,
-                    method::selection_seed(seed, w as u64 + 1, iterations[w]),
-                );
-                for &c in &chosen {
-                    let i = range.start + c;
-                    x[i] += diag_inv[i] * values[c];
-                }
-                chosen.len()
-            }
-        };
+        let res = &mut res[..range.len()];
+        kernels[w].residuals_into(a, &x, &b[range.clone()], res);
+        let swept = method::relax_block(
+            &method,
+            res,
+            &diag_inv[range.clone()],
+            &mut x[range.clone()],
+            &mut x_prev[range],
+            w as u64 + 1,
+            iterations[w],
+        );
         iterations[w] += 1;
         relaxations += swept as u64;
         if let Some(o) = obs.as_mut() {
@@ -375,9 +324,7 @@ pub fn run_shmem_async(
                     staleness,
                     worst,
                 }) {
-                    let (m, w0) = Controller::retune(cur_method, cur_omega, &d);
-                    cur_method = m;
-                    cur_omega = w0;
+                    method = Controller::retune(method, &d);
                     if let Some(o) = obs.as_mut() {
                         o.event(0, tick, decision_kind(&d));
                     }
@@ -676,6 +623,7 @@ pub fn run_shmem_sync(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemSimCon
         .collect();
     let barrier = config.cost.barrier_cost(t);
 
+    let method = config.method.fold_omega(config.omega);
     let mut x = x0.to_vec();
     let mut x_next = vec![0.0; n];
     let mut x_prev = x0.to_vec();
@@ -714,31 +662,12 @@ pub fn run_shmem_sync(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemSimCon
             }
             slowest = slowest.max(cost);
         }
-        let swept = match config.method {
-            // The classic path, untouched: lock-step (damped) Jacobi.
-            ResolvedMethod::Jacobi => {
-                aj_linalg::sweeps::weighted_jacobi_iteration(
-                    a,
-                    b,
-                    &diag_inv,
-                    config.omega,
-                    &x,
-                    &mut x_next,
-                );
-                std::mem::swap(&mut x, &mut x_next);
-                n
-            }
-            // Every other method routes through the shared dense reference
-            // iteration, so a synchronous simulated run is bit-identical to
-            // `aj_linalg::method::method_solve`.
-            m => {
-                let swept =
-                    method::method_iteration(a, b, &diag_inv, &m, iters, &x, &x_prev, &mut x_next);
-                std::mem::swap(&mut x_prev, &mut x);
-                std::mem::swap(&mut x, &mut x_next);
-                swept
-            }
-        };
+        // One dense reference iteration, so a synchronous simulated run is
+        // bit-identical to `aj_linalg::method::method_solve`.
+        let swept =
+            method::method_iteration(a, b, &diag_inv, &method, iters, &x, &x_prev, &mut x_next);
+        std::mem::swap(&mut x_prev, &mut x);
+        std::mem::swap(&mut x, &mut x_next);
         now += slowest + barrier;
         iters += 1;
         relaxations += swept as u64;

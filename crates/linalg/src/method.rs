@@ -2,9 +2,10 @@
 //!
 //! The paper's propagation-matrix model `x(k+1) = (I − D̂(k)D⁻¹A)x(k) +
 //! D̂(k)D⁻¹b` is not Jacobi-specific: any per-row update with an active-row
-//! mask fits it. This module defines the method family every engine in the
-//! workspace (model executor, shared-memory threads, both simulators)
-//! implements uniformly:
+//! mask fits it. This module defines the method family, and the one
+//! routine that applies it, [`relax_block`], which every engine in the
+//! workspace (model executor, both simulators, shared-memory threads, net
+//! ranks) calls on the rows it relaxes:
 //!
 //! * **`jacobi`** — the paper's method, `x_i ← x_i + d_i⁻¹ r_i`;
 //! * **`richardson1`** — first-order (weighted) Richardson,
@@ -136,12 +137,11 @@ impl Method {
             method,
             interval: None,
         };
+        let checked = |m: ResolvedMethod| m.validate().map_err(LinalgError::InvalidStructure);
         match *self {
             Method::Jacobi => Ok(done(ResolvedMethod::Jacobi)),
             Method::Richardson1 { omega } => match omega {
-                OmegaSpec::Fixed(w) => Ok(done(ResolvedMethod::Richardson1 {
-                    omega: check_omega(w)?,
-                })),
+                OmegaSpec::Fixed(w) => Ok(done(checked(ResolvedMethod::Richardson1 { omega: w })?)),
                 OmegaSpec::Auto => {
                     let interval = SafeInterval::estimate(a)?;
                     let (omega, _) = interval.clamp(interval.omega_opt1(), 0.0);
@@ -152,24 +152,26 @@ impl Method {
                 }
             },
             Method::Richardson2 { omega, beta } => match (omega, beta) {
-                (OmegaSpec::Fixed(w), Some(b)) => Ok(done(ResolvedMethod::Richardson2 {
-                    omega: check_omega(w)?,
-                    beta: check_beta(b)?,
-                })),
+                (OmegaSpec::Fixed(w), Some(b)) => Ok(done(checked(ResolvedMethod::Richardson2 {
+                    omega: w,
+                    beta: b,
+                })?)),
                 // Any unresolved parameter needs the spectrum; the optimal
                 // pair is derived jointly, and a fixed ω keeps its value
-                // with only β derived.
+                // with only β derived. At most one parameter is fixed here,
+                // and it is checked before the auto ω is clamped against β.
                 (spec, b) => {
                     let interval = SafeInterval::estimate(a)?;
                     let (sl, sh) = (interval.lambda_min.sqrt(), interval.lambda_max.sqrt());
-                    let b_opt = (((sh - sl) / (sh + sl)).powi(2)).min(BETA_CAP);
-                    let beta = match b {
-                        Some(b) => check_beta(b)?,
-                        None => b_opt,
-                    };
                     let omega = match spec {
-                        OmegaSpec::Fixed(w) => check_omega(w)?,
-                        OmegaSpec::Auto => interval.clamp((2.0 / (sl + sh)).powi(2), beta).0,
+                        OmegaSpec::Fixed(w) => w,
+                        OmegaSpec::Auto => (2.0 / (sl + sh)).powi(2),
+                    };
+                    let beta = b.unwrap_or((((sh - sl) / (sh + sl)).powi(2)).min(BETA_CAP));
+                    checked(ResolvedMethod::Richardson2 { omega, beta })?;
+                    let omega = match spec {
+                        OmegaSpec::Fixed(_) => omega,
+                        OmegaSpec::Auto => interval.clamp(omega, beta).0,
                     };
                     Ok(Resolution {
                         method: ResolvedMethod::Richardson2 { omega, beta },
@@ -178,34 +180,12 @@ impl Method {
                 }
             },
             Method::RandomizedResidual { fraction } => {
-                if !(fraction > 0.0 && fraction <= 1.0) {
-                    return Err(LinalgError::InvalidStructure(format!(
-                        "rwr fraction must lie in (0, 1], got {fraction}"
-                    )));
-                }
-                Ok(done(ResolvedMethod::RandomizedResidual { fraction, seed }))
+                Ok(done(checked(ResolvedMethod::RandomizedResidual {
+                    fraction,
+                    seed,
+                })?))
             }
         }
-    }
-}
-
-fn check_omega(w: f64) -> Result<f64, LinalgError> {
-    if w.is_finite() && w > 0.0 {
-        Ok(w)
-    } else {
-        Err(LinalgError::InvalidStructure(format!(
-            "omega must be finite and positive, got {w}"
-        )))
-    }
-}
-
-fn check_beta(b: f64) -> Result<f64, LinalgError> {
-    if b.is_finite() && (0.0..1.0).contains(&b) {
-        Ok(b)
-    } else {
-        Err(LinalgError::InvalidStructure(format!(
-            "beta must lie in [0, 1), got {b}"
-        )))
     }
 }
 
@@ -444,6 +424,58 @@ impl ResolvedMethod {
         matches!(self, ResolvedMethod::Richardson2 { .. })
     }
 
+    /// Returns the method unchanged when every parameter lies in its
+    /// documented range: ω finite and positive, β in `[0, 1)`, the rwr
+    /// fraction in `(0, 1]`. Otherwise returns the message naming the
+    /// first parameter that does not. [`Method::resolve`] and the wire
+    /// decode of a net job both check through here.
+    pub fn validate(self) -> Result<ResolvedMethod, String> {
+        match self {
+            ResolvedMethod::Richardson1 { omega } | ResolvedMethod::Richardson2 { omega, .. }
+                if !(omega.is_finite() && omega > 0.0) =>
+            {
+                Err(format!("omega must be finite and positive, got {omega}"))
+            }
+            ResolvedMethod::Richardson2 { beta, .. }
+                if !(beta.is_finite() && (0.0..1.0).contains(&beta)) =>
+            {
+                Err(format!("beta must lie in [0, 1), got {beta}"))
+            }
+            ResolvedMethod::RandomizedResidual { fraction, .. }
+                if !(fraction > 0.0 && fraction <= 1.0) =>
+            {
+                Err(format!("rwr fraction must lie in (0, 1], got {fraction}"))
+            }
+            valid => Ok(valid),
+        }
+    }
+
+    /// Folds an engine configuration's legacy damping weight into the
+    /// method. Plain Jacobi damped by ω is `Richardson1 { ω }`: both run
+    /// `x + ω d⁻¹ r`, and at ω = 1 that is Jacobi's own update bit for bit
+    /// (`1·d = d`). Every other method carries its own parameters and
+    /// ignores `omega`. Engines fold once, at entry.
+    pub fn fold_omega(self, omega: f64) -> ResolvedMethod {
+        match self {
+            ResolvedMethod::Jacobi => ResolvedMethod::Richardson1 { omega },
+            other => other,
+        }
+    }
+
+    /// The method with its relaxation parameters replaced by `(ω, β)`, the
+    /// way an online controller retargets a running method: Jacobi becomes
+    /// `Richardson1 { ω }`, first order drops β, and rwr, which takes
+    /// neither, stays as it is.
+    pub fn with_params(self, omega: f64, beta: f64) -> ResolvedMethod {
+        match self {
+            ResolvedMethod::Jacobi | ResolvedMethod::Richardson1 { .. } => {
+                ResolvedMethod::Richardson1 { omega }
+            }
+            ResolvedMethod::Richardson2 { .. } => ResolvedMethod::Richardson2 { omega, beta },
+            rwr @ ResolvedMethod::RandomizedResidual { .. } => rwr,
+        }
+    }
+
     /// The canonical `method=` selector that re-parses to this resolved
     /// method with no further spectrum estimation — lets a cache hand a
     /// resolved method back through a string interface.
@@ -469,6 +501,12 @@ pub fn selection_seed(base: u64, stream: u64, step: u64) -> u64 {
     base ^ stream
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(step.wrapping_mul(0xbf58_476d_1ce4_e5b9))
+}
+
+/// Rows an rwr sweep relaxes out of `m` candidates: `⌈fraction·m⌉`, at
+/// least one.
+fn rwr_rows(fraction: f64, m: usize) -> usize {
+    ((fraction * m as f64).ceil() as usize).max(1)
 }
 
 /// Draws `k` of the `weights.len()` candidates without replacement with
@@ -517,6 +555,75 @@ pub fn select_residual_weighted(weights: &[f64], k: usize, seed: u64) -> Vec<usi
     chosen
 }
 
+/// Relaxes one block of rows in place: the update every asynchronous
+/// engine applies to the rows it owns, `x ← x + ω D⁻¹ r` (richardson2 adds
+/// `β (x − x_prev)`; rwr relaxes a residual-weighted subset at ω = 1).
+///
+/// `res` holds the block's residuals `b − A x`, all computed from one
+/// state by the engine's [`SweepKernel`] before the call; `diag_inv`, `x`
+/// and `x_prev` are the block's own entries of `D⁻¹`, the iterate and the
+/// value each row held before its last relaxation. `x_prev` is read and
+/// written only when [`ResolvedMethod::needs_previous_iterate`] (it may be
+/// empty otherwise). rwr draws its rows from
+/// `selection_seed(seed, stream, step)`. Returns the number of rows
+/// relaxed.
+///
+/// Each row's update reads only that row's own values, so updating in
+/// place equals the two-phase update; over a whole matrix with `stream`
+/// 0 this is [`method_iteration`] bit for bit.
+///
+/// # Panics
+/// Panics when `res`, `diag_inv` or a needed `x_prev` is not as long as
+/// `x`.
+pub fn relax_block(
+    method: &ResolvedMethod,
+    res: &[f64],
+    diag_inv: &[f64],
+    x: &mut [f64],
+    x_prev: &mut [f64],
+    stream: u64,
+    step: u64,
+) -> usize {
+    let m = x.len();
+    assert!(
+        res.len() == m && diag_inv.len() == m,
+        "relax_block: block length mismatch"
+    );
+    match *method {
+        ResolvedMethod::Jacobi | ResolvedMethod::Richardson1 { .. } => {
+            let omega = match *method {
+                ResolvedMethod::Richardson1 { omega } => omega,
+                _ => 1.0,
+            };
+            for ((xi, &d), &r) in x.iter_mut().zip(diag_inv).zip(res) {
+                *xi += omega * d * r;
+            }
+            m
+        }
+        ResolvedMethod::Richardson2 { omega, beta } => {
+            assert_eq!(x_prev.len(), m, "relax_block: x_prev length mismatch");
+            for (((xi, pi), &d), &r) in x.iter_mut().zip(x_prev.iter_mut()).zip(diag_inv).zip(res) {
+                let next = *xi + omega * d * r + beta * (*xi - *pi);
+                *pi = *xi;
+                *xi = next;
+            }
+            m
+        }
+        ResolvedMethod::RandomizedResidual { fraction, seed } => {
+            let weights: Vec<f64> = res.iter().map(|r| r.abs()).collect();
+            let rows = select_residual_weighted(
+                &weights,
+                rwr_rows(fraction, m),
+                selection_seed(seed, stream, step),
+            );
+            for &i in &rows {
+                x[i] += diag_inv[i] * res[i];
+            }
+            rows.len()
+        }
+    }
+}
+
 /// One synchronous iteration of `method`, writing into `x_next` (two-phase:
 /// every update reads `x`). `x_prev` is the iterate before `x` (pass `x0`
 /// on the first step, where the momentum term then vanishes) and `step` is
@@ -560,8 +667,11 @@ pub fn method_iteration(
                 res[i] = b[i] - a.row_dot(i, x);
             }
             let weights: Vec<f64> = res.iter().map(|r| r.abs()).collect();
-            let k = ((fraction * n as f64).ceil() as usize).max(1);
-            let rows = select_residual_weighted(&weights, k, selection_seed(seed, 0, step));
+            let rows = select_residual_weighted(
+                &weights,
+                rwr_rows(fraction, n),
+                selection_seed(seed, 0, step),
+            );
             x_next.copy_from_slice(x);
             for &i in &rows {
                 x_next[i] = x[i] + diag_inv[i] * res[i];

@@ -6,8 +6,7 @@
 //! the synchronous comparison pays the barrier cost (δ time units per
 //! iteration when a thread is δ-delayed).
 
-use crate::mask::ActiveMask;
-use crate::propagation::{apply_method_step, apply_step};
+use crate::propagation::apply_method_step;
 use crate::schedule::DelaySchedule;
 use aj_linalg::method::{method_iteration, ResolvedMethod};
 use aj_linalg::vecops::{self, Norm};
@@ -71,31 +70,8 @@ pub fn run_async_model(
     max_steps: u64,
     norm: Norm,
 ) -> Result<ModelRun, LinalgError> {
-    let n = a.nrows();
-    let diag_inv = diag_inv_of(a)?;
-    let mut x = x0.to_vec();
-    let nb = vecops::norm(b, norm).max(f64::MIN_POSITIVE);
-    let mut history = vec![(0u64, a.residual_norm(&x, b, norm) / nb)];
-    let mut relaxations = 0u64;
-    let mut steps = 0u64;
-    let mut converged = history[0].1 < tol;
-    while !converged && steps < max_steps {
-        let k = steps + 1;
-        let mask = schedule.mask_at(n, k);
-        apply_step(a, b, &diag_inv, &mask, &mut x);
-        relaxations += mask.num_active() as u64;
-        steps = k;
-        let r = a.residual_norm(&x, b, norm) / nb;
-        history.push((k, r));
-        converged = r < tol;
-    }
-    Ok(ModelRun {
-        residual_history: history,
-        x,
-        relaxations,
-        converged,
-        steps,
-    })
+    let jacobi = ResolvedMethod::Jacobi;
+    run_async_model_method(a, b, x0, schedule, &jacobi, tol, max_steps, norm)
 }
 
 /// Runs the **synchronous** model: every iteration relaxes all rows, but the
@@ -110,32 +86,8 @@ pub fn run_sync_model(
     max_steps: u64,
     norm: Norm,
 ) -> Result<ModelRun, LinalgError> {
-    let n = a.nrows();
-    let diag_inv = diag_inv_of(a)?;
-    let cost = schedule.sync_iteration_cost();
-    let mut x = x0.to_vec();
-    let nb = vecops::norm(b, norm).max(f64::MIN_POSITIVE);
-    let mut history = vec![(0u64, a.residual_norm(&x, b, norm) / nb)];
-    let mut relaxations = 0u64;
-    let mut steps = 0u64;
-    let mask = ActiveMask::all(n);
-    let mut converged = history[0].1 < tol;
-    // `max_steps` bounds *model time* so sync and async runs are comparable.
-    while !converged && (steps + 1) * cost <= max_steps {
-        steps += 1;
-        apply_step(a, b, &diag_inv, &mask, &mut x);
-        relaxations += n as u64;
-        let r = a.residual_norm(&x, b, norm) / nb;
-        history.push((steps * cost, r));
-        converged = r < tol;
-    }
-    Ok(ModelRun {
-        residual_history: history,
-        x,
-        relaxations,
-        converged,
-        steps,
-    })
+    let jacobi = ResolvedMethod::Jacobi;
+    run_sync_model_method(a, b, x0, schedule, &jacobi, tol, max_steps, norm)
 }
 
 /// Runs the **asynchronous** model for an arbitrary relaxation method:
@@ -207,6 +159,7 @@ pub fn run_sync_model_method(
     let mut relaxations = 0u64;
     let mut steps = 0u64;
     let mut converged = history[0].1 < tol;
+    // `max_steps` bounds *model time* so sync and async runs are comparable.
     while !converged && (steps + 1) * cost <= max_steps {
         relaxations +=
             method_iteration(a, b, &diag_inv, method, steps, &x, &x_prev, &mut x_next) as u64;

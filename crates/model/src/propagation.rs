@@ -14,11 +14,12 @@ use aj_linalg::{eigen, CsrMatrix};
 /// `x ← x + D̂ D⁻¹ (b − A x)`. Only rows active in `mask` change.
 /// `diag_inv[i] = 1 / a_ii`.
 pub fn apply_step(a: &CsrMatrix, b: &[f64], diag_inv: &[f64], mask: &ActiveMask, x: &mut [f64]) {
-    apply_step_weighted(a, b, diag_inv, mask, 1.0, x);
+    apply_method_step(a, b, diag_inv, mask, &ResolvedMethod::Jacobi, 0, x, &mut []);
 }
 
-/// Weighted (damped) model step: `x ← x + ω D̂ D⁻¹ (b − A x)`. The masked
-/// damped propagation matrix is `Ĝ_ω(k) = I − ω D̂ D⁻¹ A`.
+/// Weighted (damped) model step: `x ← x + ω D̂ D⁻¹ (b − A x)`, which is
+/// [`apply_method_step`] with `Richardson1 { ω }`. The masked damped
+/// propagation matrix is `Ĝ_ω(k) = I − ω D̂ D⁻¹ A`.
 pub fn apply_step_weighted(
     a: &CsrMatrix,
     b: &[f64],
@@ -27,30 +28,23 @@ pub fn apply_step_weighted(
     omega: f64,
     x: &mut [f64],
 ) {
-    let n = a.nrows();
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(b.len(), n);
-    // Two-phase (compute all updates from the same x, then write), matching
-    // the simultaneous reads of Equation (6).
-    let mut updates: Vec<(usize, f64)> = Vec::with_capacity(mask.num_active());
-    for (i, &dinv) in diag_inv.iter().enumerate() {
-        if mask.is_active(i) {
-            let r = b[i] - a.row_dot(i, x);
-            updates.push((i, omega * dinv * r));
-        }
-    }
-    for (i, du) in updates {
-        x[i] += du;
-    }
+    let method = ResolvedMethod::Richardson1 { omega };
+    apply_method_step(a, b, diag_inv, mask, &method, 0, x, &mut []);
 }
 
-/// One masked step of an arbitrary [`ResolvedMethod`], generalizing
-/// [`apply_step_weighted`]: active rows update per the method, delayed rows
-/// hold. `x_prev[i]` must hold the value `x[i]` had before its last
-/// relaxation (initialize to `x0`; the momentum term then vanishes on a
-/// row's first relaxation) and is maintained here for the rows that relax.
-/// `step` feeds the randomized row-selection stream. Returns the number of
-/// rows relaxed, which for `rwr` is a residual-weighted subset of the mask.
+/// One masked step of an arbitrary [`ResolvedMethod`]: active rows update
+/// per the method, delayed rows hold. `x_prev[i]` must hold the value `x[i]`
+/// had before its last relaxation (initialize to `x0`; the momentum term
+/// then vanishes on a row's first relaxation) and is maintained here for
+/// the rows that relax; methods without momentum never read it, so they
+/// may pass an empty slice. `step` feeds the randomized row-selection
+/// stream. Returns the number of rows relaxed, which for `rwr` is a
+/// residual-weighted subset of the mask.
+///
+/// The active rows are gathered into one block, all their residuals are
+/// computed from the same `x` (the simultaneous reads of Equation (6)),
+/// [`method::relax_block`] updates the block, and the results are
+/// scattered back.
 #[allow(clippy::too_many_arguments)] // mirrors the run_*_model signature plus the method
 pub fn apply_method_step(
     a: &CsrMatrix,
@@ -62,51 +56,30 @@ pub fn apply_method_step(
     x: &mut [f64],
     x_prev: &mut [f64],
 ) -> usize {
-    match *method {
-        ResolvedMethod::Jacobi => {
-            apply_step(a, b, diag_inv, mask, x);
-            mask.num_active()
-        }
-        ResolvedMethod::Richardson1 { omega } => {
-            apply_step_weighted(a, b, diag_inv, mask, omega, x);
-            mask.num_active()
-        }
-        ResolvedMethod::Richardson2 { omega, beta } => {
-            let mut updates: Vec<(usize, f64)> = Vec::with_capacity(mask.num_active());
-            for (i, &dinv) in diag_inv.iter().enumerate() {
-                if mask.is_active(i) {
-                    let r = b[i] - a.row_dot(i, x);
-                    updates.push((i, x[i] + omega * dinv * r + beta * (x[i] - x_prev[i])));
-                }
-            }
-            let relaxed = updates.len();
-            for (i, next) in updates {
-                x_prev[i] = x[i];
-                x[i] = next;
-            }
-            relaxed
-        }
-        ResolvedMethod::RandomizedResidual { fraction, seed } => {
-            let active = mask.active_rows();
-            if active.is_empty() {
-                return 0;
-            }
-            let residuals: Vec<f64> = active.iter().map(|&i| b[i] - a.row_dot(i, x)).collect();
-            let weights: Vec<f64> = residuals.iter().map(|r| r.abs()).collect();
-            let k = ((fraction * active.len() as f64).ceil() as usize).max(1);
-            let chosen = method::select_residual_weighted(
-                &weights,
-                k,
-                method::selection_seed(seed, 0, step),
-            );
-            for &c in &chosen {
-                let i = active[c];
-                x_prev[i] = x[i];
-                x[i] += diag_inv[i] * residuals[c];
-            }
-            chosen.len()
+    debug_assert_eq!(x.len(), a.nrows());
+    debug_assert_eq!(b.len(), a.nrows());
+    let active = mask.active_rows();
+    let gather = |v: &[f64]| -> Vec<f64> { active.iter().map(|&i| v[i]).collect() };
+    let res: Vec<f64> = active.iter().map(|&i| b[i] - a.row_dot(i, x)).collect();
+    let mut block = gather(x);
+    let momentum = method.needs_previous_iterate();
+    let mut block_prev = if momentum { gather(x_prev) } else { Vec::new() };
+    let relaxed = method::relax_block(
+        method,
+        &res,
+        &gather(diag_inv),
+        &mut block,
+        &mut block_prev,
+        0,
+        step,
+    );
+    for (k, &i) in active.iter().enumerate() {
+        x[i] = block[k];
+        if momentum {
+            x_prev[i] = block_prev[k];
         }
     }
+    relaxed
 }
 
 /// The error propagation matrix `Ĝ(k) = I − D̂ D⁻¹ A` as explicit CSR.

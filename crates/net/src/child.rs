@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use aj_linalg::method::{select_residual_weighted, selection_seed};
-use aj_linalg::{CooMatrix, CsrMatrix, StorageFormat, SweepKernel};
+use aj_linalg::method::relax_block;
+use aj_linalg::{CooMatrix, CsrMatrix, ResolvedMethod, StorageFormat, SweepKernel};
 use aj_obs::{Histogram, Sampler, Snapshot, SpanKind, Timeline};
 
 use crate::wire::{self, Codec, DoneMsg, JobMsg, Msg};
@@ -44,33 +44,6 @@ const DIAL_ATTEMPTS: u32 = 100;
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Total time budget for one reconnect-and-resync before giving up.
 const RECONNECT_BUDGET: Duration = Duration::from_secs(4);
-
-/// Method arm resolved from the wire (parameters already concrete —
-/// `omega=auto` is resolved by the parent, never in a child).
-enum ChildMethod {
-    Jacobi,
-    Richardson1 { omega: f64 },
-    Richardson2 { omega: f64, beta: f64 },
-    Rwr { fraction: f64, seed: u64 },
-}
-
-impl ChildMethod {
-    fn from_wire(m: &wire::MethodMsg) -> Result<ChildMethod, String> {
-        match m.name.as_str() {
-            "jacobi" => Ok(ChildMethod::Jacobi),
-            "richardson1" => Ok(ChildMethod::Richardson1 { omega: m.omega }),
-            "richardson2" => Ok(ChildMethod::Richardson2 {
-                omega: m.omega,
-                beta: m.beta,
-            }),
-            "rwr" => Ok(ChildMethod::Rwr {
-                fraction: m.fraction,
-                seed: m.seed,
-            }),
-            other => Err(format!("unknown method '{other}' in job")),
-        }
-    }
-}
 
 /// State shared between the sweep thread and the reader thread(s).
 struct Shared {
@@ -287,8 +260,9 @@ struct RankState {
     matrix: CsrMatrix,
     diag_inv: Vec<f64>,
     kernel: SweepKernel,
-    method: ChildMethod,
-    format_omega: f64,
+    /// The job's method with its plain-Jacobi `omega` folded in
+    /// (`omega=auto` is resolved by the parent, never in a child).
+    method: ResolvedMethod,
 }
 
 fn build_state(rank: usize, job: &JobMsg) -> Result<RankState, String> {
@@ -331,8 +305,11 @@ fn build_state(rank: usize, job: &JobMsg) -> Result<RankState, String> {
         matrix,
         diag_inv: diag.into_iter().map(|d| 1.0 / d).collect(),
         kernel,
-        method: ChildMethod::from_wire(&job.method)?,
-        format_omega: job.omega,
+        method: job
+            .method
+            .decode()
+            .map_err(|e| format!("rank {rank}: {e}"))?
+            .fold_omega(job.omega),
     })
 }
 
@@ -350,14 +327,9 @@ fn sweep_loop(
     let n_owned = job.n_owned;
     let width = n_owned + job.n_ghost;
     let mut x = job.x.clone();
-    // Momentum state over the owned block (richardson2 only).
-    let mut x_prev: Vec<f64> = if matches!(state.method, ChildMethod::Richardson2 { .. }) {
-        x[..n_owned].to_vec()
-    } else {
-        Vec::new()
-    };
+    // Momentum state over the owned block (read only by richardson2).
+    let mut x_prev: Vec<f64> = x[..n_owned].to_vec();
     let mut residuals = vec![0.0f64; n_owned];
-    let mut weights: Vec<f64> = Vec::new();
 
     // Send-side obs shards (merged into one snapshot at the end).
     let mut staleness = Histogram::new();
@@ -428,56 +400,22 @@ fn sweep_loop(
         }
         last_sweep_end = Some(now_us);
 
-        // Relax the owned block (the dmsim arms, verbatim semantics).
+        // Relax the owned block, as dmsim's ranks do. Stream rank+1 keeps
+        // rwr's per-rank draws independent (stream 0 belongs to the
+        // synchronous reference engine).
         debug_assert_eq!(x.len(), width);
-        let swept = match state.method {
-            ChildMethod::Jacobi | ChildMethod::Richardson1 { .. } => {
-                let omega = match state.method {
-                    ChildMethod::Richardson1 { omega } => omega,
-                    _ => state.format_omega,
-                };
-                state
-                    .kernel
-                    .residuals_into(&state.matrix, &x, &job.b, &mut residuals);
-                for row in 0..n_owned {
-                    x[row] += omega * state.diag_inv[row] * residuals[row];
-                }
-                n_owned
-            }
-            ChildMethod::Richardson2 { omega, beta } => {
-                state
-                    .kernel
-                    .residuals_into(&state.matrix, &x, &job.b, &mut residuals);
-                for row in 0..n_owned {
-                    let next = x[row]
-                        + omega * state.diag_inv[row] * residuals[row]
-                        + beta * (x[row] - x_prev[row]);
-                    x_prev[row] = x[row];
-                    x[row] = next;
-                }
-                n_owned
-            }
-            ChildMethod::Rwr { fraction, seed } => {
-                state
-                    .kernel
-                    .residuals_into(&state.matrix, &x, &job.b, &mut residuals);
-                weights.clear();
-                weights.extend(residuals.iter().map(|v| v.abs()));
-                let k = ((fraction * n_owned as f64).ceil() as usize).max(1);
-                // Stream rank+1 keeps per-rank draws independent (stream 0
-                // belongs to the synchronous reference engine).
-                let chosen = select_residual_weighted(
-                    &weights,
-                    k,
-                    selection_seed(seed, rank as u64 + 1, iterations),
-                );
-                let swept = chosen.len();
-                for l in chosen {
-                    x[l] += state.diag_inv[l] * residuals[l];
-                }
-                swept
-            }
-        };
+        state
+            .kernel
+            .residuals_into(&state.matrix, &x, &job.b, &mut residuals);
+        let swept = relax_block(
+            &state.method,
+            &residuals,
+            &state.diag_inv,
+            &mut x[..n_owned],
+            &mut x_prev,
+            rank as u64 + 1,
+            iterations,
+        );
         iterations += 1;
         relaxations += swept as u64;
 
@@ -618,4 +556,101 @@ fn dial_once(parent: &str, rank: usize) -> Result<(BufReader<TcpStream>, Codec),
     let stream = TcpStream::connect(parent).map_err(|e| e.to_string())?;
     stream.set_nodelay(true).ok();
     handshake(stream, rank, true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::MethodMsg;
+
+    /// A two-row subdomain with one ghost, running `method`.
+    fn job(method: MethodMsg) -> JobMsg {
+        JobMsg {
+            n_owned: 2,
+            n_ghost: 1,
+            indptr: vec![0, 2, 5],
+            cols: vec![0, 1, 0, 1, 2],
+            vals: vec![1.0, -0.25, -0.25, 1.0, -0.25],
+            b: vec![0.5, -0.5],
+            x: vec![0.0, 0.1, 0.2],
+            sends: Vec::new(),
+            recvs: Vec::new(),
+            method,
+            format: "csr".into(),
+            sell_c: 0,
+            omega: 1.0,
+            seed: 0,
+            max_iterations: 10,
+            check_interval: 1,
+            pace_us: 0,
+            hb_ms: 50,
+            obs_stride: 0,
+        }
+    }
+
+    fn wire(name: &str, omega: f64, beta: f64, fraction: f64) -> MethodMsg {
+        MethodMsg {
+            name: name.into(),
+            omega,
+            beta,
+            fraction,
+            seed: 7,
+        }
+    }
+
+    #[test]
+    fn build_state_accepts_every_method() {
+        for method in [
+            ResolvedMethod::Jacobi,
+            ResolvedMethod::Richardson1 { omega: 0.9 },
+            ResolvedMethod::Richardson2 {
+                omega: 0.9,
+                beta: 0.3,
+            },
+            ResolvedMethod::RandomizedResidual {
+                fraction: 0.5,
+                seed: 7,
+            },
+        ] {
+            let mut j = job(MethodMsg::encode(&method));
+            j.omega = 0.8;
+            let state = build_state(3, &j).unwrap_or_else(|e| panic!("{}: {e}", method.name()));
+            assert_eq!(state.method, method.fold_omega(0.8), "{}", method.name());
+        }
+    }
+
+    #[test]
+    fn build_state_rejects_out_of_range_method_parameters() {
+        let nan = f64::NAN;
+        for (msg, what) in [
+            (wire("richardson1", 0.0, 0.0, 0.0), "omega"),
+            (wire("richardson1", -0.5, 0.0, 0.0), "omega"),
+            (wire("richardson1", f64::INFINITY, 0.0, 0.0), "omega"),
+            (wire("richardson2", nan, 0.3, 0.0), "omega"),
+            (wire("richardson2", 1.0, 1.5, 0.0), "beta"),
+            (wire("richardson2", 1.0, -0.1, 0.0), "beta"),
+            (wire("richardson2", 1.0, nan, 0.0), "beta"),
+            (wire("rwr", 0.0, 0.0, 0.0), "fraction"),
+            (wire("rwr", 0.0, 0.0, 1.5), "fraction"),
+            (wire("rwr", 0.0, 0.0, nan), "fraction"),
+            (wire("sor", 1.0, 0.0, 0.0), "unknown method"),
+        ] {
+            let name = msg.name.clone();
+            let err = build_state(3, &job(msg))
+                .err()
+                .unwrap_or_else(|| panic!("{name} {what} accepted"));
+            assert!(err.starts_with("rank 3: "), "{err}");
+            assert!(err.contains(what), "{err}");
+        }
+    }
+
+    #[test]
+    fn job_level_omega_keeps_its_acceptance() {
+        // The plain-Jacobi weight is folded in after validation and is not
+        // itself range-checked: ω = 0 freezes the iterate, as in dmsim.
+        let mut j = job(MethodMsg::encode(&ResolvedMethod::Jacobi));
+        j.omega = 0.0;
+        let state = build_state(0, &j).expect("job-level omega 0 is accepted");
+        assert_eq!(state.method, ResolvedMethod::Richardson1 { omega: 0.0 });
+    }
 }

@@ -196,36 +196,6 @@ fn build_job(
 ) -> JobMsg {
     let local_owned = |g: usize| sp.owned.binary_search(&g).expect("send index not owned");
     let ghost_slot = |g: usize| sp.ghosts.binary_search(&g).expect("recv index not a ghost");
-    let method = match cfg.method {
-        ResolvedMethod::Jacobi => MethodMsg {
-            name: "jacobi".into(),
-            omega: 0.0,
-            beta: 0.0,
-            fraction: 0.0,
-            seed: 0,
-        },
-        ResolvedMethod::Richardson1 { omega } => MethodMsg {
-            name: "richardson1".into(),
-            omega,
-            beta: 0.0,
-            fraction: 0.0,
-            seed: 0,
-        },
-        ResolvedMethod::Richardson2 { omega, beta } => MethodMsg {
-            name: "richardson2".into(),
-            omega,
-            beta,
-            fraction: 0.0,
-            seed: 0,
-        },
-        ResolvedMethod::RandomizedResidual { fraction, seed } => MethodMsg {
-            name: "rwr".into(),
-            omega: 0.0,
-            beta: 0.0,
-            fraction,
-            seed,
-        },
-    };
     JobMsg {
         n_owned: ls.n_owned(),
         n_ghost: ls.n_ghost(),
@@ -249,7 +219,7 @@ fn build_job(
             .iter()
             .map(|(q, globals)| (*q, globals.iter().map(|&g| ghost_slot(g)).collect()))
             .collect(),
-        method,
+        method: MethodMsg::encode(&cfg.method),
         format: cfg.format.name().to_string(),
         sell_c: match cfg.format {
             StorageFormat::SellC { c } => c,

@@ -27,6 +27,7 @@
 //! Scalar floats outside bulk value arrays (norms, ω) are always decimal;
 //! they are thresholds and labels, not window contents.
 
+use aj_linalg::ResolvedMethod;
 use aj_obs::json::{self, Value};
 
 /// Protocol version spoken by this build. A peer announcing any other
@@ -88,6 +89,50 @@ pub struct MethodMsg {
     pub seed: u64,
 }
 
+impl MethodMsg {
+    /// The wire form of a resolved method; fields the method does not take
+    /// are sent as zero.
+    pub fn encode(method: &ResolvedMethod) -> MethodMsg {
+        let (omega, beta, fraction, seed) = match *method {
+            ResolvedMethod::Jacobi => (0.0, 0.0, 0.0, 0),
+            ResolvedMethod::Richardson1 { omega } => (omega, 0.0, 0.0, 0),
+            ResolvedMethod::Richardson2 { omega, beta } => (omega, beta, 0.0, 0),
+            ResolvedMethod::RandomizedResidual { fraction, seed } => (0.0, 0.0, fraction, seed),
+        };
+        MethodMsg {
+            name: method.name().into(),
+            omega,
+            beta,
+            fraction,
+            seed,
+        }
+    }
+
+    /// The resolved method this message names, with every parameter it
+    /// takes checked by [`ResolvedMethod::validate`].
+    ///
+    /// # Errors
+    /// An unknown method name, or a parameter out of its range.
+    pub fn decode(&self) -> Result<ResolvedMethod, String> {
+        let method = match self.name.as_str() {
+            "jacobi" => ResolvedMethod::Jacobi,
+            "richardson1" => ResolvedMethod::Richardson1 { omega: self.omega },
+            "richardson2" => ResolvedMethod::Richardson2 {
+                omega: self.omega,
+                beta: self.beta,
+            },
+            "rwr" => ResolvedMethod::RandomizedResidual {
+                fraction: self.fraction,
+                seed: self.seed,
+            },
+            other => return Err(format!("unknown method '{other}' in job")),
+        };
+        method
+            .validate()
+            .map_err(|e| format!("{} job: {e}", method.name()))
+    }
+}
+
 /// Everything a child needs to iterate: its subdomain in local indexing
 /// plus the communication schedule and solver knobs. Shipping the local
 /// system over the wire (instead of a matrix selector) keeps children free
@@ -120,7 +165,8 @@ pub struct JobMsg {
     pub format: String,
     /// SELL lane count (when `format == "sellc"`).
     pub sell_c: usize,
-    /// Relaxation weight for the plain-Jacobi arm.
+    /// Relaxation weight plain Jacobi is damped by (the child folds it
+    /// into the method).
     pub omega: f64,
     /// Workload seed (rwr streams).
     pub seed: u64,
@@ -738,5 +784,32 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn methods_decode_to_what_was_encoded() {
+        for method in [
+            ResolvedMethod::Jacobi,
+            ResolvedMethod::Richardson1 { omega: 0.9 },
+            ResolvedMethod::Richardson2 {
+                omega: 0.9,
+                beta: 0.25,
+            },
+            ResolvedMethod::RandomizedResidual {
+                fraction: 0.5,
+                seed: 7,
+            },
+        ] {
+            assert_eq!(MethodMsg::encode(&method).decode(), Ok(method));
+        }
+        let mut bad = MethodMsg::encode(&ResolvedMethod::Richardson2 {
+            omega: 0.9,
+            beta: 0.25,
+        });
+        bad.beta = 1.5;
+        assert_eq!(
+            bad.decode(),
+            Err("richardson2 job: beta must lie in [0, 1), got 1.5".into())
+        );
     }
 }

@@ -6,7 +6,8 @@
 //! which is how the paper's distributed implementation stores its halo.
 
 use crate::comm::{CommPlan, SubdomainPlan};
-use aj_linalg::{CsrMatrix, LinalgError, StorageFormat, SweepKernel};
+use aj_linalg::method::relax_block;
+use aj_linalg::{CsrMatrix, LinalgError, ResolvedMethod, StorageFormat, SweepKernel};
 
 /// A subdomain's rows of `A` in local indexing, plus the index maps back to
 /// the global problem.
@@ -58,29 +59,6 @@ impl LocalSystem {
         self.global_ghosts.len()
     }
 
-    /// One local Jacobi relaxation sweep over all owned rows:
-    /// `x_owned ← x_owned + D⁻¹ (b_local − A_local · [x_owned; x_ghost])`.
-    ///
-    /// `x` must have length `n_owned + n_ghost` (owned first). `b_local` has
-    /// length `n_owned`. The ghost tail of `x` is read, never written.
-    /// Updates are written back only after all residuals are computed, i.e.
-    /// this is a *Jacobi* (additive) local sweep matching the paper's
-    /// compute-residual-then-correct structure (§V).
-    pub fn jacobi_sweep(&self, b_local: &[f64], x: &mut [f64]) {
-        let n = self.n_owned();
-        debug_assert_eq!(x.len(), n + self.n_ghost());
-        debug_assert_eq!(b_local.len(), n);
-        // Two-phase update: r = b − Ax on all owned rows, then correct.
-        let mut corrections = vec![0.0; n];
-        for r in 0..n {
-            let res = b_local[r] - self.matrix.row_dot(r, x);
-            corrections[r] = self.diag_inv[r] * res;
-        }
-        for r in 0..n {
-            x[r] += corrections[r];
-        }
-    }
-
     /// Local residual of the owned rows given the current owned+ghost `x`.
     pub fn local_residual(&self, b_local: &[f64], x: &[f64]) -> Vec<f64> {
         (0..self.n_owned())
@@ -97,10 +75,16 @@ impl LocalSystem {
         SweepKernel::build(&self.matrix, 0..self.n_owned(), format)
     }
 
-    /// [`LocalSystem::jacobi_sweep`] through a prebuilt [`SweepKernel`],
-    /// with caller-owned residual scratch so steady-state sweeps allocate
-    /// nothing. With a [`StorageFormat::Csr`] kernel this is bit-identical
-    /// to [`LocalSystem::jacobi_sweep`].
+    /// One local Jacobi relaxation sweep over all owned rows:
+    /// `x_owned ← x_owned + D⁻¹ (b_local − A_local · [x_owned; x_ghost])`,
+    /// through a prebuilt [`SweepKernel`] and caller-owned residual
+    /// scratch, so steady-state sweeps allocate nothing.
+    ///
+    /// `x` must have length `n_owned + n_ghost` (owned first). `b_local`
+    /// and `residuals` have length `n_owned`. The ghost tail of `x` is
+    /// read, never written. Every residual is computed before any owned
+    /// value changes, i.e. this is a *Jacobi* (additive) local sweep
+    /// matching the paper's compute-residual-then-correct structure (§V).
     pub fn jacobi_sweep_with(
         &self,
         kernel: &mut SweepKernel,
@@ -111,9 +95,15 @@ impl LocalSystem {
         let n = self.n_owned();
         debug_assert_eq!(x.len(), n + self.n_ghost());
         kernel.residuals_into(&self.matrix, x, b_local, residuals);
-        for r in 0..n {
-            x[r] += self.diag_inv[r] * residuals[r];
-        }
+        relax_block(
+            &ResolvedMethod::Jacobi,
+            residuals,
+            &self.diag_inv,
+            &mut x[..n],
+            &mut [],
+            0,
+            0,
+        );
     }
 }
 
@@ -215,6 +205,13 @@ mod tests {
         (a, cp)
     }
 
+    /// One local Jacobi sweep through a CSR kernel.
+    fn csr_sweep(ls: &LocalSystem, b_local: &[f64], x: &mut [f64]) {
+        let mut k = ls.kernel(StorageFormat::Csr).unwrap();
+        let mut res = vec![0.0; ls.n_owned()];
+        ls.jacobi_sweep_with(&mut k, b_local, x, &mut res);
+    }
+
     #[test]
     fn local_matrix_shape_and_diag() {
         let (a, cp) = setup(10, 2);
@@ -253,7 +250,7 @@ mod tests {
                 .map(|&g| x_global[g])
                 .collect();
             let b_local: Vec<f64> = plan.owned.iter().map(|&g| b[g]).collect();
-            ls.jacobi_sweep(&b_local, &mut x_local);
+            csr_sweep(&ls, &b_local, &mut x_local);
             for (l, &g) in plan.owned.iter().enumerate() {
                 new_global[g] = x_local[l];
             }
@@ -296,7 +293,7 @@ mod tests {
         let b_local = vec![1.25; ls.n_owned()];
         let x0: Vec<f64> = (0..width).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut x_ref = x0.clone();
-        ls.jacobi_sweep(&b_local, &mut x_ref);
+        csr_sweep(&ls, &b_local, &mut x_ref);
         for format in [
             StorageFormat::Csr,
             StorageFormat::SellC { c: 4 },
@@ -321,7 +318,7 @@ mod tests {
         let b_local = vec![1.0; ls.n_owned()];
         let mut x = vec![0.5; ls.n_owned() + ls.n_ghost()];
         x[ls.n_owned()] = 9.0; // ghost
-        ls.jacobi_sweep(&b_local, &mut x);
+        csr_sweep(&ls, &b_local, &mut x);
         assert_eq!(x[ls.n_owned()], 9.0);
     }
 }

@@ -174,20 +174,16 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
     let nb = vecops::norm(b, config.norm).max(f64::MIN_POSITIVE);
     let history = parking_lot::Mutex::new(Vec::<(f64, f64)>::new());
 
-    // Controller plumbing: thread 0 publishes the adapted ω/β through these
-    // cells; workers load them at the top of each correction sweep. With the
-    // controller off the cells are never read and the classic code path is
-    // untouched.
+    // The method every sweep runs, with the legacy ω folded in.
+    let method = config.method.fold_omega(config.omega);
+    // Controller plumbing: thread 0 hosts the controller and publishes the
+    // adapted ω/β through these cells; workers build their sweep's method
+    // from them. With the controller off the cells are never read.
     let ctrl_on = config.control.is_some();
-    let base_omega = match config.method {
-        ResolvedMethod::Richardson1 { omega } => omega,
-        ResolvedMethod::Richardson2 { omega, .. } => omega,
-        _ => config.omega,
-    };
-    let base_beta = match config.method {
-        ResolvedMethod::Richardson2 { beta, .. } => beta,
-        _ => 0.0,
-    };
+    let mut controller = config
+        .control
+        .map(|spec| Controller::new(spec.cfg, method, spec.interval));
+    let (base_omega, base_beta) = controller.as_ref().map_or((1.0, 0.0), Controller::params);
     let omega_cell = AtomicU64::new(base_omega.to_bits());
     let beta_cell = AtomicU64::new(base_beta.to_bits());
     let ctrl_abort = AtomicBool::new(false);
@@ -201,6 +197,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
     // each thread records into private state (no hot-path sharing) and the
     // merge happens once, after the parallel region.
     let mut shards: Vec<Option<(Histogram, Timeline)>> = Vec::new();
+    let mut relaxations = 0u64;
     let mut control_stats: Option<ControlStats> = None;
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -217,17 +214,19 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
             let beta_cell = &beta_cell;
             let ctrl_abort = &ctrl_abort;
             let stop_all = &stop_all;
+            // Thread 0 doubles as the controller host: it already evaluates
+            // the global residual every iteration, which is the natural
+            // analogue of the simulators' monitor grid.
+            let mut ctrl = if tid == 0 { controller.take() } else { None };
             handles.push(scope.spawn(move |_| {
                 let mut iters = 0usize;
-                // Momentum state over my rows only (thread-private; no other
-                // thread writes my rows, so this is exact, not racy).
-                let mut x_prev: Vec<f64> = if config.method.needs_previous_iterate() {
-                    x0[range.clone()].to_vec()
-                } else {
-                    Vec::new()
-                };
-                // Residual-weight scratch for randomized row selection.
-                let mut weights: Vec<f64> = Vec::new();
+                let mut relaxed = 0u64;
+                // Private copies of my rows' residuals and values. I am the
+                // only writer of my rows, so `x_own` always equals the
+                // shared values; momentum state is over my rows only too.
+                let mut res = vec![0.0; range.len()];
+                let mut x_own = x0[range.clone()].to_vec();
+                let mut x_prev = x_own.clone();
                 // Non-CSR formats sweep a thread-local snapshot: `touched`
                 // lists every column my rows reference (owned + ghosts),
                 // gathered from the shared array once per iteration.
@@ -240,7 +239,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                         .collect();
                     touched.sort_unstable();
                     touched.dedup();
-                    (k, touched, vec![0.0; n], vec![0.0; range.len()])
+                    (k, touched, vec![0.0; n])
                 });
                 let mut shard = if config.obs.is_on() {
                     Some((
@@ -248,16 +247,6 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                         Timeline::new(config.obs.timeline_capacity),
                         config.obs.sampler(),
                     ))
-                } else {
-                    None
-                };
-                // Thread 0 doubles as the controller host: it already
-                // evaluates the global residual every iteration, which is the
-                // natural analogue of the simulators' monitor grid.
-                let mut ctrl = if tid == 0 {
-                    config.control.map(|spec| {
-                        Controller::new(spec.cfg, config.method, base_omega, spec.interval)
-                    })
                 } else {
                     None
                 };
@@ -276,7 +265,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                         }
                     }
                     // Step 1: residual for my rows (racy reads of shared x).
-                    if let Some((k, touched, x_local, res)) = kernel.as_mut() {
+                    if let Some((k, touched, x_local)) = kernel.as_mut() {
                         // Prefetch the ghost (and owned) entries my block
                         // reads into a dense snapshot, then run the kernel
                         // on it. The snapshot is one ordered pass over the
@@ -285,73 +274,43 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                         for &j in touched.iter() {
                             x_local[j] = x.load(j);
                         }
-                        k.residuals_into(a, x_local, &b[range.clone()], res);
-                        for (offset, i) in range.clone().enumerate() {
-                            r.store(i, res[offset]);
-                        }
+                        k.residuals_into(a, x_local, &b[range.clone()], &mut res);
                     } else {
-                        for i in range.clone() {
+                        for (offset, i) in range.clone().enumerate() {
                             let mut acc = 0.0;
                             for (j, v) in a.row_iter(i) {
                                 acc += v * x.load(j);
                             }
-                            r.store(i, b[i] - acc);
+                            res[offset] = b[i] - acc;
                         }
+                    }
+                    for (offset, i) in range.clone().enumerate() {
+                        r.store(i, res[offset]);
                     }
                     if config.mode == Mode::Synchronous {
                         barrier.wait();
                     }
-                    // Step 2: correct my rows.
-                    match config.method {
-                        ResolvedMethod::Jacobi | ResolvedMethod::Richardson1 { .. } => {
-                            let omega = if ctrl_on {
-                                f64::from_bits(omega_cell.load(Ordering::Relaxed))
-                            } else {
-                                match config.method {
-                                    ResolvedMethod::Richardson1 { omega } => omega,
-                                    _ => config.omega,
-                                }
-                            };
-                            for i in range.clone() {
-                                x.store(i, x.load(i) + omega * diag_inv[i] * r.load(i));
-                            }
-                        }
-                        ResolvedMethod::Richardson2 { omega, beta } => {
-                            let (omega, beta) = if ctrl_on {
-                                (
-                                    f64::from_bits(omega_cell.load(Ordering::Relaxed)),
-                                    f64::from_bits(beta_cell.load(Ordering::Relaxed)),
-                                )
-                            } else {
-                                (omega, beta)
-                            };
-                            let lo = range.start;
-                            for i in range.clone() {
-                                let xi = x.load(i);
-                                let next = xi
-                                    + omega * diag_inv[i] * r.load(i)
-                                    + beta * (xi - x_prev[i - lo]);
-                                x_prev[i - lo] = xi;
-                                x.store(i, next);
-                            }
-                        }
-                        ResolvedMethod::RandomizedResidual { fraction, seed } => {
-                            let m = range.len();
-                            weights.clear();
-                            for i in range.clone() {
-                                weights.push(r.load(i).abs());
-                            }
-                            let k = ((fraction * m as f64).ceil() as usize).max(1);
-                            let chosen = method::select_residual_weighted(
-                                &weights,
-                                k,
-                                method::selection_seed(seed, tid as u64 + 1, iters as u64),
-                            );
-                            for l in chosen {
-                                let i = range.start + l;
-                                x.store(i, x.load(i) + diag_inv[i] * r.load(i));
-                            }
-                        }
+                    // Step 2: correct my rows. A Switch is realised by
+                    // driving β to zero rather than swapping the method.
+                    let sweep_method = if ctrl_on {
+                        method.with_params(
+                            f64::from_bits(omega_cell.load(Ordering::Relaxed)),
+                            f64::from_bits(beta_cell.load(Ordering::Relaxed)),
+                        )
+                    } else {
+                        method
+                    };
+                    relaxed += method::relax_block(
+                        &sweep_method,
+                        &res,
+                        &diag_inv[range.clone()],
+                        &mut x_own,
+                        &mut x_prev,
+                        tid as u64 + 1,
+                        iters as u64,
+                    ) as u64;
+                    for (offset, i) in range.clone().enumerate() {
+                        x.store(i, x_own[offset]);
                     }
                     iters += 1;
                     iter_counts[tid].store(iters as u64, Ordering::Relaxed);
@@ -528,13 +487,15 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                 }
                 (
                     shard.map(|(hist, tl, _)| (hist, tl)),
+                    relaxed,
                     ctrl.map(Controller::into_stats),
                 )
             }));
         }
         for h in handles {
-            let (sh, cs) = h.join().expect("a solver thread panicked");
+            let (sh, relaxed, cs) = h.join().expect("a solver thread panicked");
             shards.push(sh);
+            relaxations += relaxed;
             if cs.is_some() {
                 control_stats = cs;
             }
@@ -563,22 +524,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
         }
         snap.set_counter("threads", t as u64);
         snap.set_counter(&format!("method/{}", config.method.name()), 1);
-        // Per sweep, rwr touches ⌈fraction·m⌉ of a thread's m rows; every
-        // other method touches all of them.
-        let rows_per_sweep = |m: usize| match config.method {
-            ResolvedMethod::RandomizedResidual { fraction, .. } => {
-                ((fraction * m as f64).ceil() as usize).clamp(1, m)
-            }
-            _ => m,
-        };
-        snap.set_counter(
-            "relaxations",
-            iterations
-                .iter()
-                .zip(&ranges)
-                .map(|(&it, r)| it as u64 * rows_per_sweep(r.len()) as u64)
-                .sum(),
-        );
+        snap.set_counter("relaxations", relaxations);
         snap.set_gauge("wall_time_s", wall_time.as_secs_f64());
         snap.set_gauge("final_residual", final_residual);
         snap

@@ -339,6 +339,69 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The shared relaxation routine over the whole matrix, fed the CSR
+    /// kernel's residuals, is the dense reference iteration bit for bit —
+    /// for every method, at any step of the selection stream, on random
+    /// sparse diagonally dominant matrices with a non-unit diagonal.
+    #[test]
+    fn relax_block_over_the_whole_matrix_is_the_reference_iteration(
+        entries in proptest::collection::vec((0usize..16, 0usize..16, -1.0f64..1.0), 5..60),
+        scales in proptest::collection::vec(0.25f64..4.0, 16),
+        xs in proptest::collection::vec(-1.0f64..1.0, 16),
+        prevs in proptest::collection::vec(-1.0f64..1.0, 16),
+        bs in proptest::collection::vec(-1.0f64..1.0, 16),
+        omega in 0.05f64..1.95,
+        beta in 0.0f64..0.95,
+        fraction in 0.01f64..=1.0,
+        seed in 0u64..=u64::MAX,
+        step in 0u64..=u64::MAX,
+    ) {
+        use async_jacobi_repro::linalg::method::{method_iteration, relax_block, ResolvedMethod};
+        use async_jacobi_repro::linalg::{StorageFormat, SweepKernel};
+        let n = 16;
+        // Scaling each row keeps it diagonally dominant.
+        let unit = wdd_matrix(n, entries);
+        let mut coo = CooMatrix::new(n, n);
+        for (i, scale) in scales.iter().enumerate() {
+            for (j, v) in unit.row_iter(i) {
+                coo.push(i, j, scale * v);
+            }
+        }
+        let a = coo.to_csr();
+        let diag_inv: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
+        let mut res = vec![0.0; n];
+        SweepKernel::build(&a, 0..n, StorageFormat::Csr)
+            .unwrap()
+            .residuals_into(&a, &xs, &bs, &mut res);
+        for method in [
+            ResolvedMethod::Jacobi,
+            ResolvedMethod::Richardson1 { omega },
+            ResolvedMethod::Richardson2 { omega, beta },
+            ResolvedMethod::RandomizedResidual { fraction, seed },
+        ] {
+            let mut reference = vec![0.0; n];
+            let want = method_iteration(&a, &bs, &diag_inv, &method, step, &xs, &prevs, &mut reference);
+            let mut x = xs.clone();
+            let mut x_prev = prevs.clone();
+            let got = relax_block(&method, &res, &diag_inv, &mut x, &mut x_prev, 0, step);
+            prop_assert_eq!(got, want);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+            prop_assert!(
+                bits(&x) == bits(&reference),
+                "{}: {:?} vs {:?}", method.label(), x, reference
+            );
+            // Momentum state ends where the reference's swap leaves it: at
+            // the iterate before this step.
+            if method.needs_previous_iterate() {
+                prop_assert!(bits(&x_prev) == bits(&xs), "{}: x_prev", method.label());
+            }
+        }
+    }
+}
+
 /// A symmetric tridiagonal `(diagonal, off-diagonal)` of order `k` built
 /// from raw draws scaled by `magnitude`. `shape` picks the family: 0 plain
 /// random; 1 with about half the off-diagonals zero, so `T` splits into
