@@ -17,14 +17,14 @@
 use crate::cost::{CostModel, WorkerJitter, TICK_SCALE};
 use crate::event::EventQueue;
 use crate::fault::{FaultPlan, FaultState, LinkParams};
-use crate::monitor::{ResidualMonitor, SimOutcome};
+use crate::monitor::{whole_csr_kernel, ResidualMonitor, SimOutcome};
 use crate::obsrec::{decision_kind, EngineObs};
 use crate::shmem_sim::{SimDelay, StopRule};
 use crate::termination::{RootAggregator, TerminationProtocol, TerminationStats};
 use aj_control::{ControlSpec, Controller, Observation};
 use aj_linalg::method::{self, ResolvedMethod};
 use aj_linalg::vecops::Norm;
-use aj_linalg::{CsrMatrix, StorageFormat, SweepKernel};
+use aj_linalg::{kernel, CsrMatrix, StorageFormat, SweepKernel};
 use aj_obs::{ObsConfig, SpanKind};
 use aj_partition::{CommPlan, LocalSystem, Partition};
 use std::rc::Rc;
@@ -401,11 +401,16 @@ pub fn run_dist_async_plan(
         .zip(&ranks)
         .map(|(k, rk)| k.work_nnz(&rk.local.matrix))
         .collect();
-    // Global mirror of owned values, for residual monitoring.
+    // Global mirror of owned values, for residual monitoring. The rank
+    // kernels index local columns, so the monitor gets one whole-matrix
+    // kernel of its own, in `auto_select`'s format whatever the ranks
+    // sweep in: it only observes, and a SELL sample has the CSR bits.
     let mut x_global = x0.to_vec();
+    let mut whole = [SweepKernel::build(a, 0..n, kernel::auto_select(a))
+        .expect("auto_select picks a format every matrix accepts")];
     let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
     let mut relaxations = 0u64;
-    monitor.observe(0.0, 0, &x_global);
+    monitor.observe(0.0, 0, &x_global, &mut whole);
 
     // Observability state, allocated only when recording is on. The age of
     // a ghost value at use is `sweep tick − generation tick`, where the
@@ -667,7 +672,7 @@ pub fn run_dist_async_plan(
                 }
 
                 let samples_before = monitor.samples().len();
-                let hit_tol = monitor.observe(now, relaxations, &x_global);
+                let hit_tol = monitor.observe(now, relaxations, &x_global, &mut whole);
                 if let Some(o) = obs.as_mut() {
                     // Queue depth is sampled exactly when the monitor takes
                     // a residual sample, so both series share the monitor's
@@ -915,7 +920,7 @@ pub fn run_dist_async_plan(
             }
         }
     }
-    monitor.finalize(now, relaxations, &x_global);
+    monitor.finalize(now, relaxations, &x_global, &mut whole);
     let converged = monitor.converged();
     let obs_snapshot = obs.map(|o| {
         let mut snap = o.into_snapshot(Some(&comm));
@@ -1002,8 +1007,9 @@ pub fn run_dist_sync_plan(
     let mut now = 0.0f64;
     let mut iters = 0u64;
     let mut relaxations = 0u64;
+    let mut whole = whole_csr_kernel(a);
     let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
-    monitor.observe(0.0, 0, &x);
+    monitor.observe(0.0, 0, &x, &mut whole);
 
     loop {
         match config.stop {
@@ -1042,9 +1048,9 @@ pub fn run_dist_sync_plan(
         now += slowest + exchange;
         iters += 1;
         relaxations += swept as u64;
-        monitor.observe(now, relaxations, &x);
+        monitor.observe(now, relaxations, &x, &mut whole);
     }
-    monitor.finalize(now, relaxations, &x);
+    monitor.finalize(now, relaxations, &x, &mut whole);
     let converged = monitor.converged();
     SimOutcome {
         samples: monitor.into_samples(),

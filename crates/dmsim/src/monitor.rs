@@ -6,7 +6,7 @@
 //! checkpoint, recording both coordinates.
 
 use aj_linalg::vecops::{self, Norm};
-use aj_linalg::CsrMatrix;
+use aj_linalg::{CsrMatrix, StorageFormat, SweepKernel};
 
 /// One residual sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,6 +127,12 @@ impl SimOutcome {
     }
 }
 
+/// One CSR kernel over the whole matrix, for engines that sweep without
+/// block kernels: it keeps their monitor on the fused residual pass.
+pub(crate) fn whole_csr_kernel(a: &CsrMatrix) -> [SweepKernel; 1] {
+    [SweepKernel::build(a, 0..a.nrows(), StorageFormat::Csr).expect("rows 0..n are in range")]
+}
+
 /// Samples the residual every `sample_every` relaxations.
 #[derive(Debug)]
 pub struct ResidualMonitor<'a> {
@@ -139,6 +145,9 @@ pub struct ResidualMonitor<'a> {
     next_checkpoint: u64,
     samples: Vec<Sample>,
     converged: bool,
+    /// Row residuals of a SELL sample; empty until the first one, so runs
+    /// on the fused CSR path never allocate it.
+    scratch: Vec<f64>,
 }
 
 impl<'a> ResidualMonitor<'a> {
@@ -156,6 +165,7 @@ impl<'a> ResidualMonitor<'a> {
             next_checkpoint: 0,
             samples: Vec::new(),
             converged: false,
+            scratch: Vec::new(),
         }
     }
 
@@ -178,11 +188,23 @@ impl<'a> ResidualMonitor<'a> {
     /// when a checkpoint is crossed. Returns `true` when the tolerance has
     /// been met (the caller decides whether to stop).
     ///
-    /// The residual is evaluated with the fused [`CsrMatrix::residual_norm`]
-    /// kernel, so a checkpoint allocates nothing.
-    pub fn observe(&mut self, time: f64, total_relaxations: u64, x: &[f64]) -> bool {
+    /// `kernels` are the engine's sweep kernels over rows `0..n`, in order.
+    /// When every kernel is SELL-C-σ a sample runs them and takes the norm
+    /// in row order, with the bits of the fused CSR pass; otherwise it takes
+    /// the fused [`CsrMatrix::residual_norm`]. Between checkpoints the call
+    /// only compares two counters.
+    ///
+    /// # Panics
+    /// Panics at a sample unless `kernels` cover rows `0..n` in order.
+    pub fn observe(
+        &mut self,
+        time: f64,
+        total_relaxations: u64,
+        x: &[f64],
+        kernels: &mut [SweepKernel],
+    ) -> bool {
         if total_relaxations >= self.next_checkpoint {
-            let res = self.a.residual_norm(x, self.b, self.norm) / self.nb;
+            let res = self.relative_residual(x, kernels);
             self.samples.push(Sample {
                 time,
                 relaxations_per_n: total_relaxations as f64 / self.a.nrows() as f64,
@@ -203,15 +225,21 @@ impl<'a> ResidualMonitor<'a> {
     /// Final sample at termination time. Skipped when `observe` already
     /// sampled this exact state (same time and relaxation count) — the
     /// residual is a pure function of `x`, so sampling again would only
-    /// duplicate the last entry.
-    pub fn finalize(&mut self, time: f64, total_relaxations: u64, x: &[f64]) {
+    /// duplicate the last entry. `kernels` as for [`Self::observe`].
+    pub fn finalize(
+        &mut self,
+        time: f64,
+        total_relaxations: u64,
+        x: &[f64],
+        kernels: &mut [SweepKernel],
+    ) {
         let relaxations_per_n = total_relaxations as f64 / self.a.nrows() as f64;
         if let Some(last) = self.samples.last() {
             if last.time == time && last.relaxations_per_n == relaxations_per_n {
                 return;
             }
         }
-        let res = self.a.residual_norm(x, self.b, self.norm) / self.nb;
+        let res = self.relative_residual(x, kernels);
         self.samples.push(Sample {
             time,
             relaxations_per_n,
@@ -221,6 +249,40 @@ impl<'a> ResidualMonitor<'a> {
             self.converged = true;
         }
     }
+
+    /// `‖b − Ax‖ / ‖b‖` for one sample.
+    ///
+    /// When every kernel is SELL-C-σ, their row residuals fill the scratch
+    /// block by block and the norm runs over it in row order. A SELL row
+    /// equals the CSR row up to the sign of a zero, which `|·|` and
+    /// squaring erase, so the sample has the bits of the fused path. Any
+    /// other kernels (CSR, or the reordered `rcm-blocked`) take the fused
+    /// [`CsrMatrix::residual_norm`], which allocates nothing.
+    ///
+    /// # Panics
+    /// Panics unless `kernels` cover rows `0..n` in order.
+    fn relative_residual(&mut self, x: &[f64], kernels: &mut [SweepKernel]) -> f64 {
+        let n = self.a.nrows();
+        let mut next = 0;
+        for k in kernels.iter() {
+            assert_eq!(k.rows().start, next, "monitor kernels must tile rows 0..n");
+            next = k.rows().end;
+        }
+        assert_eq!(next, n, "monitor kernels must cover rows 0..n");
+        let sell = |k: &SweepKernel| matches!(k.format(), StorageFormat::SellC { .. });
+        let residual = if n > 0 && kernels.iter().all(sell) {
+            self.scratch.resize(n, 0.0);
+            for k in kernels.iter_mut() {
+                debug_assert!(k.format().is_bit_compatible());
+                let rows = k.rows();
+                k.residuals_into(self.a, x, &self.b[rows.clone()], &mut self.scratch[rows]);
+            }
+            vecops::norm(&self.scratch, self.norm)
+        } else {
+            self.a.residual_norm(x, self.b, self.norm)
+        };
+        residual / self.nb
+    }
 }
 
 #[cfg(test)]
@@ -228,17 +290,23 @@ mod tests {
     use super::*;
     use aj_matrices::fd;
 
+    /// One whole-matrix kernel in `format`.
+    fn whole(a: &CsrMatrix, format: StorageFormat) -> Vec<SweepKernel> {
+        vec![SweepKernel::build(a, 0..a.nrows(), format).unwrap()]
+    }
+
     #[test]
     fn monitor_samples_at_checkpoints() {
         let a = fd::laplacian_1d(4);
         let b = vec![1.0; 4];
         let x = vec![0.0; 4];
         let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 8);
-        assert!(!m.observe(0.0, 0, &x)); // initial sample at checkpoint 0
+        let mut k = whole(&a, StorageFormat::Csr);
+        assert!(!m.observe(0.0, 0, &x, &mut k)); // initial sample at checkpoint 0
         assert_eq!(m.samples().len(), 1);
-        assert!(!m.observe(1.0, 4, &x)); // below next checkpoint: no sample
+        assert!(!m.observe(1.0, 4, &x, &mut k)); // below next checkpoint: no sample
         assert_eq!(m.samples().len(), 1);
-        assert!(!m.observe(2.0, 8, &x));
+        assert!(!m.observe(2.0, 8, &x, &mut k));
         assert_eq!(m.samples().len(), 2);
     }
 
@@ -248,15 +316,16 @@ mod tests {
         let b = vec![1.0; 4];
         let x = vec![0.0; 4];
         let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 4);
-        m.observe(0.0, 0, &x);
-        m.observe(2.5, 8, &x); // checkpoint sample at (t=2.5, 8 relaxations)
+        let mut k = whole(&a, StorageFormat::Csr);
+        m.observe(0.0, 0, &x, &mut k);
+        m.observe(2.5, 8, &x, &mut k); // checkpoint sample at (t=2.5, 8 relaxations)
         assert_eq!(m.samples().len(), 2);
         // Terminating at the exact state just sampled adds nothing…
-        m.finalize(2.5, 8, &x);
+        m.finalize(2.5, 8, &x, &mut k);
         assert_eq!(m.samples().len(), 2, "duplicate final sample");
         // …but terminating later (same time, more relaxations — or vice
         // versa) still records the true final state.
-        m.finalize(2.5, 9, &x);
+        m.finalize(2.5, 9, &x, &mut k);
         assert_eq!(m.samples().len(), 3);
         let (s2, s3) = (m.samples()[1], m.samples()[2]);
         assert_eq!(s2.residual, s3.residual);
@@ -268,8 +337,109 @@ mod tests {
         let a = fd::laplacian_1d(3);
         let b = a.spmv(&[1.0, 1.0, 1.0]);
         let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-8, 1);
-        assert!(m.observe(0.0, 0, &[1.0, 1.0, 1.0]));
+        let mut k = whole(&a, StorageFormat::Csr);
+        assert!(m.observe(0.0, 0, &[1.0, 1.0, 1.0], &mut k));
         assert!(m.converged());
+    }
+
+    /// Four SELL blocks of uneven length over a 2-D Laplacian whose border
+    /// rows are shorter than its interior rows, so every chunk pads.
+    fn sell_blocks(a: &CsrMatrix, c: usize) -> Vec<SweepKernel> {
+        aj_linalg::util::even_ranges(a.nrows(), 4)
+            .into_iter()
+            .map(|r| SweepKernel::build(a, r, StorageFormat::SellC { c }).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn sell_samples_have_the_bits_of_the_fused_csr_samples() {
+        let a = fd::laplacian_2d(9, 7);
+        let n = a.nrows();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) as f64 * 0.41).cos()).collect();
+        let x: Vec<f64> = (0..n)
+            .map(|i| ((i * 37 + 11) as f64 * 0.62).sin())
+            .collect();
+        for norm in [Norm::L1, Norm::L2, Norm::Inf] {
+            let mut csr = ResidualMonitor::new(&a, &b, norm, 1e-10, 1);
+            csr.observe(0.0, 0, &x, &mut whole(&a, StorageFormat::Csr));
+            for c in aj_linalg::kernel::SELL_LANE_CHOICES {
+                let mut sell = ResidualMonitor::new(&a, &b, norm, 1e-10, 1);
+                sell.observe(0.0, 0, &x, &mut sell_blocks(&a, c));
+                sell.finalize(1.0, 1, &x, &mut whole(&a, StorageFormat::SellC { c }));
+                for s in sell.samples() {
+                    assert_eq!(
+                        s.residual.to_bits(),
+                        csr.samples()[0].residual.to_bits(),
+                        "{norm:?}, sellc:c={c}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_sell_samples_allocate_the_scratch() {
+        let a = fd::laplacian_2d(6, 5);
+        let b = vec![1.0; a.nrows()];
+        let x = vec![0.25; a.nrows()];
+        for format in [StorageFormat::Csr, StorageFormat::RcmBlocked] {
+            let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 1);
+            m.observe(0.0, 0, &x, &mut whole(&a, format));
+            m.finalize(1.0, 1, &x, &mut whole(&a, format));
+            assert_eq!(m.scratch.capacity(), 0, "{format}");
+            assert_eq!(
+                m.samples()[1].residual.to_bits(),
+                (a.residual_norm(&x, &b, Norm::L1) / m.nb).to_bits()
+            );
+        }
+        let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 1);
+        assert_eq!(
+            m.scratch.capacity(),
+            0,
+            "no scratch before the first sample"
+        );
+        m.observe(0.0, 0, &x, &mut sell_blocks(&a, 8));
+        assert_eq!(m.scratch.len(), a.nrows());
+    }
+
+    #[test]
+    fn an_all_nan_iterate_never_converges_in_the_inf_norm() {
+        let a = fd::laplacian_2d(5, 5);
+        let b = vec![1.0; a.nrows()];
+        let x = vec![f64::NAN; a.nrows()];
+        let formats = [
+            StorageFormat::Csr,
+            StorageFormat::RcmBlocked,
+            StorageFormat::SellC { c: 8 },
+        ];
+        for format in formats {
+            let mut m = ResidualMonitor::new(&a, &b, Norm::Inf, 1e-3, 1);
+            assert!(!m.observe(0.0, 0, &x, &mut whole(&a, format)), "{format}");
+            m.finalize(1.0, 1, &x, &mut whole(&a, format));
+            assert!(!m.converged(), "{format}");
+            assert!(m.samples().iter().all(|s| s.residual.is_nan()), "{format}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must cover rows")]
+    fn kernels_that_miss_rows_are_rejected() {
+        let a = fd::laplacian_1d(6);
+        let b = vec![1.0; 6];
+        let mut k = vec![SweepKernel::build(&a, 0..4, StorageFormat::SellC { c: 2 }).unwrap()];
+        ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 1).observe(0.0, 0, &[0.0; 6], &mut k);
+    }
+
+    #[test]
+    #[should_panic(expected = "must tile rows")]
+    fn kernels_out_of_order_are_rejected() {
+        let a = fd::laplacian_1d(6);
+        let b = vec![1.0; 6];
+        let mut k: Vec<SweepKernel> = [3..6, 0..3]
+            .into_iter()
+            .map(|r| SweepKernel::build(&a, r, StorageFormat::Csr).unwrap())
+            .collect();
+        ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 1).observe(0.0, 0, &[0.0; 6], &mut k);
     }
 
     #[test]
@@ -352,12 +522,13 @@ mod tests {
         let b = vec![1.0; 4];
         let x = vec![0.0; 4];
         let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 8);
-        m.observe(0.0, 0, &x);
-        m.observe(1.0, 13, &x); // burst past checkpoint 8
+        let mut k = whole(&a, StorageFormat::Csr);
+        m.observe(0.0, 0, &x, &mut k);
+        m.observe(1.0, 13, &x, &mut k); // burst past checkpoint 8
         assert_eq!(m.samples().len(), 2);
-        m.observe(2.0, 16, &x); // grid-aligned checkpoint still fires
+        m.observe(2.0, 16, &x, &mut k); // grid-aligned checkpoint still fires
         assert_eq!(m.samples().len(), 3, "grid must stay on multiples of 8");
-        m.observe(3.0, 17, &x); // off-grid, below next checkpoint 24
+        m.observe(3.0, 17, &x, &mut k); // off-grid, below next checkpoint 24
         assert_eq!(m.samples().len(), 3);
     }
 

@@ -9,7 +9,7 @@
 //! iterations whose duration is the slowest thread plus a barrier.
 
 use crate::cost::{CostModel, WorkerJitter, TICK_SCALE};
-use crate::monitor::{ResidualMonitor, SimOutcome};
+use crate::monitor::{whole_csr_kernel, ResidualMonitor, SimOutcome};
 use crate::obsrec::{decision_kind, EngineObs};
 use aj_control::{ControlSpec, Controller, Observation};
 use aj_linalg::method::{self, ResolvedMethod};
@@ -163,8 +163,10 @@ pub fn run_shmem_async(
         .collect();
     let mut iterations = vec![0u64; t];
     let mut relaxations = 0u64;
+    // The monitor samples through the block kernels: SELL samples take the
+    // vectorized pass, and every sample keeps the bits of the CSR one.
     let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
-    monitor.observe(0.0, 0, &x);
+    monitor.observe(0.0, 0, &x, &mut kernels);
 
     // Observability shards, built only when recording is on so the off
     // path allocates nothing and checks one Option per sweep. A worker's
@@ -291,7 +293,7 @@ pub fn run_shmem_async(
         } else {
             0
         };
-        let hit_tol = monitor.observe(now, relaxations, &x);
+        let hit_tol = monitor.observe(now, relaxations, &x, &mut kernels);
         if let Some(c) = ctrl.as_mut() {
             if monitor.samples().len() > samples_before {
                 // Staleness-at-use on the monitor's grid: the oldest live
@@ -353,7 +355,7 @@ pub fn run_shmem_async(
             order += 1;
         }
     }
-    monitor.finalize(now, relaxations, &x);
+    monitor.finalize(now, relaxations, &x, &mut kernels);
     let converged = monitor.converged();
     let obs_snapshot = obs.map(|o| {
         let mut snap = o.into_snapshot(None);
@@ -470,8 +472,9 @@ fn rowwise_impl(
     let mut staged: Vec<Vec<StagedRow>> =
         ranges.iter().map(|r| Vec::with_capacity(r.len())).collect();
     let mut relaxations = 0u64;
+    let mut whole = whole_csr_kernel(a);
     let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
-    monitor.observe(0.0, 0, &x);
+    monitor.observe(0.0, 0, &x, &mut whole);
 
     // Returns (overhead ticks, compute ticks) for one iteration of worker w.
     let draw_window =
@@ -556,7 +559,7 @@ fn rowwise_impl(
             cursor[w] = 0;
             staged[w].clear();
             iterations[w] += 1;
-            let hit_tol = monitor.observe(now, relaxations, &x);
+            let hit_tol = monitor.observe(now, relaxations, &x, &mut whole);
             stop = match config.stop {
                 StopRule::Tolerance => hit_tol,
                 StopRule::FixedIterations(k) => iterations.iter().all(|&it| it >= k),
@@ -588,7 +591,7 @@ fn rowwise_impl(
         )));
         order += 1;
     }
-    monitor.finalize(now, relaxations, &x);
+    monitor.finalize(now, relaxations, &x, &mut whole);
     let converged = monitor.converged();
     SimOutcome {
         samples: monitor.into_samples(),
@@ -630,8 +633,9 @@ pub fn run_shmem_sync(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemSimCon
     let mut now = 0.0f64;
     let mut relaxations = 0u64;
     let mut iters = 0u64;
+    let mut whole = whole_csr_kernel(a);
     let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
-    monitor.observe(0.0, 0, &x);
+    monitor.observe(0.0, 0, &x, &mut whole);
 
     loop {
         match config.stop {
@@ -671,9 +675,9 @@ pub fn run_shmem_sync(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemSimCon
         now += slowest + barrier;
         iters += 1;
         relaxations += swept as u64;
-        monitor.observe(now, relaxations, &x);
+        monitor.observe(now, relaxations, &x, &mut whole);
     }
-    monitor.finalize(now, relaxations, &x);
+    monitor.finalize(now, relaxations, &x, &mut whole);
     let converged = monitor.converged();
     SimOutcome {
         samples: monitor.into_samples(),

@@ -292,7 +292,7 @@ impl CsrMatrix {
             }
             vecops::Norm::Inf => {
                 for i in 0..self.nrows {
-                    acc = acc.max((b[i] - self.row_dot(i, x)).abs());
+                    acc = vecops::max_nan(acc, (b[i] - self.row_dot(i, x)).abs());
                 }
                 acc
             }
@@ -618,6 +618,18 @@ mod tests {
                 vecops::norm(&r, norm).to_bits(),
                 "fused {norm:?} differs from the two-pass path"
             );
+        }
+    }
+
+    #[test]
+    fn inf_residual_norm_of_a_nan_iterate_is_nan() {
+        // A NaN row must make the ∞-norm NaN; `f64::max` drops it, which
+        // lets a diverged iterate pass a tolerance test.
+        let a = small();
+        let b = vec![1.0, -2.0, 0.5];
+        for x in [vec![f64::NAN; 3], vec![0.3, f64::NAN, 2.2]] {
+            assert!(a.residual_norm(&x, &b, vecops::Norm::Inf).is_nan());
+            assert!(a.relative_residual(&x, &b, vecops::Norm::Inf).is_nan());
         }
     }
 

@@ -17,7 +17,10 @@
 //!   change rounding and fall back to a libm call without the `fma` target
 //!   feature). Each row's products accumulate in its CSR column order, so
 //!   results equal the CSR sweep exactly (padding contributes `0·x₀`, which
-//!   can only flip a `-0.0` result to `+0.0`).
+//!   can only flip a `-0.0` result to `+0.0`; when `x₀` is not finite that
+//!   product is NaN, so such a block runs the CSR row loop instead).
+//!   The layout is built by a stable counting sort on row length followed
+//!   by direct placement into arrays allocated at their final size.
 //! * [`StorageFormat::RcmBlocked`] — cache blocking: the block's rows are
 //!   RCM-reordered on their in-block connectivity, in-block columns are
 //!   renumbered to match, and out-of-block ("ghost") columns are packed at
@@ -278,13 +281,16 @@ impl SweepKernel {
         assert_eq!(b_blk.len(), nrows, "kernel: b length mismatch");
         assert_eq!(out.len(), nrows, "kernel: out length mismatch");
         match &mut self.data {
-            KernelData::Csr => {
-                for (k, i) in self.rows.clone().enumerate() {
-                    out[k] = b_blk[k] - a.row_dot(i, x);
-                }
-            }
+            KernelData::Csr => csr_residuals(a, self.rows.clone(), x, b_blk, out),
             KernelData::Sell(s) => {
                 assert_eq!(s.ncols, a.ncols(), "kernel built from a different matrix");
+                // Pad slots add `0·x[0]`, which is NaN when `x[0]` is ±∞ or
+                // NaN and would poison every padded row; the CSR loop
+                // gives the same rows without the pad term.
+                if x.first().is_some_and(|v| !v.is_finite()) {
+                    csr_residuals(a, self.rows.clone(), x, b_blk, out);
+                    return;
+                }
                 match s.c {
                     2 => sell_residuals::<2>(s, x, b_blk, out),
                     4 => sell_residuals::<4>(s, x, b_blk, out),
@@ -301,6 +307,13 @@ impl SweepKernel {
     }
 }
 
+/// The scalar row loop: `out[k] = b_blk[k] − (A x)[rows.start + k]`.
+fn csr_residuals(a: &CsrMatrix, rows: Range<usize>, x: &[f64], b_blk: &[f64], out: &mut [f64]) {
+    for (k, i) in rows.enumerate() {
+        out[k] = b_blk[k] - a.row_dot(i, x);
+    }
+}
+
 fn build_sell(a: &CsrMatrix, rows: Range<usize>, c: usize) -> Result<SellData, LinalgError> {
     if a.ncols() > u32::MAX as usize {
         return Err(LinalgError::InvalidStructure(format!(
@@ -314,38 +327,49 @@ fn build_sell(a: &CsrMatrix, rows: Range<usize>, c: usize) -> Result<SellData, L
             "sellc pad column needs at least one matrix column".into(),
         ));
     }
-    // σ = the whole block: stable sort by descending nonzero count, so rows
-    // sharing a chunk have similar widths and padding stays small.
-    let mut perm: Vec<u32> = (0..nrows as u32).collect();
-    perm.sort_by_key(|&r| std::cmp::Reverse(a.row_nnz(rows.start + r as usize)));
-    let nchunks = nrows.div_ceil(c);
-    let mut chunk_ptr = Vec::with_capacity(nchunks + 1);
-    let mut widths = Vec::with_capacity(nchunks);
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
+    let row_nnz = |r: usize| a.row_nnz(rows.start + r);
+    // σ = the whole block: a stable counting sort by descending nonzero
+    // count, so rows sharing a chunk have similar widths and padding stays
+    // small. Bucket `widest − w` holds the width-`w` rows in block order.
+    let widest = (0..nrows).map(row_nnz).max().unwrap_or(0);
+    let mut next = vec![0usize; widest + 1];
+    for r in 0..nrows {
+        next[widest - row_nnz(r)] += 1;
+    }
+    let mut offset = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = offset;
+        offset += count;
+    }
+    let mut perm = vec![0u32; nrows];
+    for r in 0..nrows {
+        let slot = &mut next[widest - row_nnz(r)];
+        perm[*slot] = r as u32;
+        *slot += 1;
+    }
+    // Each chunk is as wide as its first lane, the widest of its rows.
+    let widths: Vec<usize> = perm
+        .iter()
+        .step_by(c)
+        .map(|&r| row_nnz(r as usize))
+        .collect();
+    let mut chunk_ptr = Vec::with_capacity(widths.len() + 1);
     chunk_ptr.push(0);
-    for k in 0..nchunks {
-        let lanes = &perm[k * c..nrows.min((k + 1) * c)];
-        let w = lanes
-            .iter()
-            .map(|&r| a.row_nnz(rows.start + r as usize))
-            .max()
-            .unwrap_or(0);
-        for t in 0..w {
-            for l in 0..c {
-                let (col, val) = lanes
-                    .get(l)
-                    .map(|&r| rows.start + r as usize)
-                    .filter(|&i| t < a.row_nnz(i))
-                    .map_or((0u32, 0.0), |i| {
-                        (a.row_indices(i)[t] as u32, a.row_values(i)[t])
-                    });
-                cols.push(col);
-                vals.push(val);
-            }
+    for &w in &widths {
+        chunk_ptr.push(chunk_ptr[chunk_ptr.len() - 1] + w * c);
+    }
+    // Pad slots keep column 0 and value 0.0.
+    let len = chunk_ptr[widths.len()];
+    let mut cols = vec![0u32; len];
+    let mut vals = vec![0.0; len];
+    for (p, &r) in perm.iter().enumerate() {
+        let i = rows.start + r as usize;
+        let first = chunk_ptr[p / c] + p % c;
+        for (t, (&j, &v)) in a.row_indices(i).iter().zip(a.row_values(i)).enumerate() {
+            cols[first + t * c] = j as u32;
+            vals[first + t * c] = v;
         }
-        widths.push(w);
-        chunk_ptr.push(cols.len());
     }
     Ok(SellData {
         c,
@@ -498,6 +522,8 @@ fn rcm_residuals(r: &mut RcmData, x: &[f64], b_blk: &[f64], out: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// 2-D 5-point Laplacian, built locally to keep the crate self-contained.
     fn laplacian_2d(nx: usize, ny: usize) -> CsrMatrix {
@@ -565,6 +591,140 @@ mod tests {
                 // `==`, not bit comparison: the pad term `0·x₀` may turn an
                 // exact `-0.0` into `+0.0`, which is the one allowed delta.
                 assert_eq!(out, reference, "sellc:c={c} rows {rows:?}");
+            }
+        }
+    }
+
+    /// An 8×8 matrix with diagonal 4, three extra entries in row 0 and one
+    /// in row 5: row 0 is the only row reading column 0, and the rows that
+    /// share a SELL chunk with row 0 or row 5 get pad slots reading `x[0]`.
+    fn padded_8x8() -> CsrMatrix {
+        let mut coo = CooMatrix::new(8, 8);
+        for i in 0..8 {
+            coo.push(i, i, 4.0);
+        }
+        for j in 1..4 {
+            coo.push(0, j, -1.0);
+        }
+        coo.push(5, 6, -1.0);
+        coo.to_csr()
+    }
+
+    fn same_or_both_nan(a: f64, b: f64) -> bool {
+        a == b || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn sell_padding_never_reads_a_non_finite_x0() {
+        // A pad slot stores column 0 with value 0.0, and `0·x[0]` is NaN
+        // for an infinite or NaN `x[0]`; rows that never read column 0
+        // must stay what CSR makes them.
+        let a = padded_8x8();
+        let b = vec![1.0; 8];
+        for x0 in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut x = vec![0.5; 8];
+            x[0] = x0;
+            let mut reference = vec![0.0; 8];
+            csr_residuals(&a, 0..8, &x, &b, &mut reference);
+            assert_eq!(reference[1..], [-1.0, -1.0, -1.0, -1.0, -0.5, -1.0, -1.0]);
+            for c in SELL_LANE_CHOICES {
+                for rows in [0..8, 1..8, 0..5] {
+                    let mut k =
+                        SweepKernel::build(&a, rows.clone(), StorageFormat::SellC { c }).unwrap();
+                    let mut out = vec![0.0; rows.len()];
+                    k.residuals_into(&a, &x, &b[rows.clone()], &mut out);
+                    for (o, r) in out.iter().zip(&reference[rows.clone()]) {
+                        assert!(
+                            same_or_both_nan(*o, *r),
+                            "sellc:c={c} rows {rows:?} x0={x0}: {out:?} vs {reference:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The comparison-sort SELL build the counting sort replaced, kept as
+    /// the reference layout.
+    fn build_sell_by_comparison_sort(a: &CsrMatrix, rows: Range<usize>, c: usize) -> SellData {
+        let nrows = rows.len();
+        let mut perm: Vec<u32> = (0..nrows as u32).collect();
+        perm.sort_by_key(|&r| std::cmp::Reverse(a.row_nnz(rows.start + r as usize)));
+        let nchunks = nrows.div_ceil(c);
+        let mut chunk_ptr = vec![0];
+        let mut widths = Vec::new();
+        let mut cols = Vec::new();
+        let mut vals = Vec::new();
+        for k in 0..nchunks {
+            let lanes = &perm[k * c..nrows.min((k + 1) * c)];
+            let w = lanes
+                .iter()
+                .map(|&r| a.row_nnz(rows.start + r as usize))
+                .max()
+                .unwrap_or(0);
+            for t in 0..w {
+                for l in 0..c {
+                    let (col, val) = lanes
+                        .get(l)
+                        .map(|&r| rows.start + r as usize)
+                        .filter(|&i| t < a.row_nnz(i))
+                        .map_or((0u32, 0.0), |i| {
+                            (a.row_indices(i)[t] as u32, a.row_values(i)[t])
+                        });
+                    cols.push(col);
+                    vals.push(val);
+                }
+            }
+            widths.push(w);
+            chunk_ptr.push(cols.len());
+        }
+        SellData {
+            c,
+            nrows,
+            ncols: a.ncols(),
+            chunk_ptr,
+            widths,
+            cols,
+            vals,
+            perm,
+        }
+    }
+
+    /// A random `n × n` matrix with a diagonal and 0..=`max_extra` random
+    /// off-diagonal entries per row, so row lengths are irregular.
+    fn random_irregular(rng: &mut StdRng, n: usize, max_extra: usize) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, rng.random_range(2.0..8.0));
+            for _ in 0..rng.random_range(0..=max_extra) {
+                coo.push(i, rng.random_range(0..n), rng.random_range(-1.0..1.0));
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn counting_sort_build_matches_the_comparison_sort_layout() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for trial in 0..40 {
+            let n = rng.random_range(1..80);
+            let a = random_irregular(&mut rng, n, 1 + trial % 9);
+            let lo = rng.random_range(0..n);
+            let hi = rng.random_range(lo..=n);
+            let blocks = [0..n, lo..hi, lo..lo, lo..lo + 1, 0..n.min(17)];
+            for rows in blocks {
+                for c in SELL_LANE_CHOICES {
+                    let got = build_sell(&a, rows.clone(), c).unwrap();
+                    let want = build_sell_by_comparison_sort(&a, rows.clone(), c);
+                    let ctx = format!("trial {trial}, rows {rows:?}, c = {c}");
+                    assert_eq!(got.perm, want.perm, "{ctx}");
+                    assert_eq!(got.chunk_ptr, want.chunk_ptr, "{ctx}");
+                    assert_eq!(got.widths, want.widths, "{ctx}");
+                    assert_eq!(got.cols, want.cols, "{ctx}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.vals), bits(&want.vals), "{ctx}");
+                    assert_eq!((got.c, got.nrows, got.ncols), (c, rows.len(), n), "{ctx}");
+                }
             }
         }
     }

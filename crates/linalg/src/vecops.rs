@@ -15,12 +15,26 @@ pub enum Norm {
     Inf,
 }
 
-/// `‖x‖` in the requested norm.
+/// `‖x‖` in the requested norm. A NaN entry makes every norm NaN, the
+/// ∞-norm included (see [`max_nan`]).
 pub fn norm(x: &[f64], which: Norm) -> f64 {
     match which {
         Norm::L1 => x.iter().map(|v| v.abs()).sum(),
         Norm::L2 => x.iter().map(|v| v * v).sum::<f64>().sqrt(),
-        Norm::Inf => x.iter().map(|v| v.abs()).fold(0.0, f64::max),
+        Norm::Inf => x.iter().map(|v| v.abs()).fold(0.0, max_nan),
+    }
+}
+
+/// `max(acc, v)` that propagates NaN, the fold step of every ∞-norm.
+/// `f64::max` returns the other operand when one is NaN, so an all-NaN
+/// residual would fold to 0.0 and pass any tolerance test. On non-NaN
+/// inputs this returns the same bits as `f64::max` of two `|·|` values.
+#[inline]
+pub fn max_nan(acc: f64, v: f64) -> f64 {
+    if v > acc || v.is_nan() {
+        v
+    } else {
+        acc
     }
 }
 
@@ -95,6 +109,15 @@ mod tests {
         assert_eq!(norm(&[], Norm::L1), 0.0);
         assert_eq!(norm(&[], Norm::Inf), 0.0);
         assert_eq!(norm(&[0.0, 0.0], Norm::L2), 0.0);
+    }
+
+    #[test]
+    fn inf_norm_propagates_nan() {
+        assert!(norm(&[1.0, f64::NAN, 3.0], Norm::Inf).is_nan());
+        assert!(norm(&[f64::NAN, 1.0], Norm::Inf).is_nan());
+        assert!(norm(&[f64::NAN; 4], Norm::Inf).is_nan());
+        assert_eq!(norm(&[1.0, f64::NEG_INFINITY], Norm::Inf), f64::INFINITY);
+        assert_eq!(norm(&[-0.0, 0.0], Norm::Inf).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

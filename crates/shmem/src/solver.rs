@@ -343,7 +343,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                                 }
                                 Norm::Inf => {
                                     for i in 0..r.len() {
-                                        acc = acc.max(r.load(i).abs());
+                                        acc = vecops::max_nan(acc, r.load(i).abs());
                                     }
                                 }
                             }
@@ -375,7 +375,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                                         for (j, v) in a.row_iter(i) {
                                             row += v * x.load(j);
                                         }
-                                        acc = acc.max((b[i] - row).abs());
+                                        acc = vecops::max_nan(acc, (b[i] - row).abs());
                                     }
                                 }
                             }

@@ -337,6 +337,67 @@ proptest! {
             }
         }
     }
+
+    /// A residual-monitor sample taken through SELL block kernels has the
+    /// bits of the fused CSR residual norm, for every lane count and norm,
+    /// on matrices whose irregular rows make SELL pad, over any split into
+    /// contiguous blocks, and with ±∞ or NaN anywhere in `x` (`x[0]`, the
+    /// pad column, included). NaN matches NaN.
+    #[test]
+    fn monitor_samples_through_sell_kernels_match_the_fused_csr_norm(
+        entries in proptest::collection::vec((0usize..20, 0usize..20, -1.0f64..1.0), 0..80),
+        xs in proptest::collection::vec(-1.0f64..1.0, 20),
+        bs in proptest::collection::vec(-1.0f64..1.0, 20),
+        cuts in proptest::collection::vec(0usize..=20, 0..6),
+        specials in proptest::collection::vec((0usize..20, 0usize..3), 1..4),
+        inject in 0usize..3,
+    ) {
+        use async_jacobi_repro::dmsim::ResidualMonitor;
+        use async_jacobi_repro::linalg::{StorageFormat, SweepKernel};
+        let n = 20;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 4.0);
+        }
+        for (i, j, v) in entries {
+            coo.push(i, j, v);
+        }
+        let a = coo.to_csr();
+        // A third of the cases keep `x` finite, where only the order of
+        // the norm's sum can change its bits; the others inject ±∞ or NaN,
+        // half of them at `x[0]`.
+        let non_finite = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut x = xs;
+        if inject > 0 {
+            for &(i, k) in &specials {
+                x[i] = non_finite[k];
+            }
+        }
+        if inject == 2 {
+            x[0] = non_finite[specials[0].1];
+        }
+        let mut bounds = cuts;
+        bounds.extend([0, n]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        for norm in [Norm::L1, Norm::L2, Norm::Inf] {
+            let nb = vecops::norm(&bs, norm).max(f64::MIN_POSITIVE);
+            let want = a.residual_norm(&x, &bs, norm) / nb;
+            for c in [2usize, 4, 8, 16] {
+                let mut kernels: Vec<SweepKernel> = bounds
+                    .windows(2)
+                    .map(|w| SweepKernel::build(&a, w[0]..w[1], StorageFormat::SellC { c }).unwrap())
+                    .collect();
+                let mut monitor = ResidualMonitor::new(&a, &bs, norm, 0.0, 1);
+                monitor.observe(0.0, 0, &x, &mut kernels);
+                let got = monitor.samples()[0].residual;
+                prop_assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "{norm:?}, sellc:c={c}, blocks {bounds:?}: {got} vs {want}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
