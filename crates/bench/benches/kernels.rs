@@ -42,21 +42,16 @@ fn bench_relaxation(c: &mut Criterion) {
 
 fn bench_sweep_kernel(c: &mut Criterion) {
     // The storage-format abstraction behind every asynchronous block
-    // engine: block residuals through csr / SELL-C-σ / RCM-blocked
-    // kernels, at a small whole-matrix block, a large whole-matrix block,
+    // engine: block residuals through csr / SELL-C-σ kernels, at a small whole-matrix block, a large whole-matrix block,
     // and the 256-rank subdomain shape the dist engine actually sweeps.
     use aj_core::linalg::{StorageFormat, SweepKernel};
-    let formats = [
-        StorageFormat::Csr,
-        StorageFormat::SellC { c: 8 },
-        StorageFormat::RcmBlocked,
-    ];
+    let formats = [StorageFormat::Csr, StorageFormat::SellC { c: 8 }];
     let mut g = c.benchmark_group("sweep_kernel");
     for (label, matrix) in [("fd272", "fd272"), ("fd4624", "fd4624")] {
         let p = Problem::paper_fd(matrix, 1).unwrap();
         let mut out = vec![0.0; p.n()];
         for format in formats {
-            let mut k = SweepKernel::build(&p.a, 0..p.n(), format).unwrap();
+            let k = SweepKernel::build(&p.a, 0..p.n(), format).unwrap();
             g.bench_function(&format!("{label}/{format}"), |b| {
                 b.iter(|| {
                     k.residuals_into(black_box(&p.a), &p.x0, &p.b, &mut out);
@@ -70,7 +65,7 @@ fn bench_sweep_kernel(c: &mut Criterion) {
     let rows = aj_core::linalg::util::even_ranges(p.n(), 256)[128].clone();
     let mut out = vec![0.0; rows.len()];
     for format in formats {
-        let mut k = SweepKernel::build(&p.a, rows.clone(), format).unwrap();
+        let k = SweepKernel::build(&p.a, rows.clone(), format).unwrap();
         g.bench_function(&format!("subdomain_256r/{format}"), |b| {
             b.iter(|| {
                 k.residuals_into(black_box(&p.a), &p.x0, &p.b[rows.clone()], &mut out);
@@ -207,14 +202,28 @@ fn bench_orderings_and_krylov(c: &mut Criterion) {
         b.iter(|| aj_core::partition::reverse_cuthill_mckee(black_box(&p.a)));
     });
     g.bench_function("multigrid_vcycle_31x31", |b| {
+        // One aj-outer V-cycle over the sequential reference smoother,
+        // damped Jacobi at ω = 2/3, with the hierarchy built once.
         let a = aj_core::matrices::fd::laplacian_2d(31, 31);
-        let bb: Vec<f64> = (0..961).map(|i| ((i % 13) as f64 - 6.0) / 6.0).collect();
-        let mg = aj_core::linalg::multigrid::TwoGrid::new(a, 31, 31).unwrap();
-        b.iter_batched(
-            || vec![0.0; 961],
-            |mut x| mg.v_cycle(black_box(&bb), &mut x).unwrap(),
-            BatchSize::SmallInput,
-        );
+        let p = Problem {
+            name: "grid-31x31".into(),
+            b: (0..961).map(|i| ((i % 13) as f64 - 6.0) / 6.0).collect(),
+            x0: vec![0.0; 961],
+            a,
+        };
+        let opts = aj_core::SolveOptions {
+            tol: 0.0,
+            max_iterations: 1,
+            outer: Some(
+                aj_core::spec::parse_outer("vcycle:smooth=richardson1:omega=0.6666666666666666")
+                    .unwrap(),
+            ),
+            outer_plan: Some(std::sync::Arc::new(
+                aj_core::Hierarchy::build(&p.a, None).unwrap(),
+            )),
+            ..Default::default()
+        };
+        b.iter(|| aj_core::solve(black_box(&p), aj_core::Backend::Jacobi, &opts).unwrap());
     });
     g.bench_function("cg_fd4624_to_1e-6", |b| {
         b.iter(|| {

@@ -54,7 +54,9 @@ SOLVE OPTIONS:
                      net:ranks=N inline form overrides)
   --tol T            relative residual tolerance       (default 1e-6)
   --max-iters N      iteration cap                     (default 100000)
-  --omega W          relaxation weight                 (default 1.0)
+  --omega W          weight of plain Jacobi            (default 1.0;
+                     only with --method jacobi or an outer
+                     smooth=/prec=jacobi, not gs/cg)
   --method M         relaxation method (default jacobi):
                        jacobi | richardson1[:omega=<w>|auto] |
                        richardson2[:omega=<w>|auto][:beta=<b>] |
@@ -62,9 +64,9 @@ SOLVE OPTIONS:
                      (omega=auto estimates the preconditioned spectrum;
                       applies to Jacobi-family backends, not gs/cg)
   --format F         sweep storage format (default csr):
-                       csr | sellc[:c=<2|4|8|16>] | rcm-blocked | auto
+                       csr | sellc[:c=<2|4|8|16>] | auto
                      (non-csr formats apply to the asynchronous block
-                      engines: async-threads, sim-async, dist-async;
+                      engines: async-threads, sim-async, dist-async, net;
                       auto measures the row statistics at plan time and
                       picks the cheapest bit-compatible layout)
   --outer O          wrap the backend in an outer solver that uses it for
@@ -92,6 +94,7 @@ SOLVE OPTIONS:
                       Conflicts with --outer)
   --seed S           workload seed                     (default 2018)
   --detect           use the distributed termination-detection protocol
+                     (dist-async; net always detects)
   --staleness T      presume a rank dead after T without a report
                      (default: never). T is simulated time units with
                      dist-async --detect, wall-clock SECONDS with net

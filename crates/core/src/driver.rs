@@ -63,6 +63,78 @@ pub enum Backend {
     },
 }
 
+/// What a backend honours, one row of the table in
+/// [`Backend::capabilities`]. [`solve`] rejects every option a backend
+/// would otherwise ignore, so each accepted option takes effect.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Capabilities {
+    /// Runs any relaxation method and weight ω (every backend but
+    /// Gauss–Seidel and CG, which run their own iterations).
+    pub methods: bool,
+    /// Sweeps non-CSR storage formats (the asynchronous block engines).
+    pub formats: bool,
+    /// Runs the closed-loop controller.
+    pub control: bool,
+    /// Injects fault plans: every kind on dist-async, crashes without
+    /// recovery on net.
+    pub faults: bool,
+    /// Paces its sweeps ([`SolveOptions::pace_us`]).
+    pub pacing: bool,
+    /// Stops through the termination-detection protocol, and so honours
+    /// [`SolveOptions::staleness_timeout`].
+    pub detection: bool,
+    /// Can run the fixed-count inner sweeps of an outer solve.
+    pub inner: bool,
+}
+
+impl Backend {
+    /// The backend's row of the capability table: the one place that says
+    /// which options each backend honours.
+    pub fn capabilities(&self) -> Capabilities {
+        let jacobi_family = Capabilities {
+            methods: true,
+            inner: true,
+            ..Capabilities::default()
+        };
+        let block_async = Capabilities {
+            formats: true,
+            control: true,
+            ..jacobi_family
+        };
+        match *self {
+            Backend::GaussSeidel | Backend::ConjugateGradient => Capabilities::default(),
+            Backend::Jacobi
+            | Backend::SimShared {
+                asynchronous: false,
+                ..
+            } => jacobi_family,
+            Backend::AsyncThreads { .. } | Backend::SimShared { .. } => block_async,
+            Backend::SimDistributed {
+                asynchronous: false,
+                detect,
+                ..
+            } => Capabilities {
+                inner: !detect,
+                ..jacobi_family
+            },
+            Backend::SimDistributed { detect, .. } => Capabilities {
+                faults: true,
+                detection: detect,
+                inner: !detect,
+                ..block_async
+            },
+            Backend::Net { .. } => Capabilities {
+                methods: true,
+                formats: true,
+                faults: true,
+                pacing: true,
+                detection: true,
+                ..Capabilities::default()
+            },
+        }
+    }
+}
+
 /// Common solve options.
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
@@ -72,7 +144,10 @@ pub struct SolveOptions {
     pub max_iterations: u64,
     /// Residual norm.
     pub norm: Norm,
-    /// Relaxation weight (ignored by CG).
+    /// Weight of plain Jacobi: the standalone `jacobi` method, or an outer
+    /// solve's `jacobi` smoother. A value other than 1 is rejected for any
+    /// other relaxation (which carries its own weight in its selector) and
+    /// on Gauss–Seidel and CG.
     pub omega: f64,
     /// Relaxation method (see [`aj_linalg::method`] and
     /// [`crate::spec::parse_method`]). The default [`Method::Jacobi`] keeps
@@ -86,7 +161,7 @@ pub struct SolveOptions {
     /// [`crate::spec::parse_format`]). The default [`StorageFormat::Csr`]
     /// keeps every backend on its classic scalar loop, bit-identically.
     /// Non-default formats are honoured by the asynchronous block engines
-    /// (real threads and both simulators' async modes) and rejected
+    /// (real threads, both simulators' async modes, and net) and rejected
     /// elsewhere rather than silently ignored.
     pub format: StorageFormat,
     /// Seed for simulated-backend jitter.
@@ -102,7 +177,8 @@ pub struct SolveOptions {
     /// (`None` keeps the protocol default of "never presume a rank
     /// dead"). Units follow the backend's clock: simulated time units for
     /// [`Backend::SimDistributed`] with `detect`, wall-clock **seconds**
-    /// for [`Backend::Net`].
+    /// for [`Backend::Net`]. Backends without termination detection
+    /// reject it.
     pub staleness_timeout: Option<f64>,
     /// Per-sweep pacing for [`Backend::Net`] in microseconds (`None`
     /// keeps the crate default). Pacing keeps put latency under the
@@ -220,74 +296,17 @@ pub struct SolveReport {
 /// # Errors
 /// Returns a message for solver-level failures (e.g. CG breakdown).
 pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<SolveReport, String> {
-    if opts.faults.as_ref().is_some_and(|f| !f.is_empty())
-        && !matches!(
-            backend,
-            Backend::SimDistributed {
-                asynchronous: true,
-                ..
-            } | Backend::Net { .. }
-        )
-    {
-        return Err(
-            "fault injection requires the asynchronous simulated distributed backend \
-             or the real-process net backend"
-                .into(),
-        );
-    }
-    if opts.pace_us.is_some() && !matches!(backend, Backend::Net { .. }) {
-        return Err("sweep pacing (--pace) applies to the net backend only".into());
-    }
-    if opts.control.is_some() {
-        if opts.outer.is_some() {
-            return Err(
-                "--control conflicts with --outer: inner solves run fixed sweep counts, \
-                 so there is no convergence loop for the controller to observe \
-                 (a controller-requested rescue escalates to --outer by itself)"
-                    .into(),
-            );
-        }
-        if !matches!(
-            backend,
-            Backend::AsyncThreads { .. }
-                | Backend::SimShared {
-                    asynchronous: true,
-                    ..
-                }
-                | Backend::SimDistributed {
-                    asynchronous: true,
-                    ..
-                }
-        ) {
-            return Err(
-                "the controller (--control) applies to the asynchronous engines only \
-                 (real threads and the simulators' async modes)"
-                    .into(),
-            );
-        }
-    }
+    let caps = backend.capabilities();
+    check_options(caps, opts)?;
     // Plan-time storage-format auto-selection: `format=auto` measures the
     // matrix's row-length statistics and picks the cheapest bit-compatible
     // layout for the asynchronous block engines (SELL-8 when the padding it
     // would add stays under [`aj_linalg::kernel::AUTO_PADDING_MAX`], CSR
     // otherwise). Backends that only run CSR get CSR — auto adapts to the
     // engine rather than erroring like an explicit selector would.
-    let format_engines = matches!(
-        backend,
-        Backend::AsyncThreads { .. }
-            | Backend::SimShared {
-                asynchronous: true,
-                ..
-            }
-            | Backend::SimDistributed {
-                asynchronous: true,
-                ..
-            }
-            | Backend::Net { .. }
-    );
     let (format, auto_picked) = match opts.format {
         StorageFormat::Auto => {
-            let picked = if format_engines {
+            let picked = if caps.formats {
                 aj_linalg::kernel::auto_select(&p.a)
             } else {
                 StorageFormat::Csr
@@ -310,9 +329,6 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
     // convergence and uses the backend as its inner smoothing engine.
     if let Some(spec) = &opts.outer {
         return run_outer(p, backend, opts, spec, format).map(stamp_auto);
-    }
-    if opts.outer_plan.is_some() {
-        return Err("a precomputed hierarchy (outer_plan) requires outer=vcycle".into());
     }
     // Resolve the method once against this problem's matrix (free for the
     // default; `omega=auto` runs the Lanczos spectrum estimate here). The
@@ -340,14 +356,6 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
         }
         None => None,
     };
-    if !matches!(method, ResolvedMethod::Jacobi)
-        && matches!(backend, Backend::GaussSeidel | Backend::ConjugateGradient)
-    {
-        return Err(format!(
-            "method {} applies to the Jacobi-family backends only",
-            method.label()
-        ));
-    }
     // Tag non-default methods onto the backend label so reports and logs
     // say which update rule actually ran.
     let method_tag = if matches!(method, ResolvedMethod::Jacobi) {
@@ -355,16 +363,6 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
     } else {
         format!(" [{}]", method.label())
     };
-    // Non-default storage formats change how the asynchronous block engines
-    // lay out their sweep kernels; the sequential and synchronous reference
-    // paths stay on the classic CSR loops, so reject rather than silently
-    // ignore the selector there.
-    if format != StorageFormat::Csr && !format_engines {
-        return Err(format!(
-            "format {format} applies to the asynchronous block engines only \
-             (sequential and synchronous backends are csr-only)"
-        ));
-    }
     let format_tag = if format == StorageFormat::Csr {
         String::new()
     } else {
@@ -667,9 +665,11 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
             }
             let mut rescue_opts = opts.clone();
             rescue_opts.control = None;
-            // The stalled method is abandoned; the V-cycle's smoother is
-            // the outer selector's own (spectrum-damped Richardson).
+            // The stalled method and its weight are abandoned; the
+            // V-cycle's smoother is the outer selector's own
+            // (spectrum-damped Richardson).
             rescue_opts.method = Method::Jacobi;
+            rescue_opts.omega = 1.0;
             rescue_opts.outer = Some(OuterSpec {
                 kind: OuterKind::VCycle {
                     levels: None,
@@ -684,6 +684,80 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
         }
     }
     Ok(rep)
+}
+
+/// Rejects every option the backend with capabilities `caps` would not
+/// honour, and every combination of options that cannot take effect
+/// together, before any plan, spectrum estimate or hierarchy is built.
+/// The outer-only checks live in [`run_outer`].
+fn check_options(caps: Capabilities, opts: &SolveOptions) -> Result<(), String> {
+    let faulted = opts.faults.as_ref().is_some_and(|f| !f.is_empty());
+    // The relaxation that runs: the outer smoother under an outer solve.
+    let relaxation = opts.outer.as_ref().map_or(opts.method, |o| o.smooth);
+    ensure(caps.methods || opts.method == Method::Jacobi, || {
+        format!(
+            "method {} applies to the Jacobi-family backends only (gs and cg run \
+             their own iteration)",
+            opts.method.to_spec()
+        )
+    })?;
+    ensure(caps.methods || opts.omega == 1.0, || {
+        format!("omega={} does not apply to gs or cg", opts.omega)
+    })?;
+    ensure(opts.omega == 1.0 || relaxation == Method::Jacobi, || {
+        format!(
+            "omega={} weights plain Jacobi only, and the relaxation that runs is {} \
+             (set its weight in the selector instead)",
+            opts.omega,
+            relaxation.to_spec()
+        )
+    })?;
+    ensure(
+        caps.formats || matches!(opts.format, StorageFormat::Csr | StorageFormat::Auto),
+        || {
+            format!(
+                "format {} applies to the asynchronous block engines only (async-threads, \
+             sim-async, dist-async, net)",
+                opts.format
+            )
+        },
+    )?;
+    ensure(caps.faults || !faulted, || {
+        "fault injection requires the asynchronous simulated distributed backend \
+         or the real-process net backend"
+            .into()
+    })?;
+    ensure(caps.pacing || opts.pace_us.is_none(), || {
+        "sweep pacing (--pace) applies to the net backend only".into()
+    })?;
+    ensure(caps.detection || opts.staleness_timeout.is_none(), || {
+        "the staleness timeout (--staleness) applies only where termination detection \
+         runs: dist-async with detect, or net"
+            .into()
+    })?;
+    ensure(caps.control || opts.control.is_none(), || {
+        "the controller (--control) applies to the asynchronous engines only \
+         (real threads and the simulators' async modes)"
+            .into()
+    })?;
+    ensure(opts.control.is_none() || opts.outer.is_none(), || {
+        "--control conflicts with --outer: inner solves run fixed sweep counts, \
+         so there is no convergence loop for the controller to observe \
+         (a controller-requested rescue escalates to --outer by itself)"
+            .into()
+    })?;
+    ensure(opts.outer_plan.is_none() || opts.outer.is_some(), || {
+        "a precomputed hierarchy (outer_plan) requires outer=vcycle".into()
+    })
+}
+
+/// `Ok` when `ok`, otherwise the rejection `what()`.
+fn ensure(ok: bool, what: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(what())
+    }
 }
 
 #[cfg(test)]

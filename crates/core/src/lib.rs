@@ -32,7 +32,7 @@ pub mod problem;
 pub mod report;
 pub mod spec;
 
-pub use driver::{prepare_dist_plan, solve, Backend, SolveOptions, SolveReport};
+pub use driver::{prepare_dist_plan, solve, Backend, Capabilities, SolveOptions, SolveReport};
 pub use outer::{Hierarchy, OuterKind, OuterReport, OuterSpec};
 pub use problem::Problem;
 

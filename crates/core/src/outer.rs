@@ -13,7 +13,7 @@ use crate::driver::{Backend, SolveOptions, SolveReport};
 use crate::problem::Problem;
 use aj_dmsim::shmem_sim::{run_shmem_async, run_shmem_sync, ShmemSimConfig};
 use aj_dmsim::{run_dist_async_plan, run_dist_sync_plan, DistConfig};
-use aj_linalg::method::{Method, ResolvedMethod};
+use aj_linalg::method::{Method, OmegaSpec, ResolvedMethod};
 use aj_linalg::vecops::Norm;
 use aj_linalg::{CsrMatrix, StorageFormat};
 use aj_obs::{ObsConfig, Snapshot};
@@ -38,18 +38,6 @@ pub struct OuterReport {
     pub inner_sweeps: u64,
 }
 
-/// Which engine executes the inner sweeps.
-enum InnerEngine {
-    /// Sequential dense-reference sweeps ([`ReferenceSmoother`]).
-    Reference,
-    /// Real `std::thread` asynchronous Jacobi.
-    Threads { workers: usize },
-    /// Simulated shared-memory threads.
-    SimShared { workers: usize, asynchronous: bool },
-    /// Simulated distributed ranks.
-    SimDistributed { ranks: usize, asynchronous: bool },
-}
-
 /// Per-hierarchy-level memoized state: the resolved method (Lanczos ω
 /// estimation runs once per level, not once per smoothing call) and, for
 /// the distributed engine, the communication plan.
@@ -59,15 +47,16 @@ struct LevelState {
 }
 
 /// [`Smoother`] adapter that runs one of the execution engines for `steps`
-/// sweeps per call. `smoothing = true` (V-cycle position) re-targets
-/// `omega=auto` to the oscillatory half-band via [`smoothing_method`];
-/// `false` (Krylov preconditioner position) keeps the standalone rule.
+/// sweeps per call: the sequential dense reference ([`ReferenceSmoother`])
+/// for `sync`, the backend's own engine otherwise. `smoothing = true`
+/// (V-cycle position) re-targets `omega=auto` to the oscillatory half-band
+/// via [`smoothing_method`]; `false` (Krylov preconditioner position) keeps
+/// the standalone rule.
 struct EngineSmoother {
-    engine: InnerEngine,
+    backend: Backend,
     method: Method,
     smoothing: bool,
     seed: u64,
-    omega: f64,
     format: StorageFormat,
     norm: Norm,
     obs: ObsConfig,
@@ -84,22 +73,19 @@ struct EngineSmoother {
 
 impl EngineSmoother {
     fn new(
-        engine: InnerEngine,
+        backend: Backend,
         smooth: Method,
         smoothing: bool,
         opts: &SolveOptions,
         format: StorageFormat,
     ) -> Self {
-        let reference = match engine {
-            InnerEngine::Reference => Some(ReferenceSmoother::new(smooth, opts.seed, smoothing)),
-            _ => None,
-        };
+        let reference = (backend == Backend::Jacobi)
+            .then(|| ReferenceSmoother::new(smooth, opts.seed, smoothing));
         EngineSmoother {
-            engine,
+            backend,
             method: smooth,
             smoothing,
             seed: opts.seed,
-            omega: opts.omega,
             format,
             norm: opts.norm,
             obs: opts.obs,
@@ -130,7 +116,7 @@ impl EngineSmoother {
             let resolved = method
                 .resolve(a, self.seed)
                 .map_err(|e| format!("level {level} smoother: {e}"))?;
-            let plan = if let InnerEngine::SimDistributed { ranks, .. } = self.engine {
+            let plan = if let Backend::SimDistributed { ranks, .. } = self.backend {
                 let nparts = ranks.min(a.nrows()).max(1);
                 let plan = match (&self.fine_plan, level) {
                     (Some(p), 0) if p.nparts() == nparts => Arc::clone(p),
@@ -168,7 +154,7 @@ impl EngineSmoother {
     }
 
     fn into_snapshot(self) -> Option<Snapshot> {
-        if self.obs.is_on() && !matches!(self.engine, InnerEngine::Reference) {
+        if self.obs.is_on() && self.reference.is_none() {
             Some(self.snap)
         } else {
             None
@@ -190,16 +176,14 @@ impl Smoother for EngineSmoother {
         let (method, plan) = self.level_state(level, a)?;
         let n = a.nrows();
         let zeros = vec![0.0; n];
-        match self.engine {
-            InnerEngine::Reference => unreachable!("handled above"),
-            InnerEngine::Threads { workers } => {
+        match self.backend {
+            Backend::AsyncThreads { workers } => {
                 let cfg = aj_shmem::ShmemConfig {
                     num_threads: workers.min(n).max(1),
                     tol: 0.0,
                     max_iterations: steps,
                     norm: self.norm,
                     mode: aj_shmem::Mode::Asynchronous,
-                    omega: self.omega,
                     method,
                     format: self.format,
                     obs: self.obs,
@@ -209,7 +193,7 @@ impl Smoother for EngineSmoother {
                 self.absorb(out.obs);
                 Ok(out.x)
             }
-            InnerEngine::SimShared {
+            Backend::SimShared {
                 workers,
                 asynchronous,
             } => {
@@ -217,7 +201,6 @@ impl Smoother for EngineSmoother {
                 cfg.tol = 0.0;
                 cfg.max_iterations = steps as u64;
                 cfg.norm = self.norm;
-                cfg.omega = self.omega;
                 cfg.method = method;
                 cfg.format = self.format;
                 cfg.obs = self.obs;
@@ -229,13 +212,12 @@ impl Smoother for EngineSmoother {
                 self.absorb(out.obs);
                 Ok(out.x)
             }
-            InnerEngine::SimDistributed { asynchronous, .. } => {
+            Backend::SimDistributed { asynchronous, .. } => {
                 let plan = plan.expect("distributed level state always carries a plan");
                 let mut cfg = DistConfig::new(n, self.seed);
                 cfg.tol = 0.0;
                 cfg.max_iterations = steps as u64;
                 cfg.norm = self.norm;
-                cfg.omega = self.omega;
                 cfg.method = method;
                 cfg.format = self.format;
                 cfg.obs = self.obs;
@@ -247,13 +229,14 @@ impl Smoother for EngineSmoother {
                 self.absorb(out.obs);
                 Ok(out.x)
             }
+            _ => unreachable!("run_outer admits only inner-capable backends"),
         }
     }
 }
 
 /// Runs an outer solve (`opts.outer` is `Some`) with `backend` as the
-/// inner smoothing engine. Called by [`crate::driver::solve`] after format
-/// resolution; owns all outer-specific validation.
+/// inner smoothing engine. Called by [`crate::driver::solve`] after its
+/// option checks and format resolution; owns the outer-specific ones.
 pub(crate) fn run_outer(
     p: &Problem,
     backend: Backend,
@@ -261,11 +244,20 @@ pub(crate) fn run_outer(
     spec: &OuterSpec,
     format: StorageFormat,
 ) -> Result<SolveReport, String> {
-    if !matches!(opts.method, Method::Jacobi) {
+    if !backend.capabilities().inner {
+        return Err(format!(
+            "outer={} needs an inner engine that runs fixed sweep counts: sync, \
+             async-threads, the sim backends, or dist backends without termination \
+             detection (gs and cg are standalone solvers; net would spawn processes \
+             per smoothing call)",
+            spec.name()
+        ));
+    }
+    if opts.method != Method::Jacobi {
         return Err(format!(
             "--method {} conflicts with --outer: the inner relaxation is the outer \
              selector's smooth=/prec= method",
-            opts.method.name()
+            opts.method.to_spec()
         ));
     }
     if opts.faults.as_ref().is_some_and(|f| !f.is_empty()) {
@@ -275,62 +267,19 @@ pub(crate) fn run_outer(
                 .into(),
         );
     }
-    let (engine, engine_label) = match backend {
-        Backend::Jacobi => (InnerEngine::Reference, "sequential reference".to_string()),
-        Backend::AsyncThreads { workers } => (
-            InnerEngine::Threads { workers },
-            format!("async threads ×{workers}"),
-        ),
+    let kind = |asynchronous| if asynchronous { "async" } else { "sync" };
+    let engine_label = match backend {
+        Backend::AsyncThreads { workers } => format!("async threads ×{workers}"),
         Backend::SimShared {
             workers,
             asynchronous,
-        } => (
-            InnerEngine::SimShared {
-                workers,
-                asynchronous,
-            },
-            format!(
-                "simulated {} threads ×{workers}",
-                if asynchronous { "async" } else { "sync" }
-            ),
-        ),
+        } => format!("simulated {} threads ×{workers}", kind(asynchronous)),
         Backend::SimDistributed {
             ranks,
             asynchronous,
-            detect,
-        } => {
-            if detect {
-                return Err(
-                    "termination detection does not apply under --outer (inner solves \
-                     run a fixed sweep count; the outer loop owns convergence)"
-                        .into(),
-                );
-            }
-            (
-                InnerEngine::SimDistributed {
-                    ranks,
-                    asynchronous,
-                },
-                format!(
-                    "simulated {} ranks ×{ranks}",
-                    if asynchronous { "async" } else { "sync" }
-                ),
-            )
-        }
-        Backend::GaussSeidel | Backend::ConjugateGradient => {
-            return Err(format!(
-                "outer={} needs a relaxation backend for its inner sweeps (jacobi, \
-                 threads, or the simulators); Gauss–Seidel and CG are standalone solvers",
-                spec.name()
-            ));
-        }
-        Backend::Net { .. } => {
-            return Err(
-                "the net backend cannot serve as an inner smoother (it would spawn \
-                 processes per smoothing call); use the simulators or real threads"
-                    .into(),
-            );
-        }
+            ..
+        } => format!("simulated {} ranks ×{ranks}", kind(asynchronous)),
+        _ => "sequential reference".to_string(),
     };
     let smoothing = matches!(spec.kind, OuterKind::VCycle { .. });
     if opts.outer_plan.is_some() && !smoothing {
@@ -339,7 +288,16 @@ pub(crate) fn run_outer(
             spec.name()
         ));
     }
-    let mut smoother = EngineSmoother::new(engine, spec.smooth, smoothing, opts, format);
+    // A plain Jacobi smoother takes the solve's weight ω, as the engines'
+    // own fold does for a standalone run; every other smoother carries its
+    // own parameters, and `solve` rejects ω ≠ 1 for them.
+    let smooth = match spec.smooth {
+        Method::Jacobi if opts.omega != 1.0 => Method::Richardson1 {
+            omega: OmegaSpec::Fixed(opts.omega),
+        },
+        m => m,
+    };
+    let mut smoother = EngineSmoother::new(backend, smooth, smoothing, opts, format);
     let (out, levels) = match spec.kind {
         OuterKind::VCycle { levels, steps } => {
             let h = match &opts.outer_plan {

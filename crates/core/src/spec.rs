@@ -64,370 +64,239 @@ pub fn load_problem(selector: &str, seed: u64) -> Result<Problem, String> {
     Err(format!("unknown matrix selector: {selector} (try --help)"))
 }
 
-/// The accepted relaxation-method grammar, quoted in full by every
-/// rejection so a user never has to guess which part of the selector was
+/// One `name[:key=value]*` selector, split once and then queried by the
+/// per-grammar parsers below. Every rejection it builds quotes the full
+/// selector and its grammar, so a user never has to guess which part was
 /// wrong.
+struct Selector<'a> {
+    text: &'a str,
+    kind: &'static str,
+    grammar: &'static str,
+    name: &'a str,
+    kv: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Selector<'a> {
+    /// Strips an optional `prefix` (so full spec fragments such as
+    /// `method=jacobi` pass through verbatim), rejects an empty name, and
+    /// splits the rest into the name and its `key=value` parts, rejecting
+    /// bare and duplicate keys.
+    fn split(
+        text: &'a str,
+        prefix: &str,
+        kind: &'static str,
+        grammar: &'static str,
+    ) -> Result<Self, String> {
+        let mut parts = text.strip_prefix(prefix).unwrap_or(text).split(':');
+        let mut sel = Selector {
+            text,
+            kind,
+            grammar,
+            name: parts.next().unwrap_or_default(),
+            kv: Vec::new(),
+        };
+        sel.ensure(!sel.name.is_empty(), || format!("empty {kind} name"))?;
+        for part in parts {
+            let (k, v) = part
+                .split_once('=')
+                .ok_or_else(|| sel.err(format!("expected key=value, got '{part}'")))?;
+            let seen = sel.kv.iter().any(|&(seen, _)| seen == k);
+            sel.ensure(!seen, || format!("duplicate key '{k}'"))?;
+            sel.kv.push((k, v));
+        }
+        Ok(sel)
+    }
+
+    /// Rejects every key outside `allowed`, naming the allowed ones.
+    fn allow(&self, allowed: &[&str]) -> Result<(), String> {
+        for &(k, _) in &self.kv {
+            self.ensure(allowed.contains(&k), || {
+                let allowed = match allowed {
+                    [] => "none".to_string(),
+                    keys => keys.join(", "),
+                };
+                format!(
+                    "unknown key '{k}' for {} '{}' (allowed: {allowed})",
+                    self.kind, self.name
+                )
+            })?;
+        }
+        Ok(())
+    }
+
+    /// The value of `key` parsed as `T`; `None` when the key is absent.
+    fn get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.kv.iter().find(|&&(k, _)| k == key) {
+            None => Ok(None),
+            Some(&(_, v)) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| self.err(format!("invalid value '{v}' for key '{key}'"))),
+        }
+    }
+
+    /// `Ok` when `ok`, otherwise the rejection `what()`.
+    fn ensure(&self, ok: bool, what: impl FnOnce() -> String) -> Result<(), String> {
+        if ok {
+            Ok(())
+        } else {
+            Err(self.err(what()))
+        }
+    }
+
+    /// A rejection quoting the selector and the grammar.
+    fn err(&self, what: impl std::fmt::Display) -> String {
+        format!(
+            "bad {} selector '{}': {what} (grammar: {})",
+            self.kind, self.text, self.grammar
+        )
+    }
+}
+
+/// The accepted relaxation-method grammar, quoted in full by every
+/// rejection.
 pub const METHOD_GRAMMAR: &str = "jacobi | richardson1[:omega=<w>|auto] \
      | richardson2[:omega=<w>|auto][:beta=<b>] | rwr[:fraction=<f>]";
-
-fn method_err(selector: &str, what: &str) -> String {
-    format!("bad method selector '{selector}': {what} (grammar: {METHOD_GRAMMAR})")
-}
 
 /// Parses a relaxation-method selector (`jacobi`,
 /// `richardson1:omega=auto`, `richardson2:omega=auto:beta=0.3`,
 /// `rwr:fraction=0.5`, …) into a [`Method`]. A leading `method=` is
-/// accepted so full spec fragments can be passed through verbatim.
+/// accepted. Fixed parameters are range-checked here
+/// ([`Method::validate`]).
 ///
 /// Every rejection reports the *full* selector string and the accepted
 /// grammar, not just the offending key.
 pub fn parse_method(selector: &str) -> Result<Method, String> {
-    let spec = selector.strip_prefix("method=").unwrap_or(selector);
-    if spec.is_empty() {
-        return Err(method_err(selector, "empty method name"));
-    }
-    let mut parts = spec.split(':');
-    let name = parts.next().unwrap_or_default();
-    let mut kv: Vec<(&str, &str)> = Vec::new();
-    for part in parts {
-        let Some((k, v)) = part.split_once('=') else {
-            return Err(method_err(
-                selector,
-                &format!("expected key=value, got '{part}'"),
-            ));
-        };
-        if kv.iter().any(|&(seen, _)| seen == k) {
-            return Err(method_err(selector, &format!("duplicate key '{k}'")));
-        }
-        kv.push((k, v));
-    }
-    let parse_f64 = |key: &str, v: &str| -> Result<f64, String> {
-        v.parse::<f64>()
-            .map_err(|_| method_err(selector, &format!("invalid value '{v}' for key '{key}'")))
-    };
-    let parse_omega = |v: &str| -> Result<OmegaSpec, String> {
-        if v == "auto" {
-            Ok(OmegaSpec::Auto)
-        } else {
-            Ok(OmegaSpec::Fixed(parse_f64("omega", v)?))
-        }
-    };
-    let reject_unknown = |allowed: &[&str]| -> Result<(), String> {
-        for &(k, _) in &kv {
-            if !allowed.contains(&k) {
-                return Err(method_err(
-                    selector,
-                    &format!(
-                        "unknown key '{k}' for method '{name}' (allowed: {})",
-                        if allowed.is_empty() {
-                            "none".to_string()
-                        } else {
-                            allowed.join(", ")
-                        }
-                    ),
-                ));
-            }
-        }
-        Ok(())
-    };
-    let lookup = |key: &str| kv.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
-    match name {
+    let sel = Selector::split(selector, "method=", "method", METHOD_GRAMMAR)?;
+    let omega = sel.get("omega")?.unwrap_or(OmegaSpec::Auto);
+    let method = match sel.name {
         "jacobi" => {
-            reject_unknown(&[])?;
-            Ok(Method::Jacobi)
+            sel.allow(&[])?;
+            Method::Jacobi
         }
         "richardson1" => {
-            reject_unknown(&["omega"])?;
-            let omega = match lookup("omega") {
-                Some(v) => parse_omega(v)?,
-                None => OmegaSpec::Auto,
-            };
-            Ok(Method::Richardson1 { omega })
+            sel.allow(&["omega"])?;
+            Method::Richardson1 { omega }
         }
         "richardson2" => {
-            reject_unknown(&["omega", "beta"])?;
-            let omega = match lookup("omega") {
-                Some(v) => parse_omega(v)?,
-                None => OmegaSpec::Auto,
-            };
-            let beta = match lookup("beta") {
-                Some(v) => Some(parse_f64("beta", v)?),
-                None => None,
-            };
-            if let Some(b) = beta {
-                if !(0.0..1.0).contains(&b) {
-                    return Err(method_err(
-                        selector,
-                        &format!("beta must lie in [0, 1), got {b}"),
-                    ));
-                }
+            sel.allow(&["omega", "beta"])?;
+            Method::Richardson2 {
+                omega,
+                beta: sel.get("beta")?,
             }
-            Ok(Method::Richardson2 { omega, beta })
         }
         "rwr" | "randomized" => {
-            reject_unknown(&["fraction"])?;
-            let fraction = match lookup("fraction") {
-                Some(v) => parse_f64("fraction", v)?,
-                None => 0.5,
-            };
-            if !(fraction > 0.0 && fraction <= 1.0) {
-                return Err(method_err(
-                    selector,
-                    &format!("fraction must lie in (0, 1], got {fraction}"),
-                ));
+            sel.allow(&["fraction"])?;
+            Method::RandomizedResidual {
+                fraction: sel.get("fraction")?.unwrap_or(0.5),
             }
-            Ok(Method::RandomizedResidual { fraction })
         }
-        other => Err(method_err(selector, &format!("unknown method '{other}'"))),
-    }
+        other => return Err(sel.err(format!("unknown method '{other}'"))),
+    };
+    method.validate().map_err(|e| sel.err(e))?;
+    Ok(method)
 }
 
-/// The accepted storage-format grammar, quoted in full by every rejection
-/// (same contract as [`METHOD_GRAMMAR`]).
-pub const FORMAT_GRAMMAR: &str = "csr | sellc[:c=<2|4|8|16>] | rcm-blocked | auto";
-
-fn format_err(selector: &str, what: &str) -> String {
-    format!("bad format selector '{selector}': {what} (grammar: {FORMAT_GRAMMAR})")
-}
+/// The accepted storage-format grammar, quoted in full by every rejection.
+pub const FORMAT_GRAMMAR: &str = "csr | sellc[:c=<2|4|8|16>] | auto";
 
 /// Parses a sweep storage-format selector (`csr`, `sellc`, `sellc:c=8`,
-/// `rcm-blocked`) into a [`StorageFormat`]. A leading `format=` is accepted
-/// so full spec fragments can be passed through verbatim.
+/// `auto`) into a [`StorageFormat`]. A leading `format=` is accepted.
 ///
 /// Every rejection reports the *full* selector string and the accepted
 /// grammar, not just the offending key.
 pub fn parse_format(selector: &str) -> Result<StorageFormat, String> {
-    let spec = selector.strip_prefix("format=").unwrap_or(selector);
-    if spec.is_empty() {
-        return Err(format_err(selector, "empty format name"));
-    }
-    let mut parts = spec.split(':');
-    let name = parts.next().unwrap_or_default();
-    let mut kv: Vec<(&str, &str)> = Vec::new();
-    for part in parts {
-        let Some((k, v)) = part.split_once('=') else {
-            return Err(format_err(
-                selector,
-                &format!("expected key=value, got '{part}'"),
-            ));
-        };
-        if kv.iter().any(|&(seen, _)| seen == k) {
-            return Err(format_err(selector, &format!("duplicate key '{k}'")));
-        }
-        kv.push((k, v));
-    }
-    let reject_unknown = |allowed: &[&str]| -> Result<(), String> {
-        for &(k, _) in &kv {
-            if !allowed.contains(&k) {
-                return Err(format_err(
-                    selector,
-                    &format!(
-                        "unknown key '{k}' for format '{name}' (allowed: {})",
-                        if allowed.is_empty() {
-                            "none".to_string()
-                        } else {
-                            allowed.join(", ")
-                        }
-                    ),
-                ));
-            }
-        }
-        Ok(())
-    };
-    let lookup = |key: &str| kv.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
-    match name {
-        "csr" => {
-            reject_unknown(&[])?;
-            Ok(StorageFormat::Csr)
-        }
+    let sel = Selector::split(selector, "format=", "format", FORMAT_GRAMMAR)?;
+    match sel.name {
+        "csr" => sel.allow(&[]).map(|()| StorageFormat::Csr),
+        "auto" => sel.allow(&[]).map(|()| StorageFormat::Auto),
         "sellc" => {
-            reject_unknown(&["c"])?;
-            let c = match lookup("c") {
-                Some(v) => v.parse::<usize>().map_err(|_| {
-                    format_err(selector, &format!("invalid value '{v}' for key 'c'"))
-                })?,
-                None => aj_linalg::kernel::DEFAULT_SELL_LANES,
-            };
-            if !aj_linalg::kernel::SELL_LANE_CHOICES.contains(&c) {
-                return Err(format_err(
-                    selector,
-                    &format!("lane count c must be one of 2|4|8|16, got {c}"),
-                ));
-            }
+            sel.allow(&["c"])?;
+            let c = sel
+                .get("c")?
+                .unwrap_or(aj_linalg::kernel::DEFAULT_SELL_LANES);
+            sel.ensure(aj_linalg::kernel::SELL_LANE_CHOICES.contains(&c), || {
+                format!("lane count c must be one of 2|4|8|16, got {c}")
+            })?;
             Ok(StorageFormat::SellC { c })
         }
-        "rcm-blocked" => {
-            reject_unknown(&[])?;
-            Ok(StorageFormat::RcmBlocked)
-        }
-        "auto" => {
-            reject_unknown(&[])?;
-            Ok(StorageFormat::Auto)
-        }
-        other => Err(format_err(selector, &format!("unknown format '{other}'"))),
+        other => Err(sel.err(format!("unknown format '{other}'"))),
     }
 }
 
-/// The accepted controller grammar, quoted in full by every rejection
-/// (same contract as [`METHOD_GRAMMAR`]). Staleness thresholds (`low`,
-/// `high`, `shed`) are ratios in units of the fastest worker's sweep
-/// period; `stall` is the minimum residual decades per observation the
-/// stall detector demands over its window.
+/// The accepted controller grammar, quoted in full by every rejection.
+/// Staleness thresholds (`low`, `high`, `shed`) are ratios in units of the
+/// fastest worker's sweep period; `stall` is the minimum residual decades
+/// per observation the stall detector demands over its window.
 pub const CONTROL_GRAMMAR: &str = "off | on[:window=<W>][:low=<R>][:high=<R>]\
      [:patience=<K>][:stall=<D>][:shed=<R>][:rescue=<on|off>]";
-
-fn control_err(selector: &str, what: &str) -> String {
-    format!("bad control selector '{selector}': {what} (grammar: {CONTROL_GRAMMAR})")
-}
 
 /// Parses a closed-loop controller selector (`off`, `on`,
 /// `on:window=12:high=24:rescue=off`, …) into an optional
 /// [`aj_control::ControlConfig`] — `None` means the controller is off and
 /// every engine stays bit-identical to its uncontrolled form. A leading
-/// `control=` is accepted so full spec fragments pass through verbatim.
+/// `control=` is accepted.
 ///
 /// Every rejection reports the *full* selector string and the accepted
 /// grammar, not just the offending key.
 pub fn parse_control(selector: &str) -> Result<Option<aj_control::ControlConfig>, String> {
-    let spec = selector.strip_prefix("control=").unwrap_or(selector);
-    if spec.is_empty() {
-        return Err(control_err(selector, "empty control selector"));
+    let sel = Selector::split(selector, "control=", "control", CONTROL_GRAMMAR)?;
+    match sel.name {
+        "off" => return sel.allow(&[]).map(|()| None),
+        "on" => sel.allow(&[
+            "window", "low", "high", "patience", "stall", "shed", "rescue",
+        ])?,
+        other => return Err(sel.err(format!("unknown control mode '{other}'"))),
     }
-    let mut parts = spec.split(':');
-    let name = parts.next().unwrap_or_default();
-    let mut kv: Vec<(&str, &str)> = Vec::new();
-    for part in parts {
-        let Some((k, v)) = part.split_once('=') else {
-            return Err(control_err(
-                selector,
-                &format!("expected key=value, got '{part}'"),
-            ));
-        };
-        if kv.iter().any(|&(seen, _)| seen == k) {
-            return Err(control_err(selector, &format!("duplicate key '{k}'")));
-        }
-        kv.push((k, v));
-    }
-    match name {
-        "off" => {
-            if let Some(&(k, _)) = kv.first() {
-                return Err(control_err(
-                    selector,
-                    &format!("'off' takes no keys, got '{k}'"),
-                ));
-            }
-            return Ok(None);
-        }
-        "on" => {}
-        other => Err(control_err(
-            selector,
-            &format!("unknown control mode '{other}'"),
-        ))?,
-    }
-    const ALLOWED: [&str; 7] = [
-        "window", "low", "high", "patience", "stall", "shed", "rescue",
-    ];
-    for &(k, _) in &kv {
-        if !ALLOWED.contains(&k) {
-            return Err(control_err(
-                selector,
-                &format!("unknown key '{k}' (allowed: {})", ALLOWED.join(", ")),
-            ));
-        }
-    }
-    let lookup = |key: &str| kv.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
-    let parse_f64 = |key: &str, v: &str| -> Result<f64, String> {
-        v.parse::<f64>()
-            .map_err(|_| control_err(selector, &format!("invalid value '{v}' for key '{key}'")))
+    let d = aj_control::ControlConfig::default();
+    let shed: Option<f64> = sel.get("shed")?;
+    let cfg = aj_control::ControlConfig {
+        window: sel.get("window")?.unwrap_or(d.window),
+        low: sel.get("low")?.unwrap_or(d.low),
+        high: sel.get("high")?.unwrap_or(d.high),
+        patience: sel.get("patience")?.unwrap_or(d.patience),
+        stall_decades: sel.get("stall")?.unwrap_or(d.stall_decades),
+        shed_after: shed.unwrap_or(d.shed_after),
+        rescue: match sel.get::<String>("rescue")?.as_deref() {
+            None => d.rescue,
+            Some("on") => true,
+            Some("off") => false,
+            Some(other) => return Err(sel.err(format!("rescue must be on|off, got '{other}'"))),
+        },
     };
-    let mut cfg = aj_control::ControlConfig::default();
-    if let Some(v) = lookup("window") {
-        cfg.window = v
-            .parse::<usize>()
-            .map_err(|_| control_err(selector, &format!("invalid value '{v}' for key 'window'")))?;
-        if cfg.window < 2 {
-            return Err(control_err(
-                selector,
-                &format!("window must be at least 2, got {}", cfg.window),
-            ));
-        }
-    }
-    if let Some(v) = lookup("low") {
-        cfg.low = parse_f64("low", v)?;
-    }
-    if let Some(v) = lookup("high") {
-        cfg.high = parse_f64("high", v)?;
-    }
-    if !(cfg.low > 0.0 && cfg.high > cfg.low) {
-        return Err(control_err(
-            selector,
-            &format!(
-                "staleness regimes need 0 < low < high, got low={} high={}",
-                cfg.low, cfg.high
-            ),
-        ));
-    }
-    if let Some(v) = lookup("patience") {
-        let p = v.parse::<u32>().map_err(|_| {
-            control_err(selector, &format!("invalid value '{v}' for key 'patience'"))
-        })?;
-        if p == 0 {
-            return Err(control_err(selector, "patience must be at least 1"));
-        }
-        cfg.patience = p;
-    }
-    if let Some(v) = lookup("stall") {
-        cfg.stall_decades = parse_f64("stall", v)?;
-        if cfg.stall_decades.is_nan() || cfg.stall_decades < 0.0 {
-            return Err(control_err(
-                selector,
-                &format!("stall decades must be ≥ 0, got {}", cfg.stall_decades),
-            ));
-        }
-    }
-    if let Some(v) = lookup("shed") {
-        cfg.shed_after = parse_f64("shed", v)?;
-        if cfg.shed_after.is_nan() || cfg.shed_after <= cfg.high {
-            return Err(control_err(
-                selector,
-                &format!(
-                    "shed threshold must exceed high ({}), got {}",
-                    cfg.high, cfg.shed_after
-                ),
-            ));
-        }
-    }
-    if let Some(v) = lookup("rescue") {
-        cfg.rescue = match v {
-            "on" => true,
-            "off" => false,
-            other => {
-                return Err(control_err(
-                    selector,
-                    &format!("rescue must be on|off, got '{other}'"),
-                ));
-            }
-        };
-    }
+    sel.ensure(cfg.window >= 2, || {
+        format!("window must be at least 2, got {}", cfg.window)
+    })?;
+    sel.ensure(cfg.low > 0.0 && cfg.high > cfg.low, || {
+        format!(
+            "staleness regimes need 0 < low < high, got low={} high={}",
+            cfg.low, cfg.high
+        )
+    })?;
+    sel.ensure(cfg.patience >= 1, || "patience must be at least 1".into())?;
+    sel.ensure(cfg.stall_decades >= 0.0, || {
+        format!("stall decades must be ≥ 0, got {}", cfg.stall_decades)
+    })?;
+    sel.ensure(shed.is_none_or(|s| s > cfg.high), || {
+        format!(
+            "shed threshold must exceed high ({}), got {}",
+            cfg.high, cfg.shed_after
+        )
+    })?;
     Ok(Some(cfg))
 }
 
-/// The accepted outer-solver grammar, quoted in full by every rejection
-/// (same contract as [`METHOD_GRAMMAR`]). The `smooth=`/`prec=` value is a
-/// full [`METHOD_GRAMMAR`] selector; its `omega`/`beta`/`fraction` keys
-/// nest after it (e.g. `vcycle:smooth=richardson2:omega=auto:steps=2`).
+/// The accepted outer-solver grammar, quoted in full by every rejection.
+/// The `smooth=`/`prec=` value is a full [`METHOD_GRAMMAR`] selector; its
+/// `omega`/`beta`/`fraction` keys nest after it (e.g.
+/// `vcycle:smooth=richardson2:omega=auto:steps=2`).
 pub const OUTER_GRAMMAR: &str = "vcycle[:levels=<L>][:smooth=METHOD][:steps=<K>] \
      | fcg[:prec=METHOD][:inner=<K>] | fgmres[:prec=METHOD][:inner=<K>][:restart=<M>]";
-
-fn outer_err(selector: &str, what: &str) -> String {
-    format!("bad outer selector '{selector}': {what} (grammar: {OUTER_GRAMMAR})")
-}
 
 /// Parses an outer-solver selector (`vcycle`, `vcycle:levels=4:steps=2`,
 /// `fcg:prec=jacobi:inner=4`,
 /// `fgmres:prec=richardson2:omega=auto:inner=3:restart=20`, …) into an
-/// [`OuterSpec`]. A leading `outer=` is accepted so full spec fragments
-/// can be passed through verbatim.
+/// [`OuterSpec`]. A leading `outer=` is accepted.
 ///
 /// The `smooth=` (vcycle) / `prec=` (Krylov) key starts a nested method
 /// selector: subsequent `omega=`/`beta=`/`fraction=` parts belong to the
@@ -439,225 +308,108 @@ fn outer_err(selector: &str, what: &str) -> String {
 /// Every rejection reports the *full* selector string and the accepted
 /// grammar, not just the offending key.
 pub fn parse_outer(selector: &str) -> Result<OuterSpec, String> {
-    let spec = selector.strip_prefix("outer=").unwrap_or(selector);
-    if spec.is_empty() {
-        return Err(outer_err(selector, "empty outer solver name"));
-    }
-    let mut parts = spec.split(':');
-    let name = parts.next().unwrap_or_default();
-    // Keys whose values belong to the nested method selector once a
-    // smooth=/prec= part has opened it.
     const METHOD_KEYS: [&str; 3] = ["omega", "beta", "fraction"];
-    let mut kv: Vec<(&str, &str)> = Vec::new();
-    let mut method_key: Option<&str> = None;
-    let mut method_sel: Option<String> = None;
-    for part in parts {
-        let Some((k, v)) = part.split_once('=') else {
-            return Err(outer_err(
-                selector,
-                &format!("expected key=value, got '{part}'"),
-            ));
-        };
+    let sel = Selector::split(selector, "outer=", "outer", OUTER_GRAMMAR)?;
+    // One pass over the parts: smooth=/prec= opens the nested method
+    // selector and the method keys after it extend it.
+    let mut nested: Option<String> = None;
+    for &(k, v) in &sel.kv {
         if k == "smooth" || k == "prec" {
-            if method_sel.is_some() {
-                return Err(outer_err(selector, &format!("duplicate key '{k}'")));
-            }
-            method_key = Some(k);
-            method_sel = Some(v.to_string());
-            continue;
+            sel.ensure(nested.is_none(), || format!("second method key '{k}'"))?;
+            nested = Some(v.to_string());
+        } else if METHOD_KEYS.contains(&k) {
+            let method = nested.as_mut().ok_or_else(|| {
+                sel.err(format!("method key '{k}' before any smooth=/prec= part"))
+            })?;
+            method.push_str(&format!(":{k}={v}"));
         }
-        if METHOD_KEYS.contains(&k) {
-            let Some(sel) = method_sel.as_mut() else {
-                return Err(outer_err(
-                    selector,
-                    &format!("method key '{k}' before any smooth=/prec= part"),
-                ));
-            };
-            sel.push(':');
-            sel.push_str(part);
-            continue;
-        }
-        if kv.iter().any(|&(seen, _)| seen == k) {
-            return Err(outer_err(selector, &format!("duplicate key '{k}'")));
-        }
-        kv.push((k, v));
     }
-    let reject_unknown = |allowed: &[&str], method: &str| -> Result<(), String> {
-        for &(k, _) in &kv {
-            if !allowed.contains(&k) {
-                return Err(outer_err(
-                    selector,
-                    &format!(
-                        "unknown key '{k}' for outer solver '{name}' (allowed: {}, {method}=METHOD)",
-                        if allowed.is_empty() {
-                            "none".to_string()
-                        } else {
-                            allowed.join(", ")
-                        }
-                    ),
-                ));
-            }
-        }
-        Ok(())
-    };
-    let lookup = |key: &str| kv.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
-    let parse_count = |key: &str, v: &str, min: usize| -> Result<usize, String> {
-        let n = v
-            .parse::<usize>()
-            .map_err(|_| outer_err(selector, &format!("invalid value '{v}' for key '{key}'")))?;
-        if n < min {
-            return Err(outer_err(
-                selector,
-                &format!("{key} must be ≥ {min}, got {n}"),
-            ));
-        }
+    let count = |key: &str, min: usize| -> Result<Option<usize>, String> {
+        let n = sel.get(key)?;
+        sel.ensure(n.is_none_or(|n| n >= min), || {
+            format!("{key} must be ≥ {min}, got {}", n.unwrap_or_default())
+        })?;
         Ok(n)
     };
-    let expect_method_key = |want: &str| -> Result<(), String> {
-        match method_key {
-            Some(k) if k != want => Err(outer_err(
-                selector,
-                &format!("outer solver '{name}' takes {want}=METHOD, not {k}="),
-            )),
-            _ => Ok(()),
-        }
-    };
-    let smooth = match &method_sel {
-        Some(sel) => {
-            parse_method(sel).map_err(|e| outer_err(selector, &format!("nested method: {e}")))?
-        }
-        None => OuterSpec::default_smooth(),
-    };
-    let kind = match name {
+    let allow = |keys: &[&str]| sel.allow(&[keys, &METHOD_KEYS].concat());
+    let kind = match sel.name {
         "vcycle" => {
-            expect_method_key("smooth")?;
-            reject_unknown(&["levels", "steps"], "smooth")?;
-            let levels = match lookup("levels") {
-                Some(v) => Some(parse_count("levels", v, 2)?),
-                None => None,
-            };
-            let steps = match lookup("steps") {
-                Some(v) => parse_count("steps", v, 1)?,
-                None => OuterSpec::DEFAULT_STEPS,
-            };
-            OuterKind::VCycle { levels, steps }
+            allow(&["levels", "smooth", "steps"])?;
+            OuterKind::VCycle {
+                levels: count("levels", 2)?,
+                steps: count("steps", 1)?.unwrap_or(OuterSpec::DEFAULT_STEPS),
+            }
         }
         "fcg" => {
-            expect_method_key("prec")?;
-            reject_unknown(&["inner"], "prec")?;
-            let inner = match lookup("inner") {
-                Some(v) => parse_count("inner", v, 1)?,
-                None => OuterSpec::DEFAULT_INNER,
-            };
-            OuterKind::Fcg { inner }
+            allow(&["prec", "inner"])?;
+            OuterKind::Fcg {
+                inner: count("inner", 1)?.unwrap_or(OuterSpec::DEFAULT_INNER),
+            }
         }
         "fgmres" => {
-            expect_method_key("prec")?;
-            reject_unknown(&["inner", "restart"], "prec")?;
-            let inner = match lookup("inner") {
-                Some(v) => parse_count("inner", v, 1)?,
-                None => OuterSpec::DEFAULT_INNER,
-            };
-            let restart = match lookup("restart") {
-                Some(v) => parse_count("restart", v, 1)?,
-                None => OuterSpec::DEFAULT_RESTART,
-            };
-            OuterKind::Fgmres { inner, restart }
+            allow(&["prec", "inner", "restart"])?;
+            OuterKind::Fgmres {
+                inner: count("inner", 1)?.unwrap_or(OuterSpec::DEFAULT_INNER),
+                restart: count("restart", 1)?.unwrap_or(OuterSpec::DEFAULT_RESTART),
+            }
         }
-        other => {
-            return Err(outer_err(
-                selector,
-                &format!("unknown outer solver '{other}'"),
-            ))
+        other => return Err(sel.err(format!("unknown outer solver '{other}'"))),
+    };
+    let smooth = match nested {
+        Some(method) => {
+            parse_method(&method).map_err(|e| sel.err(format!("nested method: {e}")))?
         }
+        None => OuterSpec::default_smooth(),
     };
     Ok(OuterSpec { kind, smooth })
 }
 
-/// The accepted backend grammar, quoted in full by every rejection (same
-/// contract as [`METHOD_GRAMMAR`]).
+/// The accepted backend grammar, quoted in full by every rejection.
 pub const BACKEND_GRAMMAR: &str = "sync | gs | cg | async-threads | sim-async \
      | sim-sync | dist-async | dist-sync | net[:ranks=<N>]";
-
-fn backend_err(selector: &str, what: &str) -> String {
-    format!("bad backend selector '{selector}': {what} (grammar: {BACKEND_GRAMMAR})")
-}
 
 /// Parses a backend name (`sync`, `gs`, `cg`, `async-threads`, `sim-async`,
 /// `sim-sync`, `dist-async`, `dist-sync`, `net[:ranks=N]`) into a
 /// [`Backend`], filling in the worker/rank counts the parallel backends
-/// need. Only `net` takes `key=value` parameters; its `ranks=` overrides
-/// the ambient `ranks` argument.
+/// need. Only `net` takes a key: its `ranks=` overrides the ambient `ranks`
+/// argument. `detect` asks for termination detection, which only the
+/// backends whose [`Backend::capabilities`] list it run; any other backend
+/// rejects it rather than silently running without.
 pub fn parse_backend(
     name: &str,
     threads: usize,
     ranks: usize,
     detect: bool,
 ) -> Result<Backend, String> {
-    // Parameterized form: net[:ranks=<N>] — the only backend with a kv
-    // suffix (the others take counts from --threads/--ranks).
-    if let Some((base, rest)) = name.split_once(':') {
-        if base != "net" {
-            return Err(backend_err(
-                name,
-                &format!("backend '{base}' takes no ':key=value' parameters"),
-            ));
-        }
-        let mut net_ranks = ranks;
-        let mut seen: Vec<&str> = Vec::new();
-        for part in rest.split(':') {
-            let Some((k, v)) = part.split_once('=') else {
-                return Err(backend_err(
-                    name,
-                    &format!("expected key=value, got '{part}'"),
-                ));
-            };
-            if seen.contains(&k) {
-                return Err(backend_err(name, &format!("duplicate key '{k}'")));
-            }
-            seen.push(k);
-            match k {
-                "ranks" => {
-                    net_ranks = v.parse::<usize>().map_err(|_| {
-                        backend_err(name, &format!("invalid value '{v}' for key 'ranks'"))
-                    })?;
-                }
-                other => {
-                    return Err(backend_err(
-                        name,
-                        &format!("unknown key '{other}' for backend 'net' (allowed: ranks)"),
-                    ))
-                }
-            }
-        }
-        return Ok(Backend::Net { ranks: net_ranks });
-    }
-    Ok(match name {
+    let sel = Selector::split(name, "", "backend", BACKEND_GRAMMAR)?;
+    let shared = |asynchronous| Backend::SimShared {
+        workers: threads,
+        asynchronous,
+    };
+    let dist = |asynchronous| Backend::SimDistributed {
+        ranks,
+        asynchronous,
+        detect,
+    };
+    let backend = match sel.name {
         "sync" => Backend::Jacobi,
         "gs" => Backend::GaussSeidel,
         "cg" => Backend::ConjugateGradient,
         "async-threads" => Backend::AsyncThreads { workers: threads },
-        "sim-async" => Backend::SimShared {
-            workers: threads,
-            asynchronous: true,
+        "sim-async" => shared(true),
+        "sim-sync" => shared(false),
+        "dist-async" => dist(true),
+        "dist-sync" => dist(false),
+        "net" => Backend::Net {
+            ranks: sel.get("ranks")?.unwrap_or(ranks),
         },
-        "sim-sync" => Backend::SimShared {
-            workers: threads,
-            asynchronous: false,
-        },
-        "dist-async" => Backend::SimDistributed {
-            ranks,
-            asynchronous: true,
-            detect,
-        },
-        "dist-sync" => Backend::SimDistributed {
-            ranks,
-            asynchronous: false,
-            detect: false,
-        },
-        "net" => Backend::Net { ranks },
-        other => return Err(backend_err(name, &format!("unknown backend '{other}'"))),
-    })
+        other => return Err(sel.err(format!("unknown backend '{other}'"))),
+    };
+    sel.allow(if sel.name == "net" { &["ranks"] } else { &[] })?;
+    sel.ensure(!detect || backend.capabilities().detection, || {
+        "termination detection (detect) runs on dist-async only (net always detects)".into()
+    })?;
+    Ok(backend)
 }
 
 /// Checks a backend's worker/rank counts against a problem size (every
@@ -777,6 +529,11 @@ mod tests {
             "richardson2:beta=1.5",
             "rwr:fraction=0",
             "rwr:fraction=1.5",
+            "richardson1:omega=nan",
+            "richardson1:omega=inf",
+            "richardson1:omega=0",
+            "richardson1:omega=-1",
+            "richardson2:omega=nan",
         ] {
             let err = parse_method(bad).unwrap_err();
             assert!(err.contains(bad), "error '{err}' must quote '{bad}'");
@@ -819,10 +576,6 @@ mod tests {
                 StorageFormat::SellC { c }
             );
         }
-        assert_eq!(
-            parse_format("format=rcm-blocked").unwrap(),
-            StorageFormat::RcmBlocked
-        );
         assert_eq!(parse_format("auto").unwrap(), StorageFormat::Auto);
         assert_eq!(parse_format("format=auto").unwrap(), StorageFormat::Auto);
         assert!(parse_format("auto:c=8").is_err());
@@ -830,7 +583,6 @@ mod tests {
         for f in [
             StorageFormat::Csr,
             StorageFormat::SellC { c: 4 },
-            StorageFormat::RcmBlocked,
             StorageFormat::Auto,
         ] {
             assert_eq!(parse_format(&f.to_spec()).unwrap(), f);
@@ -952,7 +704,7 @@ mod tests {
             "sellc:c",
             "sellc:c=4:c=8",
             "csr:c=8",
-            "rcm-blocked:c=4",
+            "rcm-blocked",
             "sellc:lanes=8",
             "sellc:c=eight",
             "sellc:c=3",

@@ -387,8 +387,8 @@ pub fn run_dist_async_plan(
     // storage format (kept beside `ranks` so the borrow checker sees the
     // kernels and the rank state as disjoint). The cost model charges the
     // stored nonzeros the kernel streams per sweep — the plain local nnz
-    // for CSR and RCM-blocked, padded nnz for SELL-C-σ.
-    let mut kernels: Vec<SweepKernel> = ranks
+    // for CSR, padded nnz for SELL-C-σ.
+    let kernels: Vec<SweepKernel> = ranks
         .iter()
         .map(|rk| {
             rk.local
@@ -406,11 +406,11 @@ pub fn run_dist_async_plan(
     // kernel of its own, in `auto_select`'s format whatever the ranks
     // sweep in: it only observes, and a SELL sample has the CSR bits.
     let mut x_global = x0.to_vec();
-    let mut whole = [SweepKernel::build(a, 0..n, kernel::auto_select(a))
+    let whole = [SweepKernel::build(a, 0..n, kernel::auto_select(a))
         .expect("auto_select picks a format every matrix accepts")];
     let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
     let mut relaxations = 0u64;
-    monitor.observe(0.0, 0, &x_global, &mut whole);
+    monitor.observe(0.0, 0, &x_global, &whole);
 
     // Observability state, allocated only when recording is on. The age of
     // a ghost value at use is `sweep tick − generation tick`, where the
@@ -672,7 +672,7 @@ pub fn run_dist_async_plan(
                 }
 
                 let samples_before = monitor.samples().len();
-                let hit_tol = monitor.observe(now, relaxations, &x_global, &mut whole);
+                let hit_tol = monitor.observe(now, relaxations, &x_global, &whole);
                 if let Some(o) = obs.as_mut() {
                     // Queue depth is sampled exactly when the monitor takes
                     // a residual sample, so both series share the monitor's
@@ -920,7 +920,7 @@ pub fn run_dist_async_plan(
             }
         }
     }
-    monitor.finalize(now, relaxations, &x_global, &mut whole);
+    monitor.finalize(now, relaxations, &x_global, &whole);
     let converged = monitor.converged();
     let obs_snapshot = obs.map(|o| {
         let mut snap = o.into_snapshot(Some(&comm));
@@ -1007,9 +1007,9 @@ pub fn run_dist_sync_plan(
     let mut now = 0.0f64;
     let mut iters = 0u64;
     let mut relaxations = 0u64;
-    let mut whole = whole_csr_kernel(a);
+    let whole = whole_csr_kernel(a);
     let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
-    monitor.observe(0.0, 0, &x, &mut whole);
+    monitor.observe(0.0, 0, &x, &whole);
 
     loop {
         match config.stop {
@@ -1048,9 +1048,9 @@ pub fn run_dist_sync_plan(
         now += slowest + exchange;
         iters += 1;
         relaxations += swept as u64;
-        monitor.observe(now, relaxations, &x, &mut whole);
+        monitor.observe(now, relaxations, &x, &whole);
     }
-    monitor.finalize(now, relaxations, &x, &mut whole);
+    monitor.finalize(now, relaxations, &x, &whole);
     let converged = monitor.converged();
     SimOutcome {
         samples: monitor.into_samples(),

@@ -201,7 +201,7 @@ impl<'a> ResidualMonitor<'a> {
         time: f64,
         total_relaxations: u64,
         x: &[f64],
-        kernels: &mut [SweepKernel],
+        kernels: &[SweepKernel],
     ) -> bool {
         if total_relaxations >= self.next_checkpoint {
             let res = self.relative_residual(x, kernels);
@@ -231,7 +231,7 @@ impl<'a> ResidualMonitor<'a> {
         time: f64,
         total_relaxations: u64,
         x: &[f64],
-        kernels: &mut [SweepKernel],
+        kernels: &[SweepKernel],
     ) {
         let relaxations_per_n = total_relaxations as f64 / self.a.nrows() as f64;
         if let Some(last) = self.samples.last() {
@@ -255,13 +255,13 @@ impl<'a> ResidualMonitor<'a> {
     /// When every kernel is SELL-C-σ, their row residuals fill the scratch
     /// block by block and the norm runs over it in row order. A SELL row
     /// equals the CSR row up to the sign of a zero, which `|·|` and
-    /// squaring erase, so the sample has the bits of the fused path. Any
-    /// other kernels (CSR, or the reordered `rcm-blocked`) take the fused
-    /// [`CsrMatrix::residual_norm`], which allocates nothing.
+    /// squaring erase, so the sample has the bits of the fused path. CSR
+    /// kernels take the fused [`CsrMatrix::residual_norm`], which
+    /// allocates nothing.
     ///
     /// # Panics
     /// Panics unless `kernels` cover rows `0..n` in order.
-    fn relative_residual(&mut self, x: &[f64], kernels: &mut [SweepKernel]) -> f64 {
+    fn relative_residual(&mut self, x: &[f64], kernels: &[SweepKernel]) -> f64 {
         let n = self.a.nrows();
         let mut next = 0;
         for k in kernels.iter() {
@@ -272,8 +272,7 @@ impl<'a> ResidualMonitor<'a> {
         let sell = |k: &SweepKernel| matches!(k.format(), StorageFormat::SellC { .. });
         let residual = if n > 0 && kernels.iter().all(sell) {
             self.scratch.resize(n, 0.0);
-            for k in kernels.iter_mut() {
-                debug_assert!(k.format().is_bit_compatible());
+            for k in kernels {
                 let rows = k.rows();
                 k.residuals_into(self.a, x, &self.b[rows.clone()], &mut self.scratch[rows]);
             }
@@ -301,12 +300,12 @@ mod tests {
         let b = vec![1.0; 4];
         let x = vec![0.0; 4];
         let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 8);
-        let mut k = whole(&a, StorageFormat::Csr);
-        assert!(!m.observe(0.0, 0, &x, &mut k)); // initial sample at checkpoint 0
+        let k = whole(&a, StorageFormat::Csr);
+        assert!(!m.observe(0.0, 0, &x, &k)); // initial sample at checkpoint 0
         assert_eq!(m.samples().len(), 1);
-        assert!(!m.observe(1.0, 4, &x, &mut k)); // below next checkpoint: no sample
+        assert!(!m.observe(1.0, 4, &x, &k)); // below next checkpoint: no sample
         assert_eq!(m.samples().len(), 1);
-        assert!(!m.observe(2.0, 8, &x, &mut k));
+        assert!(!m.observe(2.0, 8, &x, &k));
         assert_eq!(m.samples().len(), 2);
     }
 
@@ -316,16 +315,16 @@ mod tests {
         let b = vec![1.0; 4];
         let x = vec![0.0; 4];
         let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 4);
-        let mut k = whole(&a, StorageFormat::Csr);
-        m.observe(0.0, 0, &x, &mut k);
-        m.observe(2.5, 8, &x, &mut k); // checkpoint sample at (t=2.5, 8 relaxations)
+        let k = whole(&a, StorageFormat::Csr);
+        m.observe(0.0, 0, &x, &k);
+        m.observe(2.5, 8, &x, &k); // checkpoint sample at (t=2.5, 8 relaxations)
         assert_eq!(m.samples().len(), 2);
         // Terminating at the exact state just sampled adds nothing…
-        m.finalize(2.5, 8, &x, &mut k);
+        m.finalize(2.5, 8, &x, &k);
         assert_eq!(m.samples().len(), 2, "duplicate final sample");
         // …but terminating later (same time, more relaxations — or vice
         // versa) still records the true final state.
-        m.finalize(2.5, 9, &x, &mut k);
+        m.finalize(2.5, 9, &x, &k);
         assert_eq!(m.samples().len(), 3);
         let (s2, s3) = (m.samples()[1], m.samples()[2]);
         assert_eq!(s2.residual, s3.residual);
@@ -337,8 +336,8 @@ mod tests {
         let a = fd::laplacian_1d(3);
         let b = a.spmv(&[1.0, 1.0, 1.0]);
         let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-8, 1);
-        let mut k = whole(&a, StorageFormat::Csr);
-        assert!(m.observe(0.0, 0, &[1.0, 1.0, 1.0], &mut k));
+        let k = whole(&a, StorageFormat::Csr);
+        assert!(m.observe(0.0, 0, &[1.0, 1.0, 1.0], &k));
         assert!(m.converged());
     }
 
@@ -361,11 +360,11 @@ mod tests {
             .collect();
         for norm in [Norm::L1, Norm::L2, Norm::Inf] {
             let mut csr = ResidualMonitor::new(&a, &b, norm, 1e-10, 1);
-            csr.observe(0.0, 0, &x, &mut whole(&a, StorageFormat::Csr));
+            csr.observe(0.0, 0, &x, &whole(&a, StorageFormat::Csr));
             for c in aj_linalg::kernel::SELL_LANE_CHOICES {
                 let mut sell = ResidualMonitor::new(&a, &b, norm, 1e-10, 1);
-                sell.observe(0.0, 0, &x, &mut sell_blocks(&a, c));
-                sell.finalize(1.0, 1, &x, &mut whole(&a, StorageFormat::SellC { c }));
+                sell.observe(0.0, 0, &x, &sell_blocks(&a, c));
+                sell.finalize(1.0, 1, &x, &whole(&a, StorageFormat::SellC { c }));
                 for s in sell.samples() {
                     assert_eq!(
                         s.residual.to_bits(),
@@ -382,23 +381,21 @@ mod tests {
         let a = fd::laplacian_2d(6, 5);
         let b = vec![1.0; a.nrows()];
         let x = vec![0.25; a.nrows()];
-        for format in [StorageFormat::Csr, StorageFormat::RcmBlocked] {
-            let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 1);
-            m.observe(0.0, 0, &x, &mut whole(&a, format));
-            m.finalize(1.0, 1, &x, &mut whole(&a, format));
-            assert_eq!(m.scratch.capacity(), 0, "{format}");
-            assert_eq!(
-                m.samples()[1].residual.to_bits(),
-                (a.residual_norm(&x, &b, Norm::L1) / m.nb).to_bits()
-            );
-        }
+        let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 1);
+        m.observe(0.0, 0, &x, &whole(&a, StorageFormat::Csr));
+        m.finalize(1.0, 1, &x, &whole(&a, StorageFormat::Csr));
+        assert_eq!(m.scratch.capacity(), 0);
+        assert_eq!(
+            m.samples()[1].residual.to_bits(),
+            (a.residual_norm(&x, &b, Norm::L1) / m.nb).to_bits()
+        );
         let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 1);
         assert_eq!(
             m.scratch.capacity(),
             0,
             "no scratch before the first sample"
         );
-        m.observe(0.0, 0, &x, &mut sell_blocks(&a, 8));
+        m.observe(0.0, 0, &x, &sell_blocks(&a, 8));
         assert_eq!(m.scratch.len(), a.nrows());
     }
 
@@ -407,15 +404,10 @@ mod tests {
         let a = fd::laplacian_2d(5, 5);
         let b = vec![1.0; a.nrows()];
         let x = vec![f64::NAN; a.nrows()];
-        let formats = [
-            StorageFormat::Csr,
-            StorageFormat::RcmBlocked,
-            StorageFormat::SellC { c: 8 },
-        ];
-        for format in formats {
+        for format in [StorageFormat::Csr, StorageFormat::SellC { c: 8 }] {
             let mut m = ResidualMonitor::new(&a, &b, Norm::Inf, 1e-3, 1);
-            assert!(!m.observe(0.0, 0, &x, &mut whole(&a, format)), "{format}");
-            m.finalize(1.0, 1, &x, &mut whole(&a, format));
+            assert!(!m.observe(0.0, 0, &x, &whole(&a, format)), "{format}");
+            m.finalize(1.0, 1, &x, &whole(&a, format));
             assert!(!m.converged(), "{format}");
             assert!(m.samples().iter().all(|s| s.residual.is_nan()), "{format}");
         }
@@ -426,8 +418,8 @@ mod tests {
     fn kernels_that_miss_rows_are_rejected() {
         let a = fd::laplacian_1d(6);
         let b = vec![1.0; 6];
-        let mut k = vec![SweepKernel::build(&a, 0..4, StorageFormat::SellC { c: 2 }).unwrap()];
-        ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 1).observe(0.0, 0, &[0.0; 6], &mut k);
+        let k = vec![SweepKernel::build(&a, 0..4, StorageFormat::SellC { c: 2 }).unwrap()];
+        ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 1).observe(0.0, 0, &[0.0; 6], &k);
     }
 
     #[test]
@@ -435,11 +427,11 @@ mod tests {
     fn kernels_out_of_order_are_rejected() {
         let a = fd::laplacian_1d(6);
         let b = vec![1.0; 6];
-        let mut k: Vec<SweepKernel> = [3..6, 0..3]
+        let k: Vec<SweepKernel> = [3..6, 0..3]
             .into_iter()
             .map(|r| SweepKernel::build(&a, r, StorageFormat::Csr).unwrap())
             .collect();
-        ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 1).observe(0.0, 0, &[0.0; 6], &mut k);
+        ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 1).observe(0.0, 0, &[0.0; 6], &k);
     }
 
     #[test]
@@ -522,13 +514,13 @@ mod tests {
         let b = vec![1.0; 4];
         let x = vec![0.0; 4];
         let mut m = ResidualMonitor::new(&a, &b, Norm::L1, 1e-10, 8);
-        let mut k = whole(&a, StorageFormat::Csr);
-        m.observe(0.0, 0, &x, &mut k);
-        m.observe(1.0, 13, &x, &mut k); // burst past checkpoint 8
+        let k = whole(&a, StorageFormat::Csr);
+        m.observe(0.0, 0, &x, &k);
+        m.observe(1.0, 13, &x, &k); // burst past checkpoint 8
         assert_eq!(m.samples().len(), 2);
-        m.observe(2.0, 16, &x, &mut k); // grid-aligned checkpoint still fires
+        m.observe(2.0, 16, &x, &k); // grid-aligned checkpoint still fires
         assert_eq!(m.samples().len(), 3, "grid must stay on multiples of 8");
-        m.observe(3.0, 17, &x, &mut k); // off-grid, below next checkpoint 24
+        m.observe(3.0, 17, &x, &k); // off-grid, below next checkpoint 24
         assert_eq!(m.samples().len(), 3);
     }
 

@@ -146,9 +146,9 @@ pub fn run_shmem_async(
     let ranges = block_ranges(n, t);
     // One sweep kernel per worker block in the configured storage format.
     // The cost model charges the *stored* nonzeros the kernel streams per
-    // sweep — identical to the row-nnz sum for CSR (and the RCM-blocked
-    // layout), padded for SELL-C-σ whose lanes compute the padding too.
-    let mut kernels: Vec<SweepKernel> = ranges
+    // sweep — identical to the row-nnz sum for CSR, padded for SELL-C-σ
+    // whose lanes compute the padding too.
+    let kernels: Vec<SweepKernel> = ranges
         .iter()
         .map(|r| {
             SweepKernel::build(a, r.clone(), config.format)
@@ -166,7 +166,7 @@ pub fn run_shmem_async(
     // The monitor samples through the block kernels: SELL samples take the
     // vectorized pass, and every sample keeps the bits of the CSR one.
     let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
-    monitor.observe(0.0, 0, &x, &mut kernels);
+    monitor.observe(0.0, 0, &x, &kernels);
 
     // Observability shards, built only when recording is on so the off
     // path allocates nothing and checks one Option per sweep. A worker's
@@ -293,7 +293,7 @@ pub fn run_shmem_async(
         } else {
             0
         };
-        let hit_tol = monitor.observe(now, relaxations, &x, &mut kernels);
+        let hit_tol = monitor.observe(now, relaxations, &x, &kernels);
         if let Some(c) = ctrl.as_mut() {
             if monitor.samples().len() > samples_before {
                 // Staleness-at-use on the monitor's grid: the oldest live
@@ -355,7 +355,7 @@ pub fn run_shmem_async(
             order += 1;
         }
     }
-    monitor.finalize(now, relaxations, &x, &mut kernels);
+    monitor.finalize(now, relaxations, &x, &kernels);
     let converged = monitor.converged();
     let obs_snapshot = obs.map(|o| {
         let mut snap = o.into_snapshot(None);
@@ -472,9 +472,9 @@ fn rowwise_impl(
     let mut staged: Vec<Vec<StagedRow>> =
         ranges.iter().map(|r| Vec::with_capacity(r.len())).collect();
     let mut relaxations = 0u64;
-    let mut whole = whole_csr_kernel(a);
+    let whole = whole_csr_kernel(a);
     let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
-    monitor.observe(0.0, 0, &x, &mut whole);
+    monitor.observe(0.0, 0, &x, &whole);
 
     // Returns (overhead ticks, compute ticks) for one iteration of worker w.
     let draw_window =
@@ -559,7 +559,7 @@ fn rowwise_impl(
             cursor[w] = 0;
             staged[w].clear();
             iterations[w] += 1;
-            let hit_tol = monitor.observe(now, relaxations, &x, &mut whole);
+            let hit_tol = monitor.observe(now, relaxations, &x, &whole);
             stop = match config.stop {
                 StopRule::Tolerance => hit_tol,
                 StopRule::FixedIterations(k) => iterations.iter().all(|&it| it >= k),
@@ -591,7 +591,7 @@ fn rowwise_impl(
         )));
         order += 1;
     }
-    monitor.finalize(now, relaxations, &x, &mut whole);
+    monitor.finalize(now, relaxations, &x, &whole);
     let converged = monitor.converged();
     SimOutcome {
         samples: monitor.into_samples(),
@@ -633,9 +633,9 @@ pub fn run_shmem_sync(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemSimCon
     let mut now = 0.0f64;
     let mut relaxations = 0u64;
     let mut iters = 0u64;
-    let mut whole = whole_csr_kernel(a);
+    let whole = whole_csr_kernel(a);
     let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
-    monitor.observe(0.0, 0, &x, &mut whole);
+    monitor.observe(0.0, 0, &x, &whole);
 
     loop {
         match config.stop {
@@ -675,9 +675,9 @@ pub fn run_shmem_sync(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemSimCon
         now += slowest + barrier;
         iters += 1;
         relaxations += swept as u64;
-        monitor.observe(now, relaxations, &x, &mut whole);
+        monitor.observe(now, relaxations, &x, &whole);
     }
-    monitor.finalize(now, relaxations, &x, &mut whole);
+    monitor.finalize(now, relaxations, &x, &whole);
     let converged = monitor.converged();
     SimOutcome {
         samples: monitor.into_samples(),

@@ -21,15 +21,6 @@
 //!   product is NaN, so such a block runs the CSR row loop instead).
 //!   The layout is built by a stable counting sort on row length followed
 //!   by direct placement into arrays allocated at their final size.
-//! * [`StorageFormat::RcmBlocked`] — cache blocking: the block's rows are
-//!   RCM-reordered on their in-block connectivity, in-block columns are
-//!   renumbered to match, and out-of-block ("ghost") columns are packed at
-//!   the tail. Each sweep first gathers every needed `x` entry into a
-//!   contiguous scratch vector — a software prefetch of the ghost entries
-//!   ahead of the row loop — then relaxes rows in the permuted order and
-//!   scatters results back through the permutation. Reordering columns
-//!   within a row changes the floating-point accumulation order, so this
-//!   format matches CSR to roundoff (≈1e-12 relative), not bitwise.
 //!
 //! A kernel is built once per block ([`SweepKernel::build`]) and reused for
 //! every sweep; [`SweepKernel::work_nnz`] reports the per-sweep work
@@ -37,9 +28,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::LinalgError;
-use crate::perm::Permutation;
-use crate::rcm::reverse_cuthill_mckee;
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Default SELL chunk height: 8 lanes of `f64` (one AVX-512 register, two
@@ -62,39 +50,28 @@ pub enum StorageFormat {
         /// Chunk height (SIMD lane count).
         c: usize,
     },
-    /// RCM-reordered, ghost-packed cache blocking.
-    RcmBlocked,
     /// Placeholder resolved at plan time by [`auto_select`] from measured
     /// row statistics; never reaches [`SweepKernel::build`].
     Auto,
 }
 
 impl StorageFormat {
-    /// Short name without parameters (`csr`, `sellc`, `rcm-blocked`,
-    /// `auto`).
+    /// Short name without parameters (`csr`, `sellc`, `auto`).
     pub fn name(&self) -> &'static str {
         match self {
             StorageFormat::Csr => "csr",
             StorageFormat::SellC { .. } => "sellc",
-            StorageFormat::RcmBlocked => "rcm-blocked",
             StorageFormat::Auto => "auto",
         }
     }
 
     /// Canonical selector string that re-parses to this format
-    /// (`csr`, `sellc:c=8`, `rcm-blocked`).
+    /// (`csr`, `sellc:c=8`, `auto`).
     pub fn to_spec(&self) -> String {
         match self {
             StorageFormat::SellC { c } => format!("sellc:c={c}"),
             f => f.name().to_string(),
         }
-    }
-
-    /// Whether sweeps in this format reproduce the CSR sweep bit-for-bit
-    /// (modulo `-0.0` vs `+0.0`). `Auto` is bit-compatible because
-    /// [`auto_select`] only ever picks bit-compatible formats.
-    pub fn is_bit_compatible(&self) -> bool {
-        !matches!(self, StorageFormat::RcmBlocked)
     }
 }
 
@@ -112,9 +89,9 @@ pub const AUTO_PADDING_MAX: f64 = 0.25;
 /// chunks of [`DEFAULT_SELL_LANES`], each chunk padded to its widest row;
 /// when the resulting padding ratio `(work_nnz − nnz) / nnz` stays at or
 /// under [`AUTO_PADDING_MAX`] the row lengths are regular enough for the
-/// SIMD-friendly layout to pay, otherwise scalar CSR wins. Only
-/// bit-compatible formats are ever chosen, so `auto` never changes
-/// results, only speed.
+/// SIMD-friendly layout to pay, otherwise scalar CSR wins. Both formats
+/// give the CSR sweep's values, so `auto` never changes results, only
+/// speed.
 pub fn auto_select(a: &CsrMatrix) -> StorageFormat {
     let n = a.nrows();
     let nnz = a.nnz();
@@ -164,32 +141,10 @@ struct SellData {
     perm: Vec<u32>,
 }
 
-/// RCM cache-blocked storage for one block: a permuted local CSR whose
-/// columns index a gather scratch (owned rows in permuted order, then the
-/// packed ghost tail).
-#[derive(Debug, Clone)]
-struct RcmData {
-    rows_start: usize,
-    nrows: usize,
-    ncols: usize,
-    /// Block-local RCM permutation, `perm[new] = old`.
-    perm: Permutation,
-    indptr: Vec<usize>,
-    /// Scratch-local columns: `0..nrows` are permuted in-block rows,
-    /// `nrows..` are ghost slots in first-use order.
-    cols: Vec<u32>,
-    vals: Vec<f64>,
-    /// Global column of each ghost slot.
-    ext_cols: Vec<usize>,
-    /// Gather buffer, `nrows + ext_cols.len()` long.
-    scratch: Vec<f64>,
-}
-
 #[derive(Debug, Clone)]
 enum KernelData {
     Csr,
     Sell(SellData),
-    Rcm(RcmData),
 }
 
 /// A relaxation kernel for one contiguous block of matrix rows, built once
@@ -228,7 +183,6 @@ impl SweepKernel {
                 }
                 KernelData::Sell(build_sell(a, rows.clone(), c)?)
             }
-            StorageFormat::RcmBlocked => KernelData::Rcm(build_rcm(a, rows.clone())?),
             StorageFormat::Auto => {
                 // `auto` is a plan-time placeholder; drivers must resolve
                 // it (via `auto_select`) before kernels are built.
@@ -256,14 +210,12 @@ impl SweepKernel {
     }
 
     /// Entries touched per sweep — the number the cost models should charge.
-    /// Equals the block's nonzero count for `csr` and `rcm-blocked`; for
-    /// `sellc` it includes the chunk padding (the lanes compute it whether
+    /// Equals the block's nonzero count for `csr`; for `sellc` it includes the chunk padding (the lanes compute it whether
     /// or not it is real).
     pub fn work_nnz(&self, a: &CsrMatrix) -> usize {
         match &self.data {
             KernelData::Csr => a.indptr()[self.rows.end] - a.indptr()[self.rows.start],
             KernelData::Sell(s) => s.widths.iter().map(|w| w * s.c).sum(),
-            KernelData::Rcm(r) => r.vals.len(),
         }
     }
 
@@ -271,16 +223,15 @@ impl SweepKernel {
     ///
     /// `a` must be the matrix the kernel was built from, `x` a full-width
     /// vector (`a.ncols()` long), and `b_blk`/`out` block-local slices.
-    /// `&mut self` because the RCM variant reuses an internal gather buffer.
     ///
     /// # Panics
     /// Panics on any length mismatch.
-    pub fn residuals_into(&mut self, a: &CsrMatrix, x: &[f64], b_blk: &[f64], out: &mut [f64]) {
+    pub fn residuals_into(&self, a: &CsrMatrix, x: &[f64], b_blk: &[f64], out: &mut [f64]) {
         let nrows = self.rows.len();
         assert_eq!(x.len(), a.ncols(), "kernel: x length mismatch");
         assert_eq!(b_blk.len(), nrows, "kernel: b length mismatch");
         assert_eq!(out.len(), nrows, "kernel: out length mismatch");
-        match &mut self.data {
+        match &self.data {
             KernelData::Csr => csr_residuals(a, self.rows.clone(), x, b_blk, out),
             KernelData::Sell(s) => {
                 assert_eq!(s.ncols, a.ncols(), "kernel built from a different matrix");
@@ -298,10 +249,6 @@ impl SweepKernel {
                     16 => sell_residuals::<16>(s, x, b_blk, out),
                     c => unreachable!("unvalidated sell lane count {c}"),
                 }
-            }
-            KernelData::Rcm(r) => {
-                assert_eq!(r.ncols, a.ncols(), "kernel built from a different matrix");
-                rcm_residuals(r, x, b_blk, out);
             }
         }
     }
@@ -415,109 +362,6 @@ fn sell_residuals<const C: usize>(s: &SellData, x: &[f64], b_blk: &[f64], out: &
     }
 }
 
-fn build_rcm(a: &CsrMatrix, rows: Range<usize>) -> Result<RcmData, LinalgError> {
-    let nrows = rows.len();
-    // In-block connectivity pattern (values irrelevant; diagonal ensured so
-    // RCM's degree counts are consistent).
-    let mut indptr = Vec::with_capacity(nrows + 1);
-    let mut indices = Vec::new();
-    indptr.push(0);
-    for i in rows.clone() {
-        let mut has_diag = false;
-        let before = indices.len();
-        for &gj in a.row_indices(i) {
-            if rows.contains(&gj) {
-                has_diag |= gj == i;
-                indices.push(gj - rows.start);
-            }
-        }
-        if !has_diag {
-            let local = i - rows.start;
-            let pos = indices[before..].partition_point(|&j| j < local) + before;
-            indices.insert(pos, local);
-        }
-        indptr.push(indices.len());
-    }
-    let nnz = indices.len();
-    let pattern = CsrMatrix::from_raw_parts(nrows, nrows, indptr, indices, vec![1.0; nnz])?;
-    let perm = reverse_cuthill_mckee(&pattern);
-    let inv = perm.inverse();
-
-    let scratch_bound = nrows + (a.indptr()[rows.end] - a.indptr()[rows.start]);
-    if scratch_bound > u32::MAX as usize {
-        return Err(LinalgError::InvalidStructure(format!(
-            "rcm-blocked needs u32 scratch indices; block may touch {scratch_bound} entries"
-        )));
-    }
-    let mut indptr = Vec::with_capacity(nrows + 1);
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
-    let mut ext_cols: Vec<usize> = Vec::new();
-    let mut ext_slot: HashMap<usize, u32> = HashMap::new();
-    let mut row: Vec<(u32, f64)> = Vec::new();
-    indptr.push(0);
-    for new in 0..nrows {
-        let gi = rows.start + perm.as_slice()[new];
-        row.clear();
-        for (gj, v) in a.row_iter(gi) {
-            let col = if rows.contains(&gj) {
-                inv.as_slice()[gj - rows.start] as u32
-            } else {
-                *ext_slot.entry(gj).or_insert_with(|| {
-                    ext_cols.push(gj);
-                    (nrows + ext_cols.len() - 1) as u32
-                })
-            };
-            row.push((col, v));
-        }
-        // Ascending scratch order: permuted in-block neighbours (cache-hot)
-        // first, ghost tail last. This reorders the accumulation relative to
-        // CSR — the documented roundoff-level difference of this format.
-        row.sort_unstable_by_key(|&(c, _)| c);
-        for &(c, v) in &row {
-            cols.push(c);
-            vals.push(v);
-        }
-        indptr.push(cols.len());
-    }
-    let scratch = vec![0.0; nrows + ext_cols.len()];
-    Ok(RcmData {
-        rows_start: rows.start,
-        nrows,
-        ncols: a.ncols(),
-        perm,
-        indptr,
-        cols,
-        vals,
-        ext_cols,
-        scratch,
-    })
-}
-
-fn rcm_residuals(r: &mut RcmData, x: &[f64], b_blk: &[f64], out: &mut [f64]) {
-    // Gather phase: one streaming pass pulls every value the block will
-    // read — owned rows in permuted order, then the ghost tail — so the row
-    // loop below runs entirely out of the contiguous scratch (the "software
-    // prefetch of ghost entries ahead of the row loop").
-    let perm = r.perm.as_slice();
-    for new in 0..r.nrows {
-        r.scratch[new] = x[r.rows_start + perm[new]];
-    }
-    for (s, &g) in r.ext_cols.iter().enumerate() {
-        r.scratch[r.nrows + s] = x[g];
-    }
-    for new in 0..r.nrows {
-        let mut acc = 0.0;
-        for k in r.indptr[new]..r.indptr[new + 1] {
-            // SAFETY: build assigned every column a slot `< scratch.len()`.
-            let xv = unsafe { *r.scratch.get_unchecked(r.cols[k] as usize) };
-            acc += r.vals[k] * xv;
-        }
-        let old = perm[new];
-        out[old] = b_blk[old] - acc;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,7 +398,7 @@ mod tests {
     }
 
     fn all_formats() -> Vec<StorageFormat> {
-        let mut f = vec![StorageFormat::Csr, StorageFormat::RcmBlocked];
+        let mut f = vec![StorageFormat::Csr];
         for c in SELL_LANE_CHOICES {
             f.push(StorageFormat::SellC { c });
         }
@@ -566,7 +410,7 @@ mod tests {
         let a = laplacian_2d(7, 9);
         let (x, b) = test_vectors(a.nrows());
         let rows = 10..40;
-        let mut k = SweepKernel::build(&a, rows.clone(), StorageFormat::Csr).unwrap();
+        let k = SweepKernel::build(&a, rows.clone(), StorageFormat::Csr).unwrap();
         let mut out = vec![f64::NAN; rows.len()];
         k.residuals_into(&a, &x, &b[rows.clone()], &mut out);
         for (o, i) in rows.clone().enumerate() {
@@ -581,11 +425,10 @@ mod tests {
         // Uneven block sizes exercise the partial last chunk.
         for rows in [0..a.nrows(), 3..50, 17..18, 5..5] {
             let mut reference = vec![0.0; rows.len()];
-            let mut csr = SweepKernel::build(&a, rows.clone(), StorageFormat::Csr).unwrap();
+            let csr = SweepKernel::build(&a, rows.clone(), StorageFormat::Csr).unwrap();
             csr.residuals_into(&a, &x, &b[rows.clone()], &mut reference);
             for c in SELL_LANE_CHOICES {
-                let mut k =
-                    SweepKernel::build(&a, rows.clone(), StorageFormat::SellC { c }).unwrap();
+                let k = SweepKernel::build(&a, rows.clone(), StorageFormat::SellC { c }).unwrap();
                 let mut out = vec![f64::NAN; rows.len()];
                 k.residuals_into(&a, &x, &b[rows.clone()], &mut out);
                 // `==`, not bit comparison: the pad term `0·x₀` may turn an
@@ -629,7 +472,7 @@ mod tests {
             assert_eq!(reference[1..], [-1.0, -1.0, -1.0, -1.0, -0.5, -1.0, -1.0]);
             for c in SELL_LANE_CHOICES {
                 for rows in [0..8, 1..8, 0..5] {
-                    let mut k =
+                    let k =
                         SweepKernel::build(&a, rows.clone(), StorageFormat::SellC { c }).unwrap();
                     let mut out = vec![0.0; rows.len()];
                     k.residuals_into(&a, &x, &b[rows.clone()], &mut out);
@@ -730,34 +573,12 @@ mod tests {
     }
 
     #[test]
-    fn rcm_blocked_matches_csr_to_roundoff() {
-        let a = laplacian_2d(9, 13);
-        let (x, b) = test_vectors(a.nrows());
-        for rows in [0..a.nrows(), 20..90, 40..41] {
-            let mut reference = vec![0.0; rows.len()];
-            let mut csr = SweepKernel::build(&a, rows.clone(), StorageFormat::Csr).unwrap();
-            csr.residuals_into(&a, &x, &b[rows.clone()], &mut reference);
-            let mut k = SweepKernel::build(&a, rows.clone(), StorageFormat::RcmBlocked).unwrap();
-            let mut out = vec![f64::NAN; rows.len()];
-            k.residuals_into(&a, &x, &b[rows.clone()], &mut out);
-            for (o, r) in out.iter().zip(&reference) {
-                assert!(
-                    (o - r).abs() <= 1e-12 * (1.0 + r.abs()),
-                    "rcm {o} vs csr {r} in rows {rows:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn work_nnz_counts_padding_only_for_sell() {
         let a = laplacian_2d(6, 6);
         let rows = 0..a.nrows();
         let nnz = a.nnz();
         let csr = SweepKernel::build(&a, rows.clone(), StorageFormat::Csr).unwrap();
         assert_eq!(csr.work_nnz(&a), nnz);
-        let rcm = SweepKernel::build(&a, rows.clone(), StorageFormat::RcmBlocked).unwrap();
-        assert_eq!(rcm.work_nnz(&a), nnz);
         let sell = SweepKernel::build(&a, rows, StorageFormat::SellC { c: 8 }).unwrap();
         assert!(sell.work_nnz(&a) >= nnz, "padding never shrinks work");
         // 5-point stencil rows have 3..5 nnz; padding is bounded by the
@@ -780,7 +601,7 @@ mod tests {
     fn empty_blocks_are_fine() {
         let a = laplacian_2d(3, 3);
         for f in all_formats() {
-            let mut k = SweepKernel::build(&a, 4..4, f).unwrap();
+            let k = SweepKernel::build(&a, 4..4, f).unwrap();
             let mut out: Vec<f64> = Vec::new();
             k.residuals_into(&a, &[0.0; 9], &[], &mut out);
             assert_eq!(k.work_nnz(&a), 0, "{f}");
@@ -791,31 +612,8 @@ mod tests {
     fn format_spec_round_trips_and_display() {
         assert_eq!(StorageFormat::Csr.to_spec(), "csr");
         assert_eq!(StorageFormat::SellC { c: 4 }.to_spec(), "sellc:c=4");
-        assert_eq!(StorageFormat::RcmBlocked.to_spec(), "rcm-blocked");
         assert_eq!(StorageFormat::default(), StorageFormat::Csr);
         assert_eq!(format!("{}", StorageFormat::SellC { c: 8 }), "sellc:c=8");
-        assert!(StorageFormat::Csr.is_bit_compatible());
-        assert!(StorageFormat::SellC { c: 2 }.is_bit_compatible());
-        assert!(!StorageFormat::RcmBlocked.is_bit_compatible());
-    }
-
-    #[test]
-    fn rcm_kernel_handles_rows_without_stored_diagonal() {
-        // Row 1 has no diagonal entry; the pattern builder must still insert
-        // it for the RCM degree bookkeeping.
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push(0, 0, 2.0);
-        coo.push(1, 0, 1.0);
-        coo.push(1, 2, 1.0);
-        coo.push(2, 2, 2.0);
-        let a = coo.to_csr();
-        let (x, b) = test_vectors(3);
-        let mut k = SweepKernel::build(&a, 0..3, StorageFormat::RcmBlocked).unwrap();
-        let mut out = vec![0.0; 3];
-        k.residuals_into(&a, &x, &b, &mut out);
-        for i in 0..3 {
-            assert!((out[i] - (b[i] - a.row_dot(i, &x))).abs() < 1e-14);
-        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   `‖·‖∞`; see [`vecops`]),
 //! * classic stationary sweeps used as references ([`sweeps`]), Krylov and
 //!   Chebyshev baselines ([`krylov`]),
-//! * pluggable block-sweep storage formats — scalar CSR, SIMD-friendly
-//!   SELL-C-σ, RCM cache blocking — behind one [`SweepKernel`] ([`kernel`],
-//!   [`rcm`]), and
+//! * pluggable block-sweep storage formats — scalar CSR and SIMD-friendly
+//!   SELL-C-σ — behind one [`SweepKernel`] ([`kernel`]), a reverse
+//!   Cuthill–McKee ordering ([`rcm`]), and
 //! * permutations / principal submatrices for the §IV-C/D interlacing
 //!   analysis ([`perm`], [`CsrMatrix::principal_submatrix`]).
 //!
@@ -34,7 +34,6 @@ pub mod error;
 pub mod kernel;
 pub mod krylov;
 pub mod method;
-pub mod multigrid;
 pub mod ops;
 pub mod perm;
 pub mod rcm;

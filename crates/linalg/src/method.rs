@@ -67,6 +67,27 @@ pub enum OmegaSpec {
     Auto,
 }
 
+impl std::fmt::Display for OmegaSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OmegaSpec::Fixed(w) => write!(f, "{w}"),
+            OmegaSpec::Auto => f.write_str("auto"),
+        }
+    }
+}
+
+/// Parses an `omega=` value: a number or `auto`.
+impl std::str::FromStr for OmegaSpec {
+    type Err = std::num::ParseFloatError;
+
+    fn from_str(v: &str) -> Result<Self, Self::Err> {
+        match v {
+            "auto" => Ok(OmegaSpec::Auto),
+            v => v.parse().map(OmegaSpec::Fixed),
+        }
+    }
+}
+
 /// A relaxation method with possibly-unresolved parameters. This is what
 /// the spec grammar parses to and what solve options carry; engines consume
 /// the [`ResolvedMethod`] produced by [`Method::resolve`].
@@ -110,6 +131,47 @@ impl Method {
         }
     }
 
+    /// The selector that re-parses to this method, e.g.
+    /// `richardson2:omega=auto`.
+    pub fn to_spec(&self) -> String {
+        match *self {
+            Method::Jacobi => "jacobi".into(),
+            Method::Richardson1 { omega } => format!("richardson1:omega={omega}"),
+            Method::Richardson2 { omega, beta: None } => format!("richardson2:omega={omega}"),
+            Method::Richardson2 {
+                omega,
+                beta: Some(b),
+            } => format!("richardson2:omega={omega}:beta={b}"),
+            Method::RandomizedResidual { fraction } => format!("rwr:fraction={fraction}"),
+        }
+    }
+
+    /// Checks every fixed parameter against its documented range through
+    /// [`ResolvedMethod::validate`]; parameters left to the spectrum pass.
+    ///
+    /// # Errors
+    /// The message naming the first parameter out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        let fixed = |omega| match omega {
+            OmegaSpec::Fixed(w) => w,
+            OmegaSpec::Auto => 1.0,
+        };
+        let resolved = match *self {
+            Method::Jacobi => ResolvedMethod::Jacobi,
+            Method::Richardson1 { omega } => ResolvedMethod::Richardson1 {
+                omega: fixed(omega),
+            },
+            Method::Richardson2 { omega, beta } => ResolvedMethod::Richardson2 {
+                omega: fixed(omega),
+                beta: beta.unwrap_or(0.0),
+            },
+            Method::RandomizedResidual { fraction } => {
+                ResolvedMethod::RandomizedResidual { fraction, seed: 0 }
+            }
+        };
+        resolved.validate().map(drop)
+    }
+
     /// Fixes all parameters against a concrete matrix. `seed` feeds the
     /// randomized row selection (ignored by the deterministic methods).
     ///
@@ -133,15 +195,16 @@ impl Method {
     /// # Errors
     /// Same contract as [`Method::resolve`].
     pub fn resolve_full(&self, a: &CsrMatrix, seed: u64) -> Result<Resolution, LinalgError> {
+        // Fixed parameters are checked before any spectrum estimate runs.
+        self.validate().map_err(LinalgError::InvalidStructure)?;
         let done = |method| Resolution {
             method,
             interval: None,
         };
-        let checked = |m: ResolvedMethod| m.validate().map_err(LinalgError::InvalidStructure);
         match *self {
             Method::Jacobi => Ok(done(ResolvedMethod::Jacobi)),
             Method::Richardson1 { omega } => match omega {
-                OmegaSpec::Fixed(w) => Ok(done(checked(ResolvedMethod::Richardson1 { omega: w })?)),
+                OmegaSpec::Fixed(w) => Ok(done(ResolvedMethod::Richardson1 { omega: w })),
                 OmegaSpec::Auto => {
                     let interval = SafeInterval::estimate(a)?;
                     let (omega, _) = interval.clamp(interval.omega_opt1(), 0.0);
@@ -152,26 +215,20 @@ impl Method {
                 }
             },
             Method::Richardson2 { omega, beta } => match (omega, beta) {
-                (OmegaSpec::Fixed(w), Some(b)) => Ok(done(checked(ResolvedMethod::Richardson2 {
-                    omega: w,
-                    beta: b,
-                })?)),
+                (OmegaSpec::Fixed(w), Some(b)) => {
+                    Ok(done(ResolvedMethod::Richardson2 { omega: w, beta: b }))
+                }
                 // Any unresolved parameter needs the spectrum; the optimal
                 // pair is derived jointly, and a fixed ω keeps its value
-                // with only β derived. At most one parameter is fixed here,
-                // and it is checked before the auto ω is clamped against β.
+                // with only β derived. The derived values lie in range
+                // because the estimate is finite and positive.
                 (spec, b) => {
                     let interval = SafeInterval::estimate(a)?;
                     let (sl, sh) = (interval.lambda_min.sqrt(), interval.lambda_max.sqrt());
+                    let beta = b.unwrap_or((((sh - sl) / (sh + sl)).powi(2)).min(BETA_CAP));
                     let omega = match spec {
                         OmegaSpec::Fixed(w) => w,
-                        OmegaSpec::Auto => (2.0 / (sl + sh)).powi(2),
-                    };
-                    let beta = b.unwrap_or((((sh - sl) / (sh + sl)).powi(2)).min(BETA_CAP));
-                    checked(ResolvedMethod::Richardson2 { omega, beta })?;
-                    let omega = match spec {
-                        OmegaSpec::Fixed(_) => omega,
-                        OmegaSpec::Auto => interval.clamp(omega, beta).0,
+                        OmegaSpec::Auto => interval.clamp((2.0 / (sl + sh)).powi(2), beta).0,
                     };
                     Ok(Resolution {
                         method: ResolvedMethod::Richardson2 { omega, beta },
@@ -180,10 +237,7 @@ impl Method {
                 }
             },
             Method::RandomizedResidual { fraction } => {
-                Ok(done(checked(ResolvedMethod::RandomizedResidual {
-                    fraction,
-                    seed,
-                })?))
+                Ok(done(ResolvedMethod::RandomizedResidual { fraction, seed }))
             }
         }
     }
@@ -200,9 +254,10 @@ struct JacobiScaledOp<'a> {
     dinv_sqrt: Vec<f64>,
     /// The kernel's right-hand side `b = 0`.
     zeros: Vec<f64>,
-    /// The kernel and its input `D^{-1/2} x`, built once and reused by
-    /// every apply.
-    scratch: RefCell<(SweepKernel, Vec<f64>)>,
+    /// Built once and reused by every apply.
+    kernel: SweepKernel,
+    /// The kernel's input `D^{-1/2} x`, reused by every apply.
+    scaled: RefCell<Vec<f64>>,
 }
 
 impl LinearOperator for JacobiScaledOp<'_> {
@@ -211,12 +266,11 @@ impl LinearOperator for JacobiScaledOp<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let mut scratch = self.scratch.borrow_mut();
-        let (kernel, scaled) = &mut *scratch;
+        let mut scaled = self.scaled.borrow_mut();
         for ((t, v), s) in scaled.iter_mut().zip(x).zip(&self.dinv_sqrt) {
             *t = v * s;
         }
-        kernel.residuals_into(self.a, scaled, &self.zeros, y);
+        self.kernel.residuals_into(self.a, &scaled, &self.zeros, y);
         for (v, s) in y.iter_mut().zip(&self.dinv_sqrt) {
             *v *= -s;
         }
@@ -249,12 +303,12 @@ pub fn preconditioned_extremes(a: &CsrMatrix) -> Result<(f64, f64), LinalgError>
         }
         dinv_sqrt.push(1.0 / d.sqrt());
     }
-    let kernel = SweepKernel::build(a, 0..a.nrows(), kernel::auto_select(a))?;
     let op = JacobiScaledOp {
         a,
         dinv_sqrt,
         zeros: vec![0.0; a.nrows()],
-        scratch: RefCell::new((kernel, vec![0.0; a.ncols()])),
+        kernel: SweepKernel::build(a, 0..a.nrows(), kernel::auto_select(a))?,
+        scaled: RefCell::new(vec![0.0; a.ncols()]),
     };
     let ext = eigen::lanczos_extreme(&op, AUTO_LANCZOS_STEPS)?;
     if ext.min <= 0.0 || !ext.min.is_finite() || !ext.max.is_finite() {

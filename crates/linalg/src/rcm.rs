@@ -2,10 +2,9 @@
 //!
 //! RCM clusters coupled rows near the diagonal. The partition crate uses it
 //! to make contiguous row blocks competitive with graph partitioning (see
-//! `aj-partition::rcm`, which re-exports this module), and the cache-blocked
-//! sweep kernel ([`crate::kernel`]) applies it *within* a block so a sweep
-//! walks memory in a locality-friendly order. It lives here, below both
-//! consumers, because `aj-partition` already depends on `aj-linalg`.
+//! `aj-partition::rcm`, which re-exports this module). It lives here, next
+//! to [`Permutation`], because `aj-partition` already depends on
+//! `aj-linalg`.
 
 use crate::csr::CsrMatrix;
 use crate::perm::Permutation;

@@ -297,7 +297,6 @@ fn build_state(rank: usize, job: &JobMsg) -> Result<RankState, String> {
     let format = match job.format.as_str() {
         "csr" => StorageFormat::Csr,
         "sellc" => StorageFormat::SellC { c: job.sell_c },
-        "rcm-blocked" => StorageFormat::RcmBlocked,
         other => return Err(format!("rank {rank}: unknown storage format '{other}'")),
     };
     let kernel = SweepKernel::build(&matrix, 0..n_owned, format).map_err(|e| e.to_string())?;
@@ -317,7 +316,7 @@ fn build_state(rank: usize, job: &JobMsg) -> Result<RankState, String> {
 fn sweep_loop(
     rank: usize,
     job: &JobMsg,
-    mut state: RankState,
+    state: RankState,
     shared: &Arc<Shared>,
     writer: &mut TcpStream,
     mut codec: Codec,

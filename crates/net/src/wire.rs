@@ -161,7 +161,7 @@ pub struct JobMsg {
     pub recvs: Vec<(usize, Vec<usize>)>,
     /// Resolved relaxation method.
     pub method: MethodMsg,
-    /// Storage format name (`csr` | `sellc` | `rcm-blocked`).
+    /// Storage format name (`csr` | `sellc`).
     pub format: String,
     /// SELL lane count (when `format == "sellc"`).
     pub sell_c: usize,

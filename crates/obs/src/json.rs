@@ -38,6 +38,14 @@ impl Value {
         }
     }
 
+    /// The value as bool, if a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
     /// The value as &str, if a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

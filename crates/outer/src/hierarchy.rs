@@ -2,9 +2,9 @@
 //! recognizably a 2-D five-point grid operator, greedy aggregation with a
 //! Galerkin product otherwise.
 //!
-//! Geometric levels reuse the two-grid seed's machinery
-//! (`multigrid::coarse_five_point` rediscretization, full-weighting
-//! restriction, bilinear prolongation) applied recursively; the grid shape
+//! Geometric levels rediscretize the five-point stencil on the coarse grid
+//! and transfer by full-weighting restriction and bilinear prolongation,
+//! applied recursively; the grid shape
 //! is *detected* from the sparsity structure rather than passed in, so the
 //! `grid:NXxNY` and `fd*` selectors get geometric coarsening without the
 //! spec having to carry dimensions around.
@@ -18,7 +18,6 @@
 //! (e_Iᵀ A e_I > 0) and gives the Krylov bottom solve a well-posed target
 //! for any SPD input.
 
-use aj_linalg::multigrid::{coarse_five_point, prolong_bilinear, restrict_full_weighting};
 use aj_linalg::{CooMatrix, CsrMatrix, LinalgError};
 
 /// Aggregation strength threshold: `j` is a strong neighbour of `i` when
@@ -308,6 +307,122 @@ fn galerkin(a: &CsrMatrix, agg: &[u32], coarse_n: usize) -> CsrMatrix {
     coo.to_csr()
 }
 
+/// Rediscretized coarse operator with the same stencil scaling as the fine
+/// one (reads the center/off weights from an interior fine row).
+fn coarse_five_point(
+    fine: &CsrMatrix,
+    nx: usize,
+    ny: usize,
+    cx: usize,
+    cy: usize,
+) -> Result<CsrMatrix, LinalgError> {
+    // Interior fine row: center of the grid.
+    let mid = (nx / 2) * ny + ny / 2;
+    let mut center = 0.0;
+    let mut off = 0.0;
+    for (j, v) in fine.row_iter(mid) {
+        if j == mid {
+            center = v;
+        } else if off == 0.0 {
+            off = v;
+        } else if (v - off).abs() > 1e-12 * off.abs() {
+            // Rediscretization below assumes one coefficient for both
+            // directions; refuse anisotropic stencils rather than silently
+            // building the wrong coarse operator.
+            return Err(LinalgError::InvalidStructure(format!(
+                "anisotropic stencil (off-diagonals {off} vs {v}); geometric \
+                 rediscretization supports isotropic five-point operators only"
+            )));
+        }
+    }
+    if center == 0.0 || off == 0.0 {
+        return Err(LinalgError::InvalidStructure(
+            "fine operator does not look like a five-point stencil".into(),
+        ));
+    }
+    // Standard h → 2h rediscretization keeps the same stencil values for
+    // the unit-spacing convention used by `laplacian_2d` (entries are
+    // spacing-independent).
+    let mut coo = CooMatrix::with_capacity(cx * cy, cx * cy, 5 * cx * cy);
+    let idx = |i: usize, j: usize| i * cy + j;
+    for i in 0..cx {
+        for j in 0..cy {
+            let me = idx(i, j);
+            coo.push(me, me, center);
+            if i + 1 < cx {
+                coo.push_sym(me, idx(i + 1, j), off);
+            }
+            if j + 1 < cy {
+                coo.push_sym(me, idx(i, j + 1), off);
+            }
+        }
+    }
+    Ok(coo.to_csr())
+}
+
+/// Full-weighting restriction: coarse point (I, J) at fine (2I+1, 2J+1)
+/// takes the 9-point weighted average of its fine neighbourhood.
+fn restrict_full_weighting(r: &[f64], nx: usize, ny: usize) -> Vec<f64> {
+    let (cx, cy) = ((nx - 1) / 2, (ny - 1) / 2);
+    let at = |i: isize, j: isize| -> f64 {
+        if i < 0 || j < 0 || i >= nx as isize || j >= ny as isize {
+            0.0
+        } else {
+            r[i as usize * ny + j as usize]
+        }
+    };
+    let mut rc = vec![0.0; cx * cy];
+    for bi in 0..cx {
+        for bj in 0..cy {
+            let (fi, fj) = ((2 * bi + 1) as isize, (2 * bj + 1) as isize);
+            let mut acc = 4.0 * at(fi, fj);
+            acc += 2.0 * (at(fi - 1, fj) + at(fi + 1, fj) + at(fi, fj - 1) + at(fi, fj + 1));
+            acc +=
+                at(fi - 1, fj - 1) + at(fi - 1, fj + 1) + at(fi + 1, fj - 1) + at(fi + 1, fj + 1);
+            rc[bi * cy + bj] = acc / 16.0 * 4.0; // ×4: operator scaling h→2h
+        }
+    }
+    rc
+}
+
+/// Bilinear prolongation (transpose of full weighting up to scaling).
+fn prolong_bilinear(ec: &[f64], nx: usize, ny: usize) -> Vec<f64> {
+    let (cx, cy) = ((nx - 1) / 2, (ny - 1) / 2);
+    let coarse_at = |i: isize, j: isize| -> f64 {
+        if i < 0 || j < 0 || i >= cx as isize || j >= cy as isize {
+            0.0
+        } else {
+            ec[i as usize * cy + j as usize]
+        }
+    };
+    let mut ef = vec![0.0; nx * ny];
+    for fi in 0..nx {
+        for fj in 0..ny {
+            // Fine (fi, fj) sits among coarse points at odd fine coords.
+            let (qi, ri) = (
+                ((fi as isize) - 1).div_euclid(2),
+                ((fi as isize) - 1).rem_euclid(2),
+            );
+            let (qj, rj) = (
+                ((fj as isize) - 1).div_euclid(2),
+                ((fj as isize) - 1).rem_euclid(2),
+            );
+            ef[fi * ny + fj] = match (ri, rj) {
+                (0, 0) => coarse_at(qi, qj),
+                (1, 0) => 0.5 * (coarse_at(qi, qj) + coarse_at(qi + 1, qj)),
+                (0, 1) => 0.5 * (coarse_at(qi, qj) + coarse_at(qi, qj + 1)),
+                _ => {
+                    0.25 * (coarse_at(qi, qj)
+                        + coarse_at(qi + 1, qj)
+                        + coarse_at(qi, qj + 1)
+                        + coarse_at(qi + 1, qj + 1))
+                }
+            };
+        }
+    }
+    ef
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,5 +491,37 @@ mod tests {
         let mut x = vec![0.0; 15 * 15];
         h.prolong_add(0, &rc, &mut x);
         assert!(x.iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    fn anisotropic_stencils_are_rejected() {
+        // Silent misbuilds are worse than errors: the rediscretized coarse
+        // grid only matches isotropic operators.
+        let idx = |i: usize, j: usize| i * 9 + j;
+        let mut coo = CooMatrix::new(81, 81);
+        for i in 0..9 {
+            for j in 0..9 {
+                coo.push(idx(i, j), idx(i, j), 12.0);
+                if i + 1 < 9 {
+                    coo.push_sym(idx(i, j), idx(i + 1, j), -1.0);
+                }
+                if j + 1 < 9 {
+                    coo.push_sym(idx(i, j), idx(i, j + 1), -5.0);
+                }
+            }
+        }
+        let err = coarse_five_point(&coo.to_csr(), 9, 9, 4, 4);
+        assert!(matches!(err, Err(LinalgError::InvalidStructure(_))));
+    }
+
+    #[test]
+    fn restriction_and_prolongation_shapes() {
+        let r = vec![1.0; 9 * 9];
+        let rc = restrict_full_weighting(&r, 9, 9);
+        assert_eq!(rc.len(), 16);
+        let ef = prolong_bilinear(&[1.0; 16], 9, 9);
+        assert_eq!(ef.len(), 81);
+        // Interior coarse-coincident points prolong exactly.
+        assert_eq!(ef[9 + 1], 1.0);
     }
 }

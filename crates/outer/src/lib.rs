@@ -7,9 +7,8 @@
 //!
 //! Two families:
 //!
-//! * [`vcycle`] — an L-level multigrid V-cycle generalizing the
-//!   `aj_linalg::multigrid` two-grid seed. The hierarchy ([`hierarchy`])
-//!   is geometric (rediscretized 5-point stencils with full-weighting /
+//! * [`vcycle`] — an L-level multigrid V-cycle. The hierarchy
+//!   ([`hierarchy`]) is geometric (rediscretized 5-point stencils with full-weighting /
 //!   bilinear transfers) when the matrix is recognizably a 2-D grid, and
 //!   greedy strength-based aggregation with a Galerkin product otherwise.
 //! * [`flex`] — flexible Krylov solvers (FCG and FGMRES) whose
@@ -115,7 +114,7 @@ impl OuterSpec {
     /// Canonical spec string that re-parses to this value (the memoization
     /// key used by aj-serve, mirroring `ResolvedMethod::to_spec`).
     pub fn to_spec(&self) -> String {
-        let smooth = method_spec(&self.smooth);
+        let smooth = self.smooth.to_spec();
         match self.kind {
             OuterKind::VCycle { levels, steps } => {
                 let levels = match levels {
@@ -129,24 +128,6 @@ impl OuterSpec {
                 format!("fgmres:prec={smooth}:inner={inner}:restart={restart}")
             }
         }
-    }
-}
-
-/// Renders an (unresolved) [`Method`] back into its selector form.
-fn method_spec(m: &Method) -> String {
-    use aj_linalg::OmegaSpec;
-    let omega = |o: &OmegaSpec| match o {
-        OmegaSpec::Fixed(w) => format!("omega={w}"),
-        OmegaSpec::Auto => "omega=auto".to_string(),
-    };
-    match m {
-        Method::Jacobi => "jacobi".into(),
-        Method::Richardson1 { omega: o } => format!("richardson1:{}", omega(o)),
-        Method::Richardson2 { omega: o, beta } => match beta {
-            Some(b) => format!("richardson2:{}:beta={b}", omega(o)),
-            None => format!("richardson2:{}", omega(o)),
-        },
-        Method::RandomizedResidual { fraction } => format!("rwr:fraction={fraction}"),
     }
 }
 

@@ -7,9 +7,8 @@
 //! partitioning — the cheap path to the paper's "METIS then contiguous
 //! subdomains" pipeline.
 
-// The algorithm itself lives in `aj_linalg::rcm` so the cache-blocked sweep
-// kernel (`aj_linalg::kernel`) can reorder within blocks without inverting
-// the crate dependency; this module keeps the partition-level API and the
+// The algorithm itself lives in `aj_linalg::rcm`, next to the permutation
+// type it returns; this module keeps the partition-level API and the
 // partition-scale tests.
 pub use aj_linalg::rcm::{bandwidth, reverse_cuthill_mckee};
 

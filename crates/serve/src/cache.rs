@@ -367,11 +367,13 @@ mod tests {
         assert_eq!(f1, StorageFormat::SellC { c: 4 });
         assert_eq!(e.resolved_format_count(), 1);
         e.resolve_format("csr").unwrap();
-        e.resolve_format("rcm-blocked").unwrap();
+        e.resolve_format("auto").unwrap();
         assert_eq!(e.resolved_format_count(), 3);
         // Parse errors surface, not cache, and quote the grammar.
-        let err = e.resolve_format("ellpack").unwrap_err();
-        assert!(err.contains("rcm-blocked"), "{err}");
+        for bad in ["ellpack", "rcm-blocked"] {
+            let err = e.resolve_format(bad).unwrap_err();
+            assert!(err.contains(spec::FORMAT_GRAMMAR), "{err}");
+        }
         assert_eq!(e.resolved_format_count(), 3);
     }
 

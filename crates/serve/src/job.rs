@@ -30,7 +30,7 @@ pub struct JobSpec {
     pub tol: f64,
     /// Iteration cap.
     pub max_iterations: u64,
-    /// Relaxation weight.
+    /// Weight of plain Jacobi (see [`aj_core::SolveOptions::omega`]).
     pub omega: f64,
     /// Relaxation-method selector in the [`aj_core::spec`] grammar
     /// (`jacobi`, `richardson1[:omega=<w>|auto]`,
@@ -39,7 +39,7 @@ pub struct JobSpec {
     /// solves skip the spectrum estimate.
     pub method: String,
     /// Sweep-storage-format selector in the [`aj_core::spec`] grammar
-    /// (`csr`, `sellc[:c=<2|4|8|16>]`, `rcm-blocked`). Resolutions are
+    /// (`csr`, `sellc[:c=<2|4|8|16>]`, `auto`). Resolutions are
     /// memoized per cached problem alongside method resolutions.
     pub format: String,
     /// Outer-solver selector in the [`aj_core::spec`] grammar

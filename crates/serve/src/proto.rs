@@ -146,7 +146,12 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, String)> {
         }
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown {
-            drain: !matches!(v.get("drain"), Some(Value::Bool(false))),
+            drain: match v.get("drain") {
+                None => true,
+                Some(x) => x
+                    .as_bool()
+                    .ok_or((id, "\"drain\" must be a boolean".to_string()))?,
+            },
         }),
         other => Err((id, format!("unknown op {other:?}"))),
     }
@@ -186,7 +191,7 @@ pub(crate) fn spec_from(v: &Value) -> Result<JobSpec, String> {
             .ok_or("\"ranks\" must be a non-negative integer")? as usize;
     }
     if let Some(x) = v.get("detect") {
-        spec.detect = matches!(x, Value::Bool(true));
+        spec.detect = x.as_bool().ok_or("\"detect\" must be a boolean")?;
     }
     if let Some(x) = v.get("tol") {
         spec.tol = x.as_f64().ok_or("\"tol\" must be a number")?;
@@ -220,7 +225,9 @@ pub(crate) fn spec_from(v: &Value) -> Result<JobSpec, String> {
         if ms < 0.0 {
             return Err("\"deadline_ms\" must be non-negative".into());
         }
-        spec.deadline = Some(Duration::from_secs_f64(ms / 1000.0));
+        let deadline = Duration::try_from_secs_f64(ms / 1000.0)
+            .map_err(|_| format!("\"deadline_ms\" {ms} is too large"))?;
+        spec.deadline = Some(deadline);
     }
     if let Some(x) = v.get("idempotency_key") {
         spec.idempotency_key = Some(

@@ -444,7 +444,8 @@ impl SolveService {
         let job = Job {
             id,
             key: keyed.as_ref().map(|(k, _)| k.clone()),
-            deadline: spec.deadline.map(|d| submitted + d),
+            // A deadline past the end of the clock never expires.
+            deadline: spec.deadline.and_then(|d| submitted.checked_add(d)),
             spec,
             submitted,
             cancelled: Arc::new(AtomicBool::new(false)),

@@ -206,3 +206,25 @@ fn future_versions_are_rejected_with_correlated_id() {
         proto::parse_request(&line).unwrap_or_else(|(_, e)| panic!("v{v} rejected: {e}"));
     }
 }
+
+/// Fields that would panic the connection thread or be misread are
+/// rejected with a typed error that keeps the request id: a deadline too
+/// large for a `Duration`, and a non-boolean `detect` or `drain`.
+#[test]
+fn out_of_range_and_mistyped_fields_are_rejected() {
+    for (line, want) in [
+        (
+            r#"{"op":"solve","id":1,"matrix":"fd68","backend":"sync","deadline_ms":1e308}"#,
+            "deadline_ms",
+        ),
+        (
+            r#"{"op":"solve","id":1,"matrix":"fd68","backend":"sync","detect":"yes"}"#,
+            "detect",
+        ),
+        (r#"{"op":"shutdown","drain":0}"#, "drain"),
+    ] {
+        let (id, error) = proto::parse_request(line).expect_err(line);
+        assert_eq!(id, line.contains("\"id\"").then_some(1), "{line}");
+        assert!(error.contains(want), "error '{error}' must name {want}");
+    }
+}

@@ -706,7 +706,7 @@ mod tests {
         let (a, b, x0) = problem();
         let (x_ref, _) =
             aj_linalg::sweeps::jacobi_solve(&a, &b, &x0, 1e-5, 100_000, Norm::L1).unwrap();
-        for format in [StorageFormat::SellC { c: 8 }, StorageFormat::RcmBlocked] {
+        for format in [StorageFormat::SellC { c: 4 }, StorageFormat::SellC { c: 8 }] {
             let cfg = ShmemConfig {
                 num_threads: 4,
                 tol: 1e-5,

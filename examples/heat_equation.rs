@@ -12,8 +12,8 @@
 //! ```
 
 use async_jacobi_repro::dmsim::shmem_sim::{run_shmem_async, ShmemSimConfig};
+use async_jacobi_repro::linalg::sweeps;
 use async_jacobi_repro::linalg::vecops::Norm;
-use async_jacobi_repro::linalg::{multigrid::TwoGrid, sweeps};
 use async_jacobi_repro::matrices::{fd, manufactured};
 
 fn main() {
@@ -80,15 +80,29 @@ fn main() {
         1.0 / (1.0 + dt * lam1)
     );
 
-    // Bonus: the same Poisson operator solved with two-grid multigrid —
-    // the smoother context where damped Jacobi actually lives.
+    // Bonus: the same Poisson operator solved with a multigrid V-cycle —
+    // the smoother context where damped Jacobi actually lives. In
+    // smoothing position `omega=auto` damps Jacobi by 4/(3·λ_max) = 2/3.
     let poisson = fd::laplacian_2d(nx, ny);
     let m = manufactured::smooth_on_coords(&poisson, &coords);
-    let mg = TwoGrid::new(poisson, nx, ny).expect("odd grid");
-    let (x, hist) = mg.solve(&m.b, &vec![0.0; n], 1e-10, 50).expect("mg solves");
+    let problem = aj_core::Problem {
+        name: "poisson".into(),
+        a: poisson,
+        b: m.b.clone(),
+        x0: vec![0.0; n],
+    };
+    let opts = aj_core::SolveOptions {
+        tol: 1e-10,
+        norm: Norm::L2,
+        outer: Some(
+            aj_core::spec::parse_outer("vcycle:smooth=richardson1:omega=auto").expect("selector"),
+        ),
+        ..Default::default()
+    };
+    let mg = aj_core::solve(&problem, aj_core::Backend::Jacobi, &opts).expect("mg solves");
     println!(
         "\nmultigrid (damped-Jacobi smoother): {} V-cycles to 1e-10, error {:.2e}",
-        hist.len() - 1,
-        m.relative_error(&x, Norm::Inf)
+        mg.history.len() - 1,
+        m.relative_error(&mg.x, Norm::Inf)
     );
 }

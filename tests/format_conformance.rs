@@ -1,9 +1,7 @@
 //! Cross-crate format conformance: every sweep storage format must reach
 //! the same fixed point as the CSR reference on every asynchronous block
-//! engine, synchronized sweeps must match the CSR sweep bit-for-bit for
-//! the bit-compatible formats (to roundoff for RCM-blocked, whose
-//! per-row column re-sort changes the accumulation order), and runs must
-//! stay deterministic per format.
+//! engine, synchronized sweeps must match the CSR sweep bit-for-bit, and
+//! runs must stay deterministic per format.
 
 use async_jacobi_repro::dmsim::shmem_sim::{run_shmem_async, ShmemSimConfig};
 use async_jacobi_repro::dmsim::{run_dist_async, DistConfig};
@@ -20,12 +18,11 @@ fn problem() -> Problem {
     Problem::from_matrix("fd-12x12", a, 11).unwrap()
 }
 
-fn formats() -> [StorageFormat; 4] {
+fn formats() -> [StorageFormat; 3] {
     [
         StorageFormat::Csr,
         StorageFormat::SellC { c: 2 },
         StorageFormat::SellC { c: 8 },
-        StorageFormat::RcmBlocked,
     ]
 }
 
@@ -83,8 +80,7 @@ fn every_format_reaches_the_same_fixed_point_on_every_async_engine() {
 fn synchronized_kernel_sweeps_match_csr_bitwise_or_to_roundoff() {
     // Fifty lock-step block-Jacobi iterations through per-subdomain
     // kernels: SELL-C-σ stays bit-identical to the CSR kernel the whole
-    // way; RCM-blocked tracks it to roundoff (documented 1e-12/iteration
-    // drift bound from its per-row column re-sort).
+    // way.
     let p = problem();
     let part = block_partition(p.n(), 4);
     let cp = CommPlan::build(&p.a, &part);
@@ -96,7 +92,7 @@ fn synchronized_kernel_sweeps_match_csr_bitwise_or_to_roundoff() {
         .collect();
 
     let sweep_all = |format: StorageFormat| -> Vec<f64> {
-        let mut kernels: Vec<_> = locals.iter().map(|ls| ls.kernel(format).unwrap()).collect();
+        let kernels: Vec<_> = locals.iter().map(|ls| ls.kernel(format).unwrap()).collect();
         let mut x = p.x0.clone();
         for _ in 0..50 {
             let mut x_next = x.clone();
@@ -109,7 +105,7 @@ fn synchronized_kernel_sweeps_match_csr_bitwise_or_to_roundoff() {
                     .map(|&g| x[g])
                     .collect();
                 let mut res = vec![0.0; ls.n_owned()];
-                ls.jacobi_sweep_with(&mut kernels[r], &b_locals[r], &mut x_local, &mut res);
+                ls.jacobi_sweep_with(&kernels[r], &b_locals[r], &mut x_local, &mut res);
                 for (l, &g) in plan.owned.iter().enumerate() {
                     x_next[g] = x_local[l];
                 }
@@ -122,14 +118,7 @@ fn synchronized_kernel_sweeps_match_csr_bitwise_or_to_roundoff() {
     let reference = sweep_all(StorageFormat::Csr);
     for format in formats().into_iter().skip(1) {
         let x = sweep_all(format);
-        if format.is_bit_compatible() {
-            assert_eq!(x, reference, "{format}: expected bitwise CSR agreement");
-        } else {
-            assert!(
-                vecops::rel_diff(&x, &reference) < 1e-10,
-                "{format}: drifted past the documented roundoff bound"
-            );
-        }
+        assert_eq!(x, reference, "{format}: expected bitwise CSR agreement");
     }
 }
 
