@@ -7,13 +7,13 @@
 use crate::outer::{run_outer, Hierarchy, OuterKind, OuterReport, OuterSpec};
 use crate::problem::Problem;
 use aj_control::{ControlConfig, ControlSpec, ControlStats};
-use aj_dmsim::monitor::CommVolume;
+use aj_dmsim::monitor::{CommVolume, Sample};
 use aj_dmsim::shmem_sim::{run_shmem_async, run_shmem_sync, ShmemSimConfig};
 use aj_dmsim::{
     run_dist_async_plan, run_dist_sync_plan, DistConfig, FaultPlan, FaultStats,
     TerminationProtocol, TerminationStats,
 };
-use aj_linalg::method::{method_solve, Method, ResolvedMethod, SafeInterval};
+use aj_linalg::method::{sync_solve, Method, ResolvedMethod, SafeInterval};
 use aj_linalg::vecops::Norm;
 use aj_linalg::{krylov, sweeps, StorageFormat};
 use aj_net::{run_net, NetConfig};
@@ -368,8 +368,10 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
     } else {
         format!(" [{format}]")
     };
-    let report = |label: String, x: Vec<f64>, history: Vec<(f64, f64)>| {
-        let final_residual = p.relative_residual(&x, opts.norm);
+    // `last` is the engine's own residual of its final iterate, when it has
+    // one (its last sample or history entry).
+    let report = |label: String, x: Vec<f64>, history: Vec<(f64, f64)>, last: Option<f64>| {
+        let final_residual = p.final_residual(&x, opts.norm, last);
         SolveReport {
             backend: label,
             converged: final_residual < opts.tol,
@@ -384,69 +386,36 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
             control: None,
         }
     };
+    let sweep_curve = |history: &[f64]| -> Vec<(f64, f64)> {
+        history
+            .iter()
+            .enumerate()
+            .map(|(k, &r)| (k as f64, r))
+            .collect()
+    };
+    let sampled_curve = |samples: &[Sample]| -> (Vec<(f64, f64)>, Option<f64>) {
+        let curve = samples.iter().map(|s| (s.time, s.residual)).collect();
+        (curve, samples.last().map(|s| s.residual))
+    };
     let rep: Result<SolveReport, String> = match backend {
         Backend::Jacobi => {
-            if !matches!(method, ResolvedMethod::Jacobi) {
-                let out = method_solve(
-                    &p.a,
-                    &p.b,
-                    &p.x0,
-                    &method,
-                    opts.tol,
-                    opts.max_iterations as usize,
-                    opts.norm,
-                )
-                .map_err(|e| e.to_string())?;
-                let curve = out
-                    .history
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &r)| (k as f64, r))
-                    .collect();
-                Ok(report(format!("sequential{method_tag}"), out.x, curve))
-            } else if opts.omega == 1.0 {
-                let (x, hist) = sweeps::jacobi_solve(
-                    &p.a,
-                    &p.b,
-                    &p.x0,
-                    opts.tol,
-                    opts.max_iterations as usize,
-                    opts.norm,
-                )
-                .map_err(|e| e.to_string())?;
-                let curve = hist
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &r)| (k as f64, r))
-                    .collect();
-                Ok(report("Jacobi".into(), x, curve))
-            } else {
-                let diag_inv: Vec<f64> = p.a.diagonal().iter().map(|d| 1.0 / d).collect();
-                let mut x = p.x0.clone();
-                let mut x_next = vec![0.0; p.n()];
-                let mut curve = vec![(0.0, p.relative_residual(&x, opts.norm))];
-                for k in 1..=opts.max_iterations {
-                    sweeps::weighted_jacobi_iteration(
-                        &p.a,
-                        &p.b,
-                        &diag_inv,
-                        opts.omega,
-                        &x,
-                        &mut x_next,
-                    );
-                    std::mem::swap(&mut x, &mut x_next);
-                    let r = p.relative_residual(&x, opts.norm);
-                    curve.push((k as f64, r));
-                    if r < opts.tol {
-                        break;
-                    }
-                }
-                Ok(report(
-                    format!("damped Jacobi (ω={})", opts.omega),
-                    x,
-                    curve,
-                ))
-            }
+            let out = sync_solve(
+                &p.a,
+                &p.b,
+                &p.x0,
+                &method.fold_omega(opts.omega),
+                opts.tol,
+                opts.max_iterations as usize,
+                opts.norm,
+            )
+            .map_err(|e| e.to_string())?;
+            let label = match method {
+                ResolvedMethod::Jacobi if opts.omega == 1.0 => "Jacobi".into(),
+                ResolvedMethod::Jacobi => format!("damped Jacobi (ω={})", opts.omega),
+                _ => format!("sequential{method_tag}"),
+            };
+            let last = out.history.last().copied();
+            Ok(report(label, out.x, sweep_curve(&out.history), last))
         }
         Backend::GaussSeidel => {
             let (x, hist) = sweeps::gauss_seidel_solve(
@@ -458,12 +427,8 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
                 opts.norm,
             )
             .map_err(|e| e.to_string())?;
-            let curve = hist
-                .iter()
-                .enumerate()
-                .map(|(k, &r)| (k as f64, r))
-                .collect();
-            Ok(report("Gauss–Seidel".into(), x, curve))
+            let last = hist.last().copied();
+            Ok(report("Gauss–Seidel".into(), x, sweep_curve(&hist), last))
         }
         Backend::ConjugateGradient => {
             let r = krylov::conjugate_gradient(
@@ -475,13 +440,14 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
                 opts.norm,
             )
             .map_err(|e| e.to_string())?;
-            let curve = r
-                .history
-                .iter()
-                .enumerate()
-                .map(|(k, &v)| (k as f64, v))
-                .collect();
-            Ok(report("Conjugate Gradients".into(), r.x, curve))
+            // CG's history follows the recurrence residual, which drifts
+            // from the true one: recompute.
+            Ok(report(
+                "Conjugate Gradients".into(),
+                r.x,
+                sweep_curve(&r.history),
+                None,
+            ))
         }
         Backend::AsyncThreads { workers } => {
             let cfg = aj_shmem::ShmemConfig {
@@ -498,10 +464,12 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
                 ..Default::default()
             };
             let out = aj_shmem::solver::run(&p.a, &p.b, &p.x0, &cfg);
+            // The threads engine recomputes its final residual itself.
             let mut rep = report(
                 format!("async threads ×{workers}{method_tag}{format_tag}"),
                 out.x,
                 out.residual_history,
+                Some(out.final_residual),
             );
             rep.metrics = out.obs;
             rep.control = out.control;
@@ -525,12 +493,13 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
             } else {
                 run_shmem_sync(&p.a, &p.b, &p.x0, &cfg)
             };
-            let curve = out.samples.iter().map(|s| (s.time, s.residual)).collect();
+            let (curve, last) = sampled_curve(&out.samples);
             let kind = if asynchronous { "async" } else { "sync" };
             let mut rep = report(
                 format!("simulated {kind} threads ×{workers}{method_tag}{format_tag}"),
                 out.x,
                 curve,
+                last,
             );
             rep.metrics = out.obs;
             rep.control = out.control;
@@ -575,12 +544,13 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
             } else {
                 run_dist_sync_plan(&p.a, &p.b, &p.x0, &plan, &cfg)
             };
-            let curve = out.samples.iter().map(|s| (s.time, s.residual)).collect();
+            let (curve, last) = sampled_curve(&out.samples);
             let kind = if asynchronous { "async" } else { "sync" };
             let mut rep = report(
                 format!("simulated {kind} ranks ×{ranks}{method_tag}{format_tag}"),
                 out.x,
                 curve,
+                last,
             );
             rep.comm = Some(out.comm);
             rep.termination = out.termination;
@@ -638,10 +608,12 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
                 }
             }
             let out = run_net(&p.a, &p.b, &p.x0, &plan, &cfg)?;
+            // The parent samples while the ranks still run: recompute.
             let mut rep = report(
                 format!("net processes ×{ranks}{method_tag}{format_tag}"),
                 out.x,
                 out.history,
+                None,
             );
             rep.comm = Some(out.comm);
             rep.termination = Some(out.termination);

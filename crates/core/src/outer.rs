@@ -4,14 +4,16 @@
 //! The composition inverts the usual driver flow: instead of an engine
 //! owning the whole solve, the outer loop owns convergence and calls the
 //! engine for `K` relaxation sweeps on a residual equation `A z = r` at a
-//! time (`tol = 0`, `max_iterations = K`, start from zero). Inner sweeps
+//! time (`max_iterations = K`, start from zero). The simulators run those
+//! sweeps [`StopRule::Unmonitored`]: the outer loop measures the residual
+//! itself, so the inner runs take no residual samples. Inner sweeps
 //! run as asynchronously as the chosen backend allows; the only
 //! synchronization points are the coarse-grid transfers (V-cycle) and the
 //! Krylov recurrence (FCG/FGMRES).
 
 use crate::driver::{Backend, SolveOptions, SolveReport};
 use crate::problem::Problem;
-use aj_dmsim::shmem_sim::{run_shmem_async, run_shmem_sync, ShmemSimConfig};
+use aj_dmsim::shmem_sim::{run_shmem_async, run_shmem_sync, ShmemSimConfig, StopRule};
 use aj_dmsim::{run_dist_async_plan, run_dist_sync_plan, DistConfig};
 use aj_linalg::method::{Method, OmegaSpec, ResolvedMethod};
 use aj_linalg::vecops::Norm;
@@ -198,7 +200,7 @@ impl Smoother for EngineSmoother {
                 asynchronous,
             } => {
                 let mut cfg = ShmemSimConfig::new(workers.min(n).max(1), n, self.seed);
-                cfg.tol = 0.0;
+                cfg.stop = StopRule::Unmonitored;
                 cfg.max_iterations = steps as u64;
                 cfg.norm = self.norm;
                 cfg.method = method;
@@ -215,7 +217,7 @@ impl Smoother for EngineSmoother {
             Backend::SimDistributed { asynchronous, .. } => {
                 let plan = plan.expect("distributed level state always carries a plan");
                 let mut cfg = DistConfig::new(n, self.seed);
-                cfg.tol = 0.0;
+                cfg.stop = StopRule::Unmonitored;
                 cfg.max_iterations = steps as u64;
                 cfg.norm = self.norm;
                 cfg.method = method;
@@ -364,7 +366,7 @@ pub(crate) fn run_outer(
         snap.set_counter("outer_iterations", iterations);
         snap.set_counter("outer_inner_sweeps", out.inner_sweeps);
     }
-    let final_residual = p.relative_residual(&out.x, opts.norm);
+    let final_residual = p.final_residual(&out.x, opts.norm, Some(out.final_residual));
     let history = out
         .history
         .iter()

@@ -88,6 +88,24 @@ impl Problem {
     pub fn relative_residual(&self, x: &[f64], norm: aj_linalg::vecops::Norm) -> f64 {
         self.a.relative_residual(x, &self.b, norm)
     }
+
+    /// [`Self::relative_residual`] of a solve's final iterate `x`, taking
+    /// `taken` — the value the engine or outer loop already computed for
+    /// `x` — when there is one and ‖b‖ ≥ `MIN_POSITIVE`. Above that bound
+    /// the monitor's clamped ‖b‖, `relative_residual`'s b = 0 convention
+    /// and aj-outer's divide-by-1 agree bit for bit; below it the residual
+    /// is recomputed.
+    pub(crate) fn final_residual(
+        &self,
+        x: &[f64],
+        norm: aj_linalg::vecops::Norm,
+        taken: Option<f64>,
+    ) -> f64 {
+        match taken {
+            Some(r) if aj_linalg::vecops::norm(&self.b, norm) >= f64::MIN_POSITIVE => r,
+            _ => self.relative_residual(x, norm),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,9 +17,9 @@
 use crate::cost::{CostModel, WorkerJitter, TICK_SCALE};
 use crate::event::EventQueue;
 use crate::fault::{FaultPlan, FaultState, LinkParams};
-use crate::monitor::{whole_csr_kernel, ResidualMonitor, SimOutcome};
+use crate::monitor::{ResidualMonitor, SimOutcome};
 use crate::obsrec::{decision_kind, EngineObs};
-use crate::shmem_sim::{SimDelay, StopRule};
+use crate::shmem_sim::{run_lockstep, Lockstep, SimDelay, StopRule};
 use crate::termination::{RootAggregator, TerminationProtocol, TerminationStats};
 use aj_control::{ControlSpec, Controller, Observation};
 use aj_linalg::method::{self, ResolvedMethod};
@@ -408,7 +408,8 @@ pub fn run_dist_async_plan(
     let mut x_global = x0.to_vec();
     let whole = [SweepKernel::build(a, 0..n, kernel::auto_select(a))
         .expect("auto_select picks a format every matrix accepts")];
-    let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
+    let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every)
+        .with_samples(config.stop != StopRule::Unmonitored);
     let mut relaxations = 0u64;
     monitor.observe(0.0, 0, &x_global, &whole);
 
@@ -672,12 +673,13 @@ pub fn run_dist_async_plan(
                 }
 
                 let samples_before = monitor.samples().len();
+                let checkpoints_before = monitor.checkpoints();
                 let hit_tol = monitor.observe(now, relaxations, &x_global, &whole);
                 if let Some(o) = obs.as_mut() {
-                    // Queue depth is sampled exactly when the monitor takes
-                    // a residual sample, so both series share the monitor's
-                    // snapped relaxation grid.
-                    if monitor.samples().len() > samples_before {
+                    // Queue depth is sampled at the monitor's checkpoints,
+                    // so both series share its snapped relaxation grid, and
+                    // an unmonitored run keeps the series.
+                    if monitor.checkpoints() > checkpoints_before {
                         o.record_queue_depth(queue.len() as u64);
                     }
                 }
@@ -738,6 +740,7 @@ pub fn run_dist_async_plan(
                             done = true;
                         }
                     }
+                    StopRule::Unmonitored => {}
                 }
                 // Periodic residual report toward the root.
                 if let Some(proto) = config.termination {
@@ -978,9 +981,7 @@ pub fn run_dist_sync_plan(
     plan: &CommPlan,
     config: &DistConfig,
 ) -> SimOutcome {
-    let n = a.nrows();
     let nparts = plan.nparts();
-    let diag_inv: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
     let rank_nnz: Vec<usize> = (0..nparts)
         .map(|p| plan.plan(p).owned.iter().map(|&i| a.row_nnz(i)).sum())
         .collect();
@@ -999,34 +1000,19 @@ pub fn run_dist_sync_plan(
     let mut jitters: Vec<WorkerJitter> = (0..nparts)
         .map(|p| WorkerJitter::new(&config.cost.jitter, p))
         .collect();
-
-    let method = config.method.fold_omega(config.omega);
-    let mut x = x0.to_vec();
-    let mut x_next = vec![0.0; n];
-    let mut x_prev = x0.to_vec();
-    let mut now = 0.0f64;
-    let mut iters = 0u64;
-    let mut relaxations = 0u64;
-    let whole = whole_csr_kernel(a);
-    let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
-    monitor.observe(0.0, 0, &x, &whole);
-
-    loop {
-        match config.stop {
-            StopRule::Tolerance => {
-                if monitor.converged() {
-                    break;
-                }
-            }
-            StopRule::FixedIterations(k) => {
-                if iters >= k {
-                    break;
-                }
-            }
-        }
-        if now > config.max_time || iters >= config.max_iterations {
-            break;
-        }
+    let exchange = config.cost.put_latency + config.cost.per_value_comm * max_send as f64;
+    // Synchronous mode is exactly one global dense-reference iteration per
+    // step, so every method-capable engine agrees bit-for-bit in sync mode.
+    let lockstep = Lockstep {
+        method: config.method.fold_omega(config.omega),
+        norm: config.norm,
+        tol: config.tol,
+        sample_every: config.sample_every,
+        stop: config.stop,
+        max_time: config.max_time,
+        max_iterations: config.max_iterations,
+    };
+    let mut out = run_lockstep(a, b, x0, &lockstep, nparts, || {
         let mut slowest = 0.0f64;
         for r in 0..nparts {
             let mut cost = config.cost.sweep_cost(rank_nnz[r]) * jitters[r].next_factor();
@@ -1037,38 +1023,15 @@ pub fn run_dist_sync_plan(
             }
             slowest = slowest.max(cost);
         }
-        let exchange = config.cost.put_latency + config.cost.per_value_comm * max_send as f64;
-        // Synchronous mode is exactly one global dense-reference iteration
-        // per step, so every method-capable engine agrees bit-for-bit in
-        // sync mode.
-        let swept =
-            method::method_iteration(a, b, &diag_inv, &method, iters, &x, &x_prev, &mut x_next);
-        std::mem::swap(&mut x_prev, &mut x);
-        std::mem::swap(&mut x, &mut x_next);
-        now += slowest + exchange;
-        iters += 1;
-        relaxations += swept as u64;
-        monitor.observe(now, relaxations, &x, &whole);
-    }
-    monitor.finalize(now, relaxations, &x, &whole);
-    let converged = monitor.converged();
-    SimOutcome {
-        samples: monitor.into_samples(),
-        x,
-        time: now,
-        relaxations,
-        worker_iterations: vec![iters; nparts],
-        converged,
-        termination: None,
-        comm: crate::monitor::CommVolume {
-            puts: msgs_per_iter * iters,
-            values: values_per_iter * iters,
-            ..Default::default()
-        },
-        faults: None,
-        obs: None,
-        control: None,
-    }
+        slowest + exchange
+    });
+    let iters = out.worker_iterations.first().copied().unwrap_or(0);
+    out.comm = crate::monitor::CommVolume {
+        puts: msgs_per_iter * iters,
+        values: values_per_iter * iters,
+        ..Default::default()
+    };
+    out
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! true global residual whenever the run crosses a relaxation-count
 //! checkpoint, recording both coordinates.
 
+use aj_linalg::method::SyncStep;
 use aj_linalg::vecops::{self, Norm};
 use aj_linalg::{CsrMatrix, StorageFormat, SweepKernel};
 
@@ -148,6 +149,10 @@ pub struct ResidualMonitor<'a> {
     /// Row residuals of a SELL sample; empty until the first one, so runs
     /// on the fused CSR path never allocate it.
     scratch: Vec<f64>,
+    /// Whether checkpoints take samples; see [`Self::with_samples`].
+    sampling: bool,
+    /// Checkpoints crossed so far, sampled or not.
+    checkpoints: usize,
 }
 
 impl<'a> ResidualMonitor<'a> {
@@ -166,7 +171,25 @@ impl<'a> ResidualMonitor<'a> {
             samples: Vec::new(),
             converged: false,
             scratch: Vec::new(),
+            sampling: true,
+            checkpoints: 0,
         }
+    }
+
+    /// Switches sampling on or off. A monitor without samples keeps its
+    /// checkpoint grid ([`Self::checkpoints`]) but computes no residual,
+    /// records nothing and never converges: the run of a
+    /// [`StopRule::Unmonitored`](crate::shmem_sim::StopRule::Unmonitored)
+    /// engine, whose caller measures the residual itself.
+    pub(crate) fn with_samples(mut self, sampling: bool) -> Self {
+        self.sampling = sampling;
+        self
+    }
+
+    /// Checkpoints crossed so far, whether or not they were sampled. While
+    /// sampling, every checkpoint is one sample.
+    pub(crate) fn checkpoints(&self) -> usize {
+        self.checkpoints
     }
 
     /// Whether the tolerance has been observed.
@@ -203,21 +226,25 @@ impl<'a> ResidualMonitor<'a> {
         x: &[f64],
         kernels: &[SweepKernel],
     ) -> bool {
-        if total_relaxations >= self.next_checkpoint {
+        if self.checkpoint(total_relaxations) {
             let res = self.relative_residual(x, kernels);
-            self.samples.push(Sample {
-                time,
-                relaxations_per_n: total_relaxations as f64 / self.a.nrows() as f64,
-                residual: res,
-            });
-            // Snap to the next multiple of `sample_every` so a burst of
-            // relaxations (one big sweep crossing a checkpoint) cannot
-            // shift the sampling grid; sync and async runs of the same
-            // config then sample on the same relaxation grid.
-            self.next_checkpoint = (total_relaxations / self.sample_every + 1) * self.sample_every;
-            if res < self.tol {
-                self.converged = true;
-            }
+            self.record(time, total_relaxations, res);
+        }
+        self.converged
+    }
+
+    /// [`Self::observe`] for a synchronous engine: a sample takes the norm
+    /// of the residual `step` computes for its own update, which has the
+    /// bits of the fused pass, instead of a pass of its own.
+    pub(crate) fn observe_step(
+        &mut self,
+        time: f64,
+        total_relaxations: u64,
+        step: &mut SyncStep,
+    ) -> bool {
+        if self.checkpoint(total_relaxations) {
+            let res = vecops::norm(step.residual(), self.norm) / self.nb;
+            self.record(time, total_relaxations, res);
         }
         self.converged
     }
@@ -233,19 +260,54 @@ impl<'a> ResidualMonitor<'a> {
         x: &[f64],
         kernels: &[SweepKernel],
     ) {
-        let relaxations_per_n = total_relaxations as f64 / self.a.nrows() as f64;
-        if let Some(last) = self.samples.last() {
-            if last.time == time && last.relaxations_per_n == relaxations_per_n {
-                return;
-            }
+        if self.final_sample_due(time, total_relaxations) {
+            let res = self.relative_residual(x, kernels);
+            self.record(time, total_relaxations, res);
         }
-        let res = self.relative_residual(x, kernels);
+    }
+
+    /// [`Self::finalize`] for a synchronous engine, as
+    /// [`Self::observe_step`] is for `observe`.
+    pub(crate) fn finalize_step(&mut self, time: f64, total_relaxations: u64, step: &mut SyncStep) {
+        if self.final_sample_due(time, total_relaxations) {
+            let res = vecops::norm(step.residual(), self.norm) / self.nb;
+            self.record(time, total_relaxations, res);
+        }
+    }
+
+    /// Whether `total_relaxations` crosses a checkpoint; advances the grid
+    /// when it does. True only while sampling.
+    fn checkpoint(&mut self, total_relaxations: u64) -> bool {
+        if total_relaxations < self.next_checkpoint {
+            return false;
+        }
+        // Snap to the next multiple of `sample_every` so a burst of
+        // relaxations (one big sweep crossing a checkpoint) cannot
+        // shift the sampling grid; sync and async runs of the same
+        // config then sample on the same relaxation grid.
+        self.next_checkpoint = (total_relaxations / self.sample_every + 1) * self.sample_every;
+        self.checkpoints += 1;
+        self.sampling
+    }
+
+    /// Whether the final state still needs a sample: sampling is on and
+    /// the last sample is not of this exact state.
+    fn final_sample_due(&self, time: f64, total_relaxations: u64) -> bool {
+        let relaxations_per_n = total_relaxations as f64 / self.a.nrows() as f64;
+        self.sampling
+            && self
+                .samples
+                .last()
+                .is_none_or(|last| last.time != time || last.relaxations_per_n != relaxations_per_n)
+    }
+
+    fn record(&mut self, time: f64, total_relaxations: u64, residual: f64) {
         self.samples.push(Sample {
             time,
-            relaxations_per_n,
-            residual: res,
+            relaxations_per_n: total_relaxations as f64 / self.a.nrows() as f64,
+            residual,
         });
-        if res < self.tol {
+        if residual < self.tol {
             self.converged = true;
         }
     }

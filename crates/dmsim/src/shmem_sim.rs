@@ -12,7 +12,7 @@ use crate::cost::{CostModel, WorkerJitter, TICK_SCALE};
 use crate::monitor::{whole_csr_kernel, ResidualMonitor, SimOutcome};
 use crate::obsrec::{decision_kind, EngineObs};
 use aj_control::{ControlSpec, Controller, Observation};
-use aj_linalg::method::{self, ResolvedMethod};
+use aj_linalg::method::{self, ResolvedMethod, SyncStep};
 use aj_linalg::vecops::Norm;
 use aj_linalg::{CsrMatrix, StorageFormat, SweepKernel};
 use aj_obs::{ObsConfig, SpanKind};
@@ -38,6 +38,11 @@ pub enum StopRule {
     /// Stop when every worker has completed this many iterations (fast
     /// workers keep relaxing while they wait, as in §V/§VI).
     FixedIterations(u64),
+    /// Stop only at the caps (`max_iterations`, `max_time`) and take no
+    /// residual samples: the outcome has none and never converges. The
+    /// fixed-count inner sweeps of an outer solve run this way, because the
+    /// outer loop measures the residual itself.
+    Unmonitored,
 }
 
 /// Configuration for the simulated shared-memory solvers.
@@ -165,7 +170,8 @@ pub fn run_shmem_async(
     let mut relaxations = 0u64;
     // The monitor samples through the block kernels: SELL samples take the
     // vectorized pass, and every sample keeps the bits of the CSR one.
-    let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
+    let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every)
+        .with_samples(config.stop != StopRule::Unmonitored);
     monitor.observe(0.0, 0, &x, &kernels);
 
     // Observability shards, built only when recording is on so the off
@@ -348,6 +354,7 @@ pub fn run_shmem_async(
                     done = true;
                 }
             }
+            StopRule::Unmonitored => {}
         }
         if !done && iterations[w] < config.max_iterations {
             let c = draw_cost(w, &mut jitters);
@@ -473,7 +480,8 @@ fn rowwise_impl(
         ranges.iter().map(|r| Vec::with_capacity(r.len())).collect();
     let mut relaxations = 0u64;
     let whole = whole_csr_kernel(a);
-    let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
+    let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every)
+        .with_samples(config.stop != StopRule::Unmonitored);
     monitor.observe(0.0, 0, &x, &whole);
 
     // Returns (overhead ticks, compute ticks) for one iteration of worker w.
@@ -563,6 +571,7 @@ fn rowwise_impl(
             stop = match config.stop {
                 StopRule::Tolerance => hit_tol,
                 StopRule::FixedIterations(k) => iterations.iter().all(|&it| it >= k),
+                StopRule::Unmonitored => false,
             };
             if !stop && iterations[w] < config.max_iterations {
                 let (over, compute) = draw_window(w, &mut jitters, &block_nnz, config);
@@ -615,9 +624,7 @@ pub fn run_shmem_sync(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemSimCon
     let n = a.nrows();
     let t = config.num_threads;
     assert!(t > 0 && t <= n, "need 1 ≤ threads ≤ rows");
-    let diag_inv: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
-    let ranges = block_ranges(n, t);
-    let block_nnz: Vec<usize> = ranges
+    let block_nnz: Vec<usize> = block_ranges(n, t)
         .iter()
         .map(|r| r.clone().map(|i| a.row_nnz(i)).sum())
         .collect();
@@ -625,34 +632,16 @@ pub fn run_shmem_sync(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemSimCon
         .map(|w| WorkerJitter::new(&config.cost.jitter, w))
         .collect();
     let barrier = config.cost.barrier_cost(t);
-
-    let method = config.method.fold_omega(config.omega);
-    let mut x = x0.to_vec();
-    let mut x_next = vec![0.0; n];
-    let mut x_prev = x0.to_vec();
-    let mut now = 0.0f64;
-    let mut relaxations = 0u64;
-    let mut iters = 0u64;
-    let whole = whole_csr_kernel(a);
-    let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every);
-    monitor.observe(0.0, 0, &x, &whole);
-
-    loop {
-        match config.stop {
-            StopRule::Tolerance => {
-                if monitor.converged() {
-                    break;
-                }
-            }
-            StopRule::FixedIterations(k) => {
-                if iters >= k {
-                    break;
-                }
-            }
-        }
-        if now > config.max_time || iters >= config.max_iterations {
-            break;
-        }
+    let lockstep = Lockstep {
+        method: config.method.fold_omega(config.omega),
+        norm: config.norm,
+        tol: config.tol,
+        sample_every: config.sample_every,
+        stop: config.stop,
+        max_time: config.max_time,
+        max_iterations: config.max_iterations,
+    };
+    run_lockstep(a, b, x0, &lockstep, t, || {
         // Slowest worker (plus injected delay) sets the pace.
         let oversub = config.cost.compute_oversub(t);
         let mut slowest = 0.0f64;
@@ -666,26 +655,67 @@ pub fn run_shmem_sync(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemSimCon
             }
             slowest = slowest.max(cost);
         }
-        // One dense reference iteration, so a synchronous simulated run is
-        // bit-identical to `aj_linalg::method::method_solve`.
-        let swept =
-            method::method_iteration(a, b, &diag_inv, &method, iters, &x, &x_prev, &mut x_next);
-        std::mem::swap(&mut x_prev, &mut x);
-        std::mem::swap(&mut x, &mut x_next);
-        now += slowest + barrier;
+        slowest + barrier
+    })
+}
+
+/// What the lock-step loop reads from a synchronous simulator's
+/// configuration.
+pub(crate) struct Lockstep {
+    /// The method with the legacy ω already folded in.
+    pub method: ResolvedMethod,
+    pub norm: Norm,
+    pub tol: f64,
+    pub sample_every: u64,
+    pub stop: StopRule,
+    pub max_time: f64,
+    pub max_iterations: u64,
+}
+
+/// The loop both synchronous simulators run: one whole-matrix
+/// [`SyncStep`] per iteration, `duration()` simulated ticks each, for
+/// `workers` workers or ranks. The monitor samples the residual the step
+/// relaxes from, so a run of `k` iterations takes `k + 1` residual passes
+/// (`k` under [`StopRule::Unmonitored`]) and is bit-identical to
+/// [`aj_linalg::method::method_solve`].
+pub(crate) fn run_lockstep(
+    a: &CsrMatrix,
+    b: &[f64],
+    x0: &[f64],
+    cfg: &Lockstep,
+    workers: usize,
+    mut duration: impl FnMut() -> f64,
+) -> SimOutcome {
+    let diag_inv: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
+    let mut step = SyncStep::new(a, b, &diag_inv, cfg.method, x0);
+    let mut monitor = ResidualMonitor::new(a, b, cfg.norm, cfg.tol, cfg.sample_every)
+        .with_samples(cfg.stop != StopRule::Unmonitored);
+    monitor.observe_step(0.0, 0, &mut step);
+    let mut now = 0.0f64;
+    let mut iters = 0u64;
+    let mut relaxations = 0u64;
+    loop {
+        let stop = match cfg.stop {
+            StopRule::Tolerance => monitor.converged(),
+            StopRule::FixedIterations(k) => iters >= k,
+            StopRule::Unmonitored => false,
+        };
+        if stop || now > cfg.max_time || iters >= cfg.max_iterations {
+            break;
+        }
+        now += duration();
+        relaxations += step.step() as u64;
         iters += 1;
-        relaxations += swept as u64;
-        monitor.observe(now, relaxations, &x, &whole);
+        monitor.observe_step(now, relaxations, &mut step);
     }
-    monitor.finalize(now, relaxations, &x, &whole);
-    let converged = monitor.converged();
+    monitor.finalize_step(now, relaxations, &mut step);
     SimOutcome {
+        converged: monitor.converged(),
         samples: monitor.into_samples(),
-        x,
+        x: step.into_x(),
         time: now,
         relaxations,
-        worker_iterations: vec![iters; t],
-        converged,
+        worker_iterations: vec![iters; workers],
         termination: None,
         comm: Default::default(),
         faults: None,

@@ -43,7 +43,7 @@
 use crate::csr::CsrMatrix;
 use crate::eigen;
 use crate::error::LinalgError;
-use crate::kernel::{self, SweepKernel};
+use crate::kernel::{self, StorageFormat, SweepKernel};
 use crate::ops::LinearOperator;
 use crate::sweeps;
 use crate::vecops::{self, Norm};
@@ -806,6 +806,151 @@ pub fn method_solve(
     let converged = *history.last().unwrap() < tol;
     Ok(MethodSolve {
         x,
+        history,
+        relaxations,
+        converged,
+    })
+}
+
+/// The synchronous iteration, taking each residual once.
+///
+/// One residual `r = b − Ax` does two jobs in a synchronous step: its norm
+/// is the convergence measure and `r` itself is the correction
+/// `x ← x + ω D⁻¹ r`. `SyncStep` takes `r` through one whole-matrix CSR
+/// [`SweepKernel`], lends it to the stop test or a monitor sample
+/// ([`SyncStep::residual`]), and relaxes from the same vector with
+/// [`relax_block`] over the whole matrix on stream 0. The residual is taken
+/// when first asked for after a step, so `k` steps followed by one more
+/// look take `k + 1` passes over `A`, where [`method_solve`] takes
+/// `2k + 1`, and a caller that never looks takes `k`.
+///
+/// Every iterate, residual and row count is [`method_iteration`]'s bit for
+/// bit: the kernel's CSR rows are the reference's `b_i − (Ax)_i`, the norm
+/// of the residual vector is the fused [`CsrMatrix::residual_norm`], and
+/// `relax_block` over the whole matrix on stream 0 is the reference
+/// iteration (see there).
+#[derive(Debug)]
+pub struct SyncStep<'a> {
+    a: &'a CsrMatrix,
+    b: &'a [f64],
+    diag_inv: &'a [f64],
+    method: ResolvedMethod,
+    kernel: SweepKernel,
+    x: Vec<f64>,
+    /// Each row's value before its last relaxation; read only by
+    /// richardson2, empty for the other methods.
+    x_prev: Vec<f64>,
+    r: Vec<f64>,
+    /// Whether `r` is the residual of the current `x`.
+    fresh: bool,
+    steps: u64,
+}
+
+impl<'a> SyncStep<'a> {
+    /// Starts at `x0`. `diag_inv` holds `1/a_ii`; the step divides by
+    /// nothing itself, so the caller decides how a zero diagonal fails.
+    ///
+    /// # Panics
+    /// Panics unless `b`, `diag_inv` and `x0` have one entry per row.
+    pub fn new(
+        a: &'a CsrMatrix,
+        b: &'a [f64],
+        diag_inv: &'a [f64],
+        method: ResolvedMethod,
+        x0: &[f64],
+    ) -> Self {
+        let n = a.nrows();
+        assert!(
+            b.len() == n && diag_inv.len() == n && x0.len() == n,
+            "SyncStep: length mismatch"
+        );
+        let kernel =
+            SweepKernel::build(a, 0..n, StorageFormat::Csr).expect("rows 0..n are in range");
+        SyncStep {
+            a,
+            b,
+            diag_inv,
+            method,
+            kernel,
+            x: x0.to_vec(),
+            x_prev: if method.needs_previous_iterate() {
+                x0.to_vec()
+            } else {
+                Vec::new()
+            },
+            r: vec![0.0; n],
+            fresh: false,
+            steps: 0,
+        }
+    }
+
+    /// `b − Ax` for the current iterate, taken through the kernel the first
+    /// time it is asked for after each step.
+    pub fn residual(&mut self) -> &[f64] {
+        if !self.fresh {
+            self.kernel
+                .residuals_into(self.a, &self.x, self.b, &mut self.r);
+            self.fresh = true;
+        }
+        &self.r
+    }
+
+    /// One synchronous iteration from the current residual; returns the
+    /// number of rows relaxed. rwr draws its rows from
+    /// `selection_seed(seed, 0, step)`, `step` counting from 0.
+    pub fn step(&mut self) -> usize {
+        self.residual();
+        let swept = relax_block(
+            &self.method,
+            &self.r,
+            self.diag_inv,
+            &mut self.x,
+            &mut self.x_prev,
+            0,
+            self.steps,
+        );
+        self.fresh = false;
+        self.steps += 1;
+        swept
+    }
+
+    /// Consumes the step, returning the current iterate.
+    pub fn into_x(self) -> Vec<f64> {
+        self.x
+    }
+}
+
+/// [`method_solve`]'s contract and bits on [`SyncStep`]: `k` iterations
+/// take `k + 1` residual passes instead of `2k + 1`. This is the solver the
+/// sequential backend runs; [`method_solve`] stays the dense reference
+/// that tests compare it with.
+///
+/// # Errors
+/// Propagates a zero diagonal.
+pub fn sync_solve(
+    a: &CsrMatrix,
+    b: &[f64],
+    x0: &[f64],
+    method: &ResolvedMethod,
+    tol: f64,
+    max_iter: usize,
+    norm: Norm,
+) -> Result<MethodSolve, LinalgError> {
+    let diag_inv = sweeps::inverse_diagonal(a)?;
+    let nb = vecops::norm(b, norm).max(f64::MIN_POSITIVE);
+    let mut step = SyncStep::new(a, b, &diag_inv, *method, x0);
+    let mut history = vec![vecops::norm(step.residual(), norm) / nb];
+    let mut relaxations = 0u64;
+    for _ in 0..max_iter {
+        if *history.last().unwrap() < tol {
+            break;
+        }
+        relaxations += step.step() as u64;
+        history.push(vecops::norm(step.residual(), norm) / nb);
+    }
+    let converged = *history.last().unwrap() < tol;
+    Ok(MethodSolve {
+        x: step.into_x(),
         history,
         relaxations,
         converged,

@@ -37,6 +37,24 @@ pub fn weighted_jacobi_iteration(
     }
 }
 
+/// `1/a_ii` for every row.
+///
+/// # Errors
+/// [`LinalgError::ZeroDiagonal`] naming the first row whose diagonal is 0.
+pub(crate) fn inverse_diagonal(a: &CsrMatrix) -> Result<Vec<f64>, LinalgError> {
+    a.diagonal()
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| {
+            if d == 0.0 {
+                Err(LinalgError::ZeroDiagonal { row: i })
+            } else {
+                Ok(1.0 / d)
+            }
+        })
+        .collect()
+}
+
 /// Runs synchronous Jacobi until the relative residual (in `norm`) drops
 /// below `tol` or `max_iter` iterations elapse. Returns the iterate and the
 /// per-iteration relative-residual history (entry 0 is the initial value).
@@ -48,19 +66,7 @@ pub fn jacobi_solve(
     max_iter: usize,
     norm: Norm,
 ) -> Result<(Vec<f64>, Vec<f64>), LinalgError> {
-    let diag = a.diagonal();
-    let diag_inv: Result<Vec<f64>, LinalgError> = diag
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            if d == 0.0 {
-                Err(LinalgError::ZeroDiagonal { row: i })
-            } else {
-                Ok(1.0 / d)
-            }
-        })
-        .collect();
-    let diag_inv = diag_inv?;
+    let diag_inv = inverse_diagonal(a)?;
     let mut x = x0.to_vec();
     let mut x_next = vec![0.0; x.len()];
     let nb = vecops::norm(b, norm).max(f64::MIN_POSITIVE);
@@ -110,19 +116,7 @@ pub fn gauss_seidel_solve(
     max_iter: usize,
     norm: Norm,
 ) -> Result<(Vec<f64>, Vec<f64>), LinalgError> {
-    let diag = a.diagonal();
-    let diag_inv: Result<Vec<f64>, LinalgError> = diag
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            if d == 0.0 {
-                Err(LinalgError::ZeroDiagonal { row: i })
-            } else {
-                Ok(1.0 / d)
-            }
-        })
-        .collect();
-    let diag_inv = diag_inv?;
+    let diag_inv = inverse_diagonal(a)?;
     let mut x = x0.to_vec();
     let nb = vecops::norm(b, norm).max(f64::MIN_POSITIVE);
     // Fused residual norm: no per-iteration Vec (see jacobi_solve).

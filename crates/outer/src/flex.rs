@@ -14,7 +14,7 @@
 //!   forms the correction from them (Saad), so the Arnoldi identity
 //!   `A Z_m = V_{m+1} H̄_m` holds regardless of how `z_j` was produced.
 
-use crate::{rel_residual, should_stop, OuterResult, Smoother};
+use crate::{rel_norm, rel_residual, should_stop, OuterResult, Smoother};
 use aj_linalg::vecops::{self, Norm};
 use aj_linalg::CsrMatrix;
 
@@ -41,7 +41,7 @@ pub fn fcg(
     let mut x = x0.to_vec();
     let mut r = a.residual(&x, b);
     let mut inner_sweeps = 0u64;
-    let mut history = vec![rel_residual(a, &x, b, norm)];
+    let mut history = vec![rel_norm(&r, b, norm)];
     // Previous direction state for the one-back A-orthogonalization.
     let mut p_prev: Vec<f64> = Vec::new();
     let mut ap_prev: Vec<f64> = Vec::new();
@@ -78,23 +78,20 @@ pub fn fcg(
         let alpha = vecops::dot(&p, &r) / pap;
         vecops::axpy(alpha, &p, &mut x);
         vecops::axpy(-alpha, &ap, &mut r);
-        history.push({
-            let nb = vecops::norm(b, norm);
-            vecops::norm(&r, norm) / if nb > 0.0 { nb } else { 1.0 }
-        });
+        history.push(rel_norm(&r, b, norm));
         p_prev = p;
         ap_prev = ap;
         pap_prev = pap;
     }
     // The recurrence residual can drift; recompute the true residual for
     // the verdict so `converged` is honest.
-    let final_res = rel_residual(a, &x, b, norm);
-    let converged = final_res < tol;
-    *history.last_mut().unwrap() = final_res;
+    let final_residual = rel_residual(a, &x, b, norm);
+    *history.last_mut().unwrap() = final_residual;
     Ok(OuterResult {
         x,
         history,
-        converged,
+        converged: final_residual < tol,
+        final_residual,
         inner_sweeps,
     })
 }
@@ -122,13 +119,17 @@ pub fn fgmres(
     let m = restart.max(1);
     let mut x = x0.to_vec();
     let mut inner_sweeps = 0u64;
-    let mut history = vec![rel_residual(a, &x, b, norm)];
+    // `r` is always `x`'s residual: each restart begins from the one its
+    // history entry measured. `rc` holds the latest candidate's.
+    let mut r = a.residual(&x, b);
+    let mut rc = vec![0.0; r.len()];
+    let mut history = vec![rel_norm(&r, b, norm)];
+    let mut final_residual = history[0];
     let mut outer = 0u64;
     'restart: loop {
         if should_stop(&history, tol) || outer >= max_outer {
             break;
         }
-        let r = a.residual(&x, b);
         let beta = vecops::norm(&r, Norm::L2);
         if beta == 0.0 {
             break;
@@ -193,18 +194,17 @@ pub fn fgmres(
             for (l, yl) in y.iter().enumerate() {
                 vecops::axpy(*yl, &z[l], &mut xc);
             }
-            history.push(rel_residual(a, &xc, b, norm));
-            if *history.last().unwrap() < tol || j + 1 == m {
-                x = xc;
-                continue 'restart;
-            }
+            a.residual_into(&xc, b, &mut rc);
+            history.push(rel_norm(&rc, b, norm));
             // `w` still holds the unnormalized next basis vector (MGS
             // orthogonalized, rotations only touched the copy in `h`); its
             // norm is the pre-rotation subdiagonal. Zero means lucky
             // breakdown: the Krylov space is exhausted, accept.
             let hlast = vecops::norm(&w, Norm::L2);
-            if hlast == 0.0 {
+            if *history.last().unwrap() < tol || j + 1 == m || hlast == 0.0 {
                 x = xc;
+                std::mem::swap(&mut r, &mut rc);
+                final_residual = *history.last().unwrap();
                 continue 'restart;
             }
             v.push(w.iter().map(|wi| wi / hlast).collect());
@@ -215,6 +215,7 @@ pub fn fgmres(
         x,
         history,
         converged,
+        final_residual,
         inner_sweeps,
     })
 }

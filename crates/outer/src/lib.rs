@@ -273,6 +273,10 @@ pub struct OuterResult {
     /// Relative residual after each outer iteration (entry 0 is the
     /// initial residual; one entry per V-cycle / Krylov step after that).
     pub history: Vec<f64>,
+    /// Relative residual of `x`. It is the last history entry, except when
+    /// FGMRES stops at its iteration cap inside a restart cycle: that entry
+    /// belongs to a candidate the solve did not accept.
+    pub final_residual: f64,
     /// Whether the final relative residual met the tolerance.
     pub converged: bool,
     /// Total inner relaxation sweeps spent in the smoother, over all
@@ -300,8 +304,18 @@ pub(crate) fn should_stop(history: &[f64], tol: f64) -> bool {
 /// `‖b − Ax‖ / ‖b‖` in the requested norm (the outer loops' shared
 /// residual convention, matching the engines' relative residual).
 pub(crate) fn rel_residual(a: &CsrMatrix, x: &[f64], b: &[f64], norm: Norm) -> f64 {
+    relative(a.residual_norm(x, b, norm), b, norm)
+}
+
+/// [`rel_residual`] of a residual vector `r = b − Ax` the caller already
+/// holds; the norm of the vector has the fused pass's bits.
+pub(crate) fn rel_norm(r: &[f64], b: &[f64], norm: Norm) -> f64 {
+    relative(vecops::norm(r, norm), b, norm)
+}
+
+fn relative(residual_norm: f64, b: &[f64], norm: Norm) -> f64 {
     let nb = vecops::norm(b, norm);
-    a.residual_norm(x, b, norm) / if nb > 0.0 { nb } else { 1.0 }
+    residual_norm / if nb > 0.0 { nb } else { 1.0 }
 }
 
 /// Solves the coarsest-level (or any small SPD) system tightly with CG;

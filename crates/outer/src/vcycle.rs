@@ -8,11 +8,13 @@
 //! level transfers are the only synchronization points.
 
 use crate::hierarchy::Hierarchy;
-use crate::{direct_solve, rel_residual, should_stop, OuterResult, Smoother};
+use crate::{direct_solve, rel_norm, should_stop, OuterResult, Smoother};
 use aj_linalg::vecops::Norm;
 
-/// One V-cycle at `level`, improving `x` for `A_level x = b`.
-/// `sweeps` accumulates inner smoothing sweeps across the recursion.
+/// One V-cycle at `level`, improving `x` for `A_level x = b`. `r` is
+/// `b − A_level x` when the caller already holds it. `sweeps` accumulates
+/// inner smoothing sweeps across the recursion.
+#[allow(clippy::too_many_arguments)] // the recursion's state, explicitly
 fn cycle(
     h: &Hierarchy,
     smoother: &mut dyn Smoother,
@@ -20,12 +22,13 @@ fn cycle(
     level: usize,
     b: &[f64],
     x: &mut [f64],
+    r: Option<Vec<f64>>,
     sweeps: &mut u64,
 ) -> Result<(), String> {
     let a = h.matrix(level);
+    let r = r.unwrap_or_else(|| a.residual(x, b));
     if level + 1 == h.levels() {
         // Coarsest level: tight CG solve of the residual equation.
-        let r = a.residual(x, b);
         let e = direct_solve(a, &r)?;
         for (xi, ei) in x.iter_mut().zip(&e) {
             *xi += ei;
@@ -33,7 +36,6 @@ fn cycle(
         return Ok(());
     }
     // Pre-smooth: z ≈ A⁻¹ r from zero, then correct.
-    let r = a.residual(x, b);
     let z = smoother.smooth(level, a, &r, steps)?;
     *sweeps += steps as u64;
     for (xi, zi) in x.iter_mut().zip(&z) {
@@ -43,7 +45,7 @@ fn cycle(
     let r = a.residual(x, b);
     let rc = h.restrict(level, &r);
     let mut ec = vec![0.0; h.matrix(level + 1).nrows()];
-    cycle(h, smoother, steps, level + 1, &rc, &mut ec, sweeps)?;
+    cycle(h, smoother, steps, level + 1, &rc, &mut ec, None, sweeps)?;
     h.prolong_add(level, &ec, x);
     // Post-smooth.
     let r = a.residual(x, b);
@@ -58,7 +60,8 @@ fn cycle(
 /// Runs V-cycles on the finest level of `h` until the relative residual
 /// (in `norm`) meets `tol`, diverges past the cap, stalls, or
 /// `max_cycles` is reached. `steps` is the pre/post smoothing count per
-/// level.
+/// level. The residual each history entry measures is the one the next
+/// cycle pre-smooths.
 ///
 /// # Errors
 /// Propagates smoother and coarse-solve failures.
@@ -76,19 +79,22 @@ pub fn solve(
     let a = h.matrix(0);
     let mut x = x0.to_vec();
     let mut inner_sweeps = 0u64;
-    let mut history = vec![rel_residual(a, &x, b, norm)];
+    let mut r = a.residual(&x, b);
+    let mut history = vec![rel_norm(&r, b, norm)];
     for _ in 0..max_cycles {
         if should_stop(&history, tol) {
             break;
         }
-        cycle(h, smoother, steps, 0, b, &mut x, &mut inner_sweeps)?;
-        history.push(rel_residual(a, &x, b, norm));
+        cycle(h, smoother, steps, 0, b, &mut x, Some(r), &mut inner_sweeps)?;
+        r = a.residual(&x, b);
+        history.push(rel_norm(&r, b, norm));
     }
-    let converged = *history.last().unwrap() < tol;
+    let final_residual = *history.last().unwrap();
     Ok(OuterResult {
         x,
+        converged: final_residual < tol,
+        final_residual,
         history,
-        converged,
         inner_sweeps,
     })
 }

@@ -457,6 +457,96 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fused synchronous solve — one residual per iterate, read by the
+    /// stop test and by the update — is the dense reference solve bit for
+    /// bit: iterate, history, relaxation count and verdict, for every
+    /// method and norm, at an iteration cap of 0, 1 or `k`, from a random
+    /// `x0` and from one that already meets the tolerance. Each synchronous
+    /// simulator's samples are the ones the monitor's fused pass records
+    /// for the reference iterates.
+    #[test]
+    fn fused_sync_step_is_the_dense_reference(
+        entries in proptest::collection::vec((0usize..16, 0usize..16, -1.0f64..1.0), 5..60),
+        xs in proptest::collection::vec(-1.0f64..1.0, 16),
+        bs in proptest::collection::vec(-1.0f64..1.0, 16),
+        omega in 0.05f64..1.5,
+        beta in 0.0f64..0.9,
+        fraction in 0.01f64..=1.0,
+        seed in 0u64..=u64::MAX,
+        k in 2usize..40,
+    ) {
+        use async_jacobi_repro::dmsim::shmem_sim::{run_shmem_sync, ShmemSimConfig};
+        use async_jacobi_repro::dmsim::{run_dist_sync, DistConfig, ResidualMonitor};
+        use async_jacobi_repro::linalg::method::{
+            method_iteration, method_solve, sync_solve, ResolvedMethod,
+        };
+        use async_jacobi_repro::linalg::{StorageFormat, SweepKernel};
+        let n = 16;
+        let a = wdd_matrix(n, entries);
+        let tol = 1e-4;
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        // `b = A x0` makes the residual of `x0` exactly zero.
+        let meets_tol = (xs.clone(), a.spmv(&xs));
+        let random = (vec![0.0; n], bs);
+        let whole = [SweepKernel::build(&a, 0..n, StorageFormat::Csr).unwrap()];
+        let diag_inv: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
+        for method in [
+            ResolvedMethod::Jacobi,
+            ResolvedMethod::Richardson1 { omega },
+            ResolvedMethod::Richardson2 { omega, beta },
+            ResolvedMethod::RandomizedResidual { fraction, seed },
+        ] {
+            for (x0, b) in [&random, &meets_tol] {
+                for norm in [Norm::L1, Norm::L2, Norm::Inf] {
+                    for cap in [0, 1, k] {
+                        let want = method_solve(&a, b, x0, &method, tol, cap, norm).unwrap();
+                        let got = sync_solve(&a, b, x0, &method, tol, cap, norm).unwrap();
+                        let what = format!("{} {norm:?} cap {cap}", method.label());
+                        prop_assert!(bits(&got.x) == bits(&want.x), "{}: x", what);
+                        prop_assert!(bits(&got.history) == bits(&want.history), "{}: history", what);
+                        prop_assert_eq!(got.relaxations, want.relaxations);
+                        prop_assert_eq!(got.converged, want.converged);
+
+                        let mut scfg = ShmemSimConfig::new(4, n, seed);
+                        let mut dcfg = DistConfig::new(n, seed);
+                        (scfg.tol, scfg.norm, scfg.method) = (tol, norm, method);
+                        (dcfg.tol, dcfg.norm, dcfg.method) = (tol, norm, method);
+                        (scfg.max_iterations, dcfg.max_iterations) = (cap as u64, cap as u64);
+                        (scfg.sample_every, dcfg.sample_every) = (1, 1);
+                        let runs = [
+                            run_shmem_sync(&a, b, x0, &scfg),
+                            run_dist_sync(&a, b, x0, &block_partition(n, 4), &dcfg),
+                        ];
+                        for out in runs {
+                            // The reference iterates, sampled by the
+                            // monitor's own pass.
+                            let iters = out.worker_iterations[0];
+                            let mut monitor = ResidualMonitor::new(&a, b, norm, tol, 1);
+                            let mut x = x0.clone();
+                            let mut x_prev = x0.clone();
+                            let mut x_next = vec![0.0; n];
+                            monitor.observe(0.0, 0, &x, &whole);
+                            for step in 0..iters {
+                                method_iteration(&a, b, &diag_inv, &method, step, &x, &x_prev, &mut x_next);
+                                std::mem::swap(&mut x_prev, &mut x);
+                                std::mem::swap(&mut x, &mut x_next);
+                                monitor.observe(0.0, step + 1, &x, &whole);
+                            }
+                            let want: Vec<f64> = monitor.samples().iter().map(|s| s.residual).collect();
+                            let got: Vec<f64> = out.samples.iter().map(|s| s.residual).collect();
+                            prop_assert!(bits(&got) == bits(&want), "{}: sim samples", what);
+                            prop_assert!(bits(&out.x) == bits(&x), "{}: sim x", what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A symmetric tridiagonal `(diagonal, off-diagonal)` of order `k` built
 /// from raw draws scaled by `magnitude`. `shape` picks the family: 0 plain
 /// random; 1 with about half the off-diagonals zero, so `T` splits into
