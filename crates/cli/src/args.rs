@@ -94,6 +94,24 @@ impl Args {
         }
     }
 
+    /// Rejects every option and flag outside `accepted` (`--help` is read
+    /// everywhere), naming each and listing what `command` accepts.
+    pub fn check_options(&self, command: &str, accepted: &[&str]) -> Result<(), String> {
+        let keys = self.options.keys().chain(&self.flags).map(String::as_str);
+        let mut unknown: Vec<&str> = keys
+            .filter(|k| *k != "help" && !accepted.contains(k))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        Err(format!(
+            "aj {command} does not read --{} (it accepts --{})",
+            unknown.join(", --"),
+            accepted.join(", --")
+        ))
+    }
+
     /// Boolean flag: `--key`, `--key=true`, or `--key=false` (the inline
     /// form lets scripts toggle flags without editing the argument list).
     pub fn has_flag(&self, key: &str) -> bool {

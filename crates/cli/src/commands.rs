@@ -30,6 +30,67 @@ pub const EXIT_NOT_CONVERGED: i32 = 3;
 #[allow(dead_code)]
 pub const EXIT_SHED: i32 = 4;
 
+/// A subcommand's entry point.
+pub type Run = fn(&Args) -> Result<i32, String>;
+
+/// Every subcommand with its entry point and the options it reads. `main`
+/// rejects any other option (`--help` aside) before running it, so a
+/// misspelt or misplaced option never runs silently at its default.
+pub const COMMANDS: &[(&str, Run, &[&str])] = &[
+    ("info", info, &["matrix", "seed"]),
+    (
+        "solve",
+        solve,
+        &[
+            "matrix",
+            "seed",
+            "backend",
+            "threads",
+            "ranks",
+            "tol",
+            "max-iters",
+            "omega",
+            "method",
+            "format",
+            "outer",
+            "control",
+            "detect",
+            "staleness",
+            "pace",
+            "history",
+            "obs",
+            "metrics-out",
+            "crash",
+            "stall",
+            "drop",
+            "dup",
+            "reorder",
+            "lat-factor",
+            "fault-seed",
+        ],
+    ),
+    (
+        "trace",
+        trace,
+        &["matrix", "seed", "threads", "iterations", "out"],
+    ),
+    ("obs", obs, &["metrics", "width"]),
+    (
+        "serve",
+        serve,
+        &[
+            "addr",
+            "workers",
+            "queue-cap",
+            "cache-cap",
+            "store",
+            "obs",
+            "metrics-out",
+        ],
+    ),
+    ("_rank", rank_child, &["parent", "rank"]),
+];
+
 fn load_problem(args: &Args) -> Result<(Problem, u64), String> {
     let seed: u64 = args.get_or("seed", 2018)?;
     let selector = args.get("matrix").ok_or("missing --matrix (try --help)")?;

@@ -15,8 +15,8 @@ mod matrix;
 use args::Args;
 
 /// Options that never take a value. `Args::parse` needs the list so a
-/// boolean flag followed by a positional (`aj obs --detect summary …`)
-/// doesn't swallow the positional as its value.
+/// boolean flag followed by a positional doesn't swallow the positional
+/// as its value.
 const BOOLEAN_FLAGS: &[&str] = &["help", "detect"];
 
 const HELP: &str = "\
@@ -139,12 +139,16 @@ FAULT INJECTION (dist-async; net supports --crash only):
 
 COMMON:
   --help             this text
-  Options also accept the inline form --key=value.
+  Options also accept the inline form --key=value. Each command accepts
+  only the options listed for it above (info and trace: --matrix, --seed;
+  trace also --threads, --iterations, --out; obs: --metrics, --width);
+  any other option is a usage error (exit code 2) that names it.
 
 EXIT CODES:
   0  success (for solve: the tolerance was met)
   1  runtime failure (bad input file, solver error, I/O error)
-  2  usage error (unparseable command line, unknown command)
+  2  usage error (unparseable command line, unknown command, an option
+     the command does not read)
   3  solve finished but did NOT meet the tolerance (report still printed)
   4  request rejected (shed) by a solve service instead of executed
      (used by client tooling such as serve_load)
@@ -162,26 +166,93 @@ fn main() {
         print!("{HELP}");
         return;
     }
-    let result = match args.command.as_deref().unwrap() {
-        "info" => commands::info(&args),
-        "solve" => commands::solve(&args),
-        "trace" => commands::trace(&args),
-        "obs" => commands::obs(&args),
-        "serve" => commands::serve(&args),
-        // Hidden: the net backend's child entrypoint. The parent process
-        // spawns `aj _rank --parent ADDR --rank R`; not user-facing, so
-        // not in HELP.
-        "_rank" => commands::rank_child(&args),
-        other => {
-            eprintln!("error: unknown command: {other}\n\n{HELP}");
+    let run = match command(&args) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("error: {e}");
             std::process::exit(commands::EXIT_USAGE);
         }
     };
+    let result = run(&args);
     match result {
         Ok(code) => std::process::exit(code),
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(commands::EXIT_RUNTIME);
+        }
+    }
+}
+
+/// The entry point of the subcommand `args` names, once every option
+/// given is one it reads. The hidden `_rank` command is the net backend's
+/// child entrypoint: the parent spawns `aj _rank --parent ADDR --rank R`.
+fn command(args: &Args) -> Result<commands::Run, String> {
+    let name = args.command.as_deref().unwrap_or_default();
+    let Some(&(_, run, options)) = commands::COMMANDS.iter().find(|(n, ..)| *n == name) else {
+        return Err(format!("unknown command: {name}\n\n{HELP}"));
+    };
+    args.check_options(name, options)?;
+    Ok(run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(line: &str) -> Result<commands::Run, String> {
+        let words = line.split_whitespace().map(String::from);
+        command(&Args::parse(words, BOOLEAN_FLAGS)?)
+    }
+
+    #[test]
+    fn an_option_the_command_does_not_read_is_a_usage_error() {
+        let err = check("solve --matrix grid:8x8 --tolerance 1e-12").unwrap_err();
+        assert!(err.contains("--tolerance (it accepts"), "{err}");
+        assert!(err.contains("--tol,"), "{err}");
+        let err = check("trace --matrix fd68 --method rwr:fraction=0.5").unwrap_err();
+        assert!(err.contains("--method (it accepts"), "{err}");
+        assert!(err.contains("--iterations"), "{err}");
+        // Flags too, and every unknown option is named.
+        let err = check("info --matrix fd68 --detect --threads 4").unwrap_err();
+        assert!(err.contains("--detect, --threads"), "{err}");
+        assert!(check("frobnicate --matrix fd68").is_err());
+        assert!(check("info --matrix fd68 --help=false").is_ok());
+    }
+
+    #[test]
+    fn every_command_line_ci_runs_is_accepted() {
+        // One line per `aj` run in CI, each loop at one value (the options,
+        // not their values, are checked here), then the lines the net
+        // test, `serve_load` and the net parent run.
+        for line in [
+            "solve --matrix grid:24x24 --backend dist-async --ranks 8 --tol 1e-4 --drop 0.05 \
+             --crash 2@1e4+8e3 --metrics-out /tmp/metrics.json",
+            "obs summary /tmp/metrics.json",
+            "obs csv /tmp/metrics.json",
+            "solve --matrix grid:16x16 --backend sim-async --threads 4 --ranks 4 --tol 1e-5 \
+             --method rwr:fraction=0.5",
+            "solve --matrix grid:16x16 --backend dist-async --threads 4 --ranks 4 --tol 1e-5 \
+             --method richardson2:omega=auto --control on",
+            "solve --matrix grid:16x16 --backend sim-async --threads 4 --ranks 4 --tol 1e-5 \
+             --format sellc:c=8",
+            "solve --matrix grid:16x16 --format rcm-blocked",
+            "solve --matrix grid:15x15 --backend sync --threads 4 --ranks 4 --tol 1e-7 \
+             --outer fcg:prec=richardson2:omega=auto:inner=8",
+            "solve --matrix grid:15x15 --backend sim-async --threads 4 --tol 1e-7 \
+             --outer fgmres:prec=richardson2:omega=auto",
+            "serve --addr 127.0.0.1:4100 --workers 2 --queue-cap 8 --cache-cap 4 \
+             --metrics-out /tmp/serve-metrics.json",
+            "serve --addr 127.0.0.1:4101 --workers 2 --queue-cap 8 --cache-cap 4",
+            "solve --matrix fd68 --backend net:ranks=4 --tol 1e-6",
+            "trace --matrix fd68 --threads 4 --iterations 10",
+            "solve --matrix fd68 --backend net:ranks=4 --tol 1e-10 --pace 5000 --crash 3@300 \
+             --staleness 1.0",
+            "serve --addr 127.0.0.1:0 --workers 2 --queue-cap 256 --store /tmp/aj-store",
+            "_rank --parent 127.0.0.1:4100 --rank 3",
+        ] {
+            if let Err(e) = check(line) {
+                panic!("{line}: {e}");
+            }
         }
     }
 }

@@ -15,7 +15,7 @@ use aj_dmsim::{
 };
 use aj_linalg::method::{sync_solve, Method, ResolvedMethod, SafeInterval};
 use aj_linalg::vecops::Norm;
-use aj_linalg::{krylov, sweeps, StorageFormat};
+use aj_linalg::{krylov, sweeps, CsrMatrix, StorageFormat};
 use aj_net::{run_net, NetConfig};
 use aj_obs::{ObsConfig, Snapshot};
 use aj_partition::{block_partition, CommPlan};
@@ -253,6 +253,29 @@ impl Default for SolveOptions {
 /// [`SolveOptions::plan`].
 pub fn prepare_dist_plan(p: &Problem, ranks: usize) -> CommPlan {
     CommPlan::build(&p.a, &block_partition(p.n(), ranks))
+}
+
+/// The communication plan a distributed run of `a` over `ranks` parts
+/// uses: `given` (a [`SolveOptions::plan`]) when its part count matches,
+/// a rejection naming the `consumer` when it does not, and a fresh
+/// block-partition plan when none is given.
+pub(crate) fn dist_plan(
+    a: &CsrMatrix,
+    given: Option<&Arc<CommPlan>>,
+    ranks: usize,
+    consumer: &str,
+) -> Result<Arc<CommPlan>, String> {
+    match given {
+        Some(plan) if plan.nparts() == ranks => Ok(Arc::clone(plan)),
+        Some(plan) => Err(format!(
+            "precomputed plan has {} parts but the {consumer} wants {ranks} ranks",
+            plan.nparts()
+        )),
+        None => Ok(Arc::new(CommPlan::build(
+            a,
+            &block_partition(a.nrows(), ranks),
+        ))),
+    }
 }
 
 /// What a solve produced.
@@ -510,16 +533,7 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
             asynchronous,
             detect,
         } => {
-            let plan = match &opts.plan {
-                Some(plan) if plan.nparts() == ranks => Arc::clone(plan),
-                Some(plan) => {
-                    return Err(format!(
-                        "precomputed plan has {} parts but the backend wants {ranks} ranks",
-                        plan.nparts()
-                    ));
-                }
-                None => Arc::new(prepare_dist_plan(p, ranks)),
-            };
+            let plan = dist_plan(&p.a, opts.plan.as_ref(), ranks, "backend")?;
             let mut cfg = DistConfig::new(p.n(), opts.seed);
             cfg.tol = opts.tol;
             cfg.max_iterations = opts.max_iterations;
@@ -560,16 +574,7 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
             Ok(rep)
         }
         Backend::Net { ranks } => {
-            let plan = match &opts.plan {
-                Some(plan) if plan.nparts() == ranks => Arc::clone(plan),
-                Some(plan) => {
-                    return Err(format!(
-                        "precomputed plan has {} parts but the backend wants {ranks} ranks",
-                        plan.nparts()
-                    ));
-                }
-                None => Arc::new(prepare_dist_plan(p, ranks)),
-            };
+            let plan = dist_plan(&p.a, opts.plan.as_ref(), ranks, "backend")?;
             let mut cfg = NetConfig::new(ranks);
             cfg.tol = opts.tol;
             cfg.max_iterations = opts.max_iterations;

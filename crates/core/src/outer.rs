@@ -11,7 +11,7 @@
 //! synchronization points are the coarse-grid transfers (V-cycle) and the
 //! Krylov recurrence (FCG/FGMRES).
 
-use crate::driver::{Backend, SolveOptions, SolveReport};
+use crate::driver::{dist_plan, Backend, SolveOptions, SolveReport};
 use crate::problem::Problem;
 use aj_dmsim::shmem_sim::{run_shmem_async, run_shmem_sync, ShmemSimConfig, StopRule};
 use aj_dmsim::{run_dist_async_plan, run_dist_sync_plan, DistConfig};
@@ -20,7 +20,7 @@ use aj_linalg::vecops::Norm;
 use aj_linalg::{CsrMatrix, StorageFormat};
 use aj_obs::{ObsConfig, Snapshot};
 use aj_outer::{flex, smoothing_method, vcycle, ReferenceSmoother, Smoother};
-use aj_partition::{block_partition, CommPlan};
+use aj_partition::CommPlan;
 use std::sync::Arc;
 
 pub use aj_outer::{Hierarchy, OuterKind, OuterSpec};
@@ -118,22 +118,13 @@ impl EngineSmoother {
             let resolved = method
                 .resolve(a, self.seed)
                 .map_err(|e| format!("level {level} smoother: {e}"))?;
-            let plan = if let Backend::SimDistributed { ranks, .. } = self.backend {
-                let nparts = ranks.min(a.nrows()).max(1);
-                let plan = match (&self.fine_plan, level) {
-                    (Some(p), 0) if p.nparts() == nparts => Arc::clone(p),
-                    (Some(p), 0) => {
-                        return Err(format!(
-                            "precomputed plan has {} parts but the inner backend wants \
-                             {nparts} ranks",
-                            p.nparts()
-                        ));
-                    }
-                    _ => Arc::new(CommPlan::build(a, &block_partition(a.nrows(), nparts))),
-                };
-                Some(plan)
-            } else {
-                None
+            let plan = match self.backend {
+                Backend::SimDistributed { ranks, .. } => {
+                    let given = self.fine_plan.as_ref().filter(|_| level == 0);
+                    let nparts = ranks.min(a.nrows()).max(1);
+                    Some(dist_plan(a, given, nparts, "inner backend")?)
+                }
+                _ => None,
             };
             self.levels[level] = Some(LevelState {
                 method: resolved,

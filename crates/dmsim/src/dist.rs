@@ -14,14 +14,13 @@
 //! completion), so an iteration lasts as long as its slowest rank plus the
 //! exchange.
 
-use crate::cost::{CostModel, WorkerJitter, TICK_SCALE};
-use crate::event::EventQueue;
+use crate::cost::{CostModel, TICK_SCALE};
+use crate::engine::{run_lockstep, spec, ticks, AsyncRun, Pacing, Reads};
 use crate::fault::{FaultPlan, FaultState, LinkParams};
-use crate::monitor::{ResidualMonitor, SimOutcome};
-use crate::obsrec::{decision_kind, EngineObs};
-use crate::shmem_sim::{run_lockstep, Lockstep, SimDelay, StopRule};
+use crate::monitor::SimOutcome;
+use crate::shmem_sim::{SimDelay, StopRule};
 use crate::termination::{RootAggregator, TerminationProtocol, TerminationStats};
-use aj_control::{ControlSpec, Controller, Observation};
+use aj_control::ControlSpec;
 use aj_linalg::method::{self, ResolvedMethod};
 use aj_linalg::vecops::Norm;
 use aj_linalg::{kernel, CsrMatrix, StorageFormat, SweepKernel};
@@ -160,7 +159,6 @@ struct Rank {
     ///  ghost-slot positions at the receiver)`.
     sends: Vec<SendPlan>,
     iterations: u64,
-    jitter: WorkerJitter,
     /// Eager-variant state: did any ghost change since the last sweep?
     dirty: bool,
     /// Eager-variant state: is the rank parked waiting for fresh data?
@@ -207,7 +205,6 @@ fn build_ranks(
     b: &[f64],
     x0: &[f64],
     plan: &CommPlan,
-    cost: &CostModel,
     fault_plan: Option<&FaultPlan>,
 ) -> Vec<Rank> {
     // Base offset of each rank's span in the flat ghost-generation table
@@ -264,7 +261,6 @@ fn build_ranks(
                 b: b_local,
                 sends,
                 iterations: 0,
-                jitter: WorkerJitter::new(&cost.jitter, p),
                 dirty: true,
                 parked: false,
                 stopped: false,
@@ -382,7 +378,7 @@ pub fn run_dist_async_plan(
     // so fault-free runs stay byte-identical to the pre-fault engine.
     let fault_plan = config.faults.as_ref().filter(|p| !p.is_empty());
     let mut fault_state = fault_plan.map(|p| FaultState::new(p, nparts));
-    let mut ranks = build_ranks(a, b, x0, plan, &config.cost, fault_plan);
+    let mut ranks = build_ranks(a, b, x0, plan, fault_plan);
     // One sweep kernel per rank over its local matrix, in the configured
     // storage format (kept beside `ranks` so the borrow checker sees the
     // kernels and the rank state as disjoint). The cost model charges the
@@ -396,11 +392,12 @@ pub fn run_dist_async_plan(
                 .expect("storage format rejected for this subdomain")
         })
         .collect();
-    let work_nnz: Vec<usize> = kernels
+    let work_nnz = kernels
         .iter()
         .zip(&ranks)
         .map(|(k, rk)| k.work_nnz(&rk.local.matrix))
         .collect();
+    let mut run = AsyncRun::new(a, b, spec!(config), work_nnz);
     // Global mirror of owned values, for residual monitoring. The rank
     // kernels index local columns, so the monitor gets one whole-matrix
     // kernel of its own, in `auto_select`'s format whatever the ranks
@@ -408,84 +405,40 @@ pub fn run_dist_async_plan(
     let mut x_global = x0.to_vec();
     let whole = [SweepKernel::build(a, 0..n, kernel::auto_select(a))
         .expect("auto_select picks a format every matrix accepts")];
-    let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every)
-        .with_samples(config.stop != StopRule::Unmonitored);
-    let mut relaxations = 0u64;
-    monitor.observe(0.0, 0, &x_global, &whole);
+    run.monitor.observe(0.0, 0, &x_global, &whole);
 
-    // Observability state, allocated only when recording is on. The age of
-    // a ghost value at use is `sweep tick − generation tick`, where the
-    // generation tick is the *sender's* sweep that produced the value — the
-    // same definition the shared-memory simulator uses, so the two engines
-    // cross-validate. The flat `ghost_gen` table holds one generation tick
-    // per (receiver, in-neighbour) pair; rank `r`'s span starts at
-    // `gen_base[r]`, and each put carries its [`SendPlan::gen_idx`] so a
-    // landing put updates the table with one precomputed indexed store.
-    let mut obs = EngineObs::new(&config.obs, nparts);
+    // Ghost-data generations for the obs staleness samples, kept only
+    // while recording. The age of a ghost value at use is `sweep tick −
+    // generation tick`, where the generation tick is the *sender's* sweep
+    // that produced the value — the same definition the shared-memory
+    // simulator uses, so the two engines cross-validate. The flat
+    // `ghost_gen` table holds one generation tick per (receiver,
+    // in-neighbour) pair; rank `r`'s span starts at `gen_base[r]`, and each
+    // put carries its [`SendPlan::gen_idx`] so a landing put updates the
+    // table with one precomputed indexed store.
     let gen_base = gen_base(plan);
-    let mut ghost_gen: Vec<u64> = if obs.is_some() {
+    let mut ghost_gen: Vec<u64> = if run.obs.is_some() {
         vec![0; gen_base[nparts]]
     } else {
         Vec::new()
     };
-    // The method each sweep runs, with the legacy ω folded in; controller
-    // decisions retarget it mid-run.
-    let mut method = config.method.fold_omega(config.omega);
-    // Controller state. Staleness is measured as commit age — the tick of a
-    // rank's latest sweep — the same generation-tick definition the
-    // shared-memory engine and the obs histograms use, so the two engines'
-    // decision sequences conform despite different put dynamics.
-    let mut ctrl = config
-        .control
-        .as_ref()
-        .map(|spec| Controller::new(spec.cfg, method, spec.interval));
-    let mut ctrl_last_commit = vec![0u64; if ctrl.is_some() { nparts } else { 0 }];
-    let mut ctrl_period = vec![0u64; if ctrl.is_some() { nparts } else { 0 }];
-
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let schedule_sweep = |queue: &mut EventQueue<Event>,
-                          tick: u64,
-                          r: usize,
-                          rank: &mut Rank,
-                          config: &DistConfig| {
-        let mut cost = config.cost.sweep_cost(work_nnz[r]) * rank.jitter.next_factor();
-        if let Some(d) = config.delay {
-            if d.worker == r {
-                cost += d.extra_ticks;
-            }
-        }
-        queue.push(
-            tick + ((cost * TICK_SCALE).max(1.0) as u64),
-            Event::Sweep {
-                rank: r,
-                epoch: rank.sweep_epoch,
-            },
-        );
-    };
     for r in 0..nparts {
-        schedule_sweep(&mut queue, 0, r, &mut ranks[r], config);
+        run.schedule(r, 0, Event::Sweep { rank: r, epoch: 0 });
     }
     if let Some(fp) = fault_plan {
         for c in &fp.crashes {
-            queue.push(
+            run.queue.push(
                 (c.at * TICK_SCALE).max(0.0) as u64,
                 Event::Crash {
                     rank: c.rank,
-                    recover_after: c
-                        .recover_after
-                        .map(|rec| (rec * TICK_SCALE).max(1.0) as u64),
+                    recover_after: c.recover_after.map(ticks),
                 },
             );
         }
         for s in &fp.stalls {
             let start = (s.at * TICK_SCALE).max(0.0) as u64;
-            queue.push(
-                start,
-                Event::Stall {
-                    rank: s.rank,
-                    until: start + (s.duration * TICK_SCALE).max(1.0) as u64,
-                },
-            );
+            let (rank, until) = (s.rank, start + ticks(s.duration));
+            run.queue.push(start, Event::Stall { rank, until });
         }
     }
     // Kernel residual scratch, sliced per rank.
@@ -511,14 +464,8 @@ pub fn run_dist_async_plan(
     let mut stopped_count = 0usize;
     let mut comm = crate::monitor::CommVolume::default();
 
-    let mut now = 0.0f64;
-    let mut done = false;
-    while let Some(next_tick) = queue.peek_tick() {
-        if done || next_tick as f64 / TICK_SCALE > config.max_time {
-            break;
-        }
-        let (tick, event) = queue.pop().expect("peeked event vanished");
-        now = tick as f64 / TICK_SCALE;
+    while let Some((tick, event)) = run.next() {
+        let now = run.now;
         match event {
             Event::Sweep { rank: r, epoch } => {
                 if !ranks[r].alive || epoch != ranks[r].sweep_epoch {
@@ -534,7 +481,7 @@ pub fn run_dist_async_plan(
                         fs.stats.stalled_sweeps += 1;
                     }
                     let until = ranks[r].stalled_until;
-                    queue.push(until, Event::Sweep { rank: r, epoch });
+                    run.queue.push(until, Event::Sweep { rank: r, epoch });
                     continue;
                 }
                 // Relax against the freshest window contents as of now.
@@ -548,7 +495,7 @@ pub fn run_dist_async_plan(
                         let res = &mut sweep_res[..n_owned];
                         kernels[r].residuals_into(&rank.local.matrix, &rank.x, &rank.b, res);
                         method::relax_block(
-                            &method,
+                            &run.method,
                             res,
                             &rank.local.diag_inv,
                             &mut rank.x[..n_owned],
@@ -560,8 +507,8 @@ pub fn run_dist_async_plan(
                     LocalSolve::GaussSeidel => {
                         // Only plain Jacobi reaches here (asserted above),
                         // folded and retuned as richardson1.
-                        let ResolvedMethod::Richardson1 { omega } = method else {
-                            unreachable!("Gauss-Seidel local solve running {}", method.name());
+                        let ResolvedMethod::Richardson1 { omega } = run.method else {
+                            unreachable!("Gauss-Seidel local solve running {}", run.method.name());
                         };
                         // In-place: each row sees its predecessors' updates.
                         for row in 0..n_owned {
@@ -575,23 +522,8 @@ pub fn run_dist_async_plan(
                     x_global[g] = v;
                 }
                 ranks[r].iterations += 1;
-                relaxations += swept as u64;
-                if let Some(o) = obs.as_mut() {
-                    if o.sweep_sampler.hit() {
-                        for &gen in &ghost_gen[gen_base[r]..gen_base[r + 1]] {
-                            o.record_staleness(r, tick - gen);
-                        }
-                        if let Some(prev) = o.last_sweep_end[r] {
-                            o.record_sweep_period(r, tick - prev);
-                        }
-                        o.event(r, tick, SpanKind::SweepEnd);
-                    }
-                    o.last_sweep_end[r] = Some(tick);
-                }
-                if !ctrl_period.is_empty() {
-                    ctrl_period[r] = tick - ctrl_last_commit[r];
-                    ctrl_last_commit[r] = tick;
-                }
+                run.relaxations += swept as u64;
+                run.commit(r, tick, Reads::Stamps(&ghost_gen, &gen_base));
 
                 // One-sided puts toward every neighbour.
                 for s in 0..ranks[r].sends.len() {
@@ -634,7 +566,7 @@ pub fn run_dist_async_plan(
                         }
                         duplicated = fs.draw() < lp.duplicate;
                     }
-                    let arrive = tick + ((latency * TICK_SCALE).max(1.0) as u64);
+                    let arrive = tick + ticks(latency);
                     if duplicated {
                         // Duplicate delivery of an idempotent put: the copy
                         // lands later with identical contents.
@@ -644,8 +576,8 @@ pub fn run_dist_async_plan(
                         let mut copy = payload_pool.pop().unwrap_or_default();
                         copy.clear();
                         copy.extend_from_slice(&vals);
-                        queue.push(
-                            arrive + ((extra * TICK_SCALE).max(1.0) as u64),
+                        run.queue.push(
+                            arrive + ticks(extra),
                             Event::PutArrive {
                                 rank: to,
                                 gen_idx,
@@ -655,7 +587,7 @@ pub fn run_dist_async_plan(
                             },
                         );
                     }
-                    queue.push(
+                    run.queue.push(
                         arrive,
                         Event::PutArrive {
                             rank: to,
@@ -666,82 +598,28 @@ pub fn run_dist_async_plan(
                         },
                     );
                 }
-                if let Some(o) = obs.as_mut() {
+                if let Some(o) = run.obs.as_mut() {
                     if !ranks[r].sends.is_empty() && o.put_sampler.hit() {
                         o.event(r, tick, SpanKind::PutSend);
                     }
                 }
 
-                let samples_before = monitor.samples().len();
-                let checkpoints_before = monitor.checkpoints();
-                let hit_tol = monitor.observe(now, relaxations, &x_global, &whole);
-                if let Some(o) = obs.as_mut() {
+                let checkpoints = run.monitor.checkpoints();
+                let hit_tol = run.observe(tick, &x_global, &whole);
+                if let Some(o) = run.obs.as_mut() {
                     // Queue depth is sampled at the monitor's checkpoints,
                     // so both series share its snapped relaxation grid, and
                     // an unmonitored run keeps the series.
-                    if monitor.checkpoints() > checkpoints_before {
-                        o.record_queue_depth(queue.len() as u64);
+                    if run.monitor.checkpoints() > checkpoints {
+                        o.queue_depth.record(run.queue.len() as u64);
                     }
                 }
-                if let Some(c) = ctrl.as_mut() {
-                    if monitor.samples().len() > samples_before {
-                        // Staleness-at-use on the monitor's grid: the oldest
-                        // live rank's commit age in units of the fastest live
-                        // rank's sweep period (see the controller state note
-                        // above for why this conforms with shmem).
-                        let mut fast = u64::MAX;
-                        for v in 0..nparts {
-                            if !c.is_shed(v) && ctrl_period[v] > 0 {
-                                fast = fast.min(ctrl_period[v]);
-                            }
-                        }
-                        let mut worst = 0usize;
-                        let mut staleness = 0.0f64;
-                        if fast != u64::MAX {
-                            for v in 0..nparts {
-                                if c.is_shed(v) {
-                                    continue;
-                                }
-                                let age = (tick - ctrl_last_commit[v]) as f64 / fast as f64;
-                                if age > staleness {
-                                    staleness = age;
-                                    worst = v;
-                                }
-                            }
-                        }
-                        let residual = monitor.samples().last().map_or(f64::NAN, |s| s.residual);
-                        if let Some(d) = c.observe(Observation {
-                            residual,
-                            staleness,
-                            worst,
-                        }) {
-                            method = Controller::retune(method, &d);
-                            if let Some(o) = obs.as_mut() {
-                                o.event(0, tick, decision_kind(&d));
-                            }
-                            if c.rescue_requested() {
-                                // Stop here; the driver escalates to an
-                                // outer rescue.
-                                done = true;
-                            }
-                        }
-                    }
-                }
-                match config.stop {
-                    StopRule::Tolerance => {
-                        // With the protocol active, the omniscient monitor
-                        // only records; stopping is the protocol's job.
-                        if hit_tol && config.termination.is_none() {
-                            done = true;
-                        }
-                    }
-                    StopRule::FixedIterations(k) => {
-                        if ranks.iter().all(|rk| rk.iterations >= k) {
-                            done = true;
-                        }
-                    }
-                    StopRule::Unmonitored => {}
-                }
+                // With the protocol active, the omniscient monitor only
+                // records; stopping is the protocol's job.
+                let tolerance_met = hit_tol && config.termination.is_none();
+                run.done |= config
+                    .stop
+                    .met(tolerance_met, ranks.iter().map(|rk| rk.iterations));
                 // Periodic residual report toward the root.
                 if let Some(proto) = config.termination {
                     if !ranks[r].stopped
@@ -773,17 +651,15 @@ pub fn run_dist_async_plan(
                         if dropped {
                             term_stats.reports_dropped += 1;
                         } else {
-                            queue.push(
-                                tick + ((latency * TICK_SCALE).max(1.0) as u64),
-                                Event::Report {
-                                    rank: r,
-                                    norm: local_norm,
-                                },
-                            );
+                            let report = Event::Report {
+                                rank: r,
+                                norm: local_norm,
+                            };
+                            run.queue.push(tick + ticks(latency), report);
                         }
                     }
                 }
-                if !done && !ranks[r].stopped && ranks[r].iterations < config.max_iterations {
+                if !run.done && !ranks[r].stopped && ranks[r].iterations < config.max_iterations {
                     // Eager variant: park until a neighbour's put brings
                     // new information (ranks without neighbours never park).
                     if config.variant == DistVariant::Eager
@@ -793,7 +669,8 @@ pub fn run_dist_async_plan(
                         ranks[r].parked = true;
                     } else {
                         ranks[r].dirty = false;
-                        schedule_sweep(&mut queue, tick, r, &mut ranks[r], config);
+                        let epoch = ranks[r].sweep_epoch;
+                        run.schedule(r, tick, Event::Sweep { rank: r, epoch });
                     }
                 }
             }
@@ -819,13 +696,13 @@ pub fn run_dist_async_plan(
                     ranks[r].x[n_owned + slot] = v;
                 }
                 payload_pool.push(values);
-                if let Some(o) = obs.as_mut() {
+                if let Some(o) = run.obs.as_mut() {
                     // Last writer wins, exactly like the window itself: a
                     // reordered put landing late overwrites the generation
                     // tick the same way it overwrites the ghost values.
                     ghost_gen[gen_idx as usize] = sent;
                     if o.put_sampler.hit() {
-                        o.record_put_latency(tick - sent);
+                        o.put_latency.record(tick - sent);
                         o.event(r, tick, SpanKind::PutArrive);
                     }
                 }
@@ -833,11 +710,12 @@ pub fn run_dist_async_plan(
                 if ranks[r].parked && !ranks[r].stopped {
                     ranks[r].parked = false;
                     ranks[r].dirty = false;
-                    schedule_sweep(&mut queue, tick, r, &mut ranks[r], config);
+                    let epoch = ranks[r].sweep_epoch;
+                    run.schedule(r, tick, Event::Sweep { rank: r, epoch });
                 }
             }
             Event::Report { rank, norm } => {
-                if let Some(o) = obs.as_mut() {
+                if let Some(o) = run.obs.as_mut() {
                     o.term_reports += 1;
                     // Protocol rounds show on the root's timeline (rank 0).
                     if o.put_sampler.hit() {
@@ -852,9 +730,8 @@ pub fn run_dist_async_plan(
                         term_stats.excluded_ranks = agg.excluded_ranks().to_vec();
                         for target in 0..nparts {
                             term_stats.stops_sent += 1;
-                            let arrive =
-                                tick + ((config.cost.put_latency * TICK_SCALE).max(1.0) as u64);
-                            queue.push(arrive, Event::StopArrive { rank: target });
+                            let arrive = tick + ticks(config.cost.put_latency);
+                            run.queue.push(arrive, Event::StopArrive { rank: target });
                         }
                     }
                 }
@@ -867,7 +744,7 @@ pub fn run_dist_async_plan(
                     ranks[rank].stopped = true;
                     stopped_count += 1;
                     if stopped_count == nparts {
-                        done = true;
+                        run.done = true;
                     }
                 }
             }
@@ -877,7 +754,7 @@ pub fn run_dist_async_plan(
             } => {
                 if ranks[rank].alive {
                     ranks[rank].alive = false;
-                    if let Some(o) = obs.as_mut() {
+                    if let Some(o) = run.obs.as_mut() {
                         o.event(rank, tick, SpanKind::Crash);
                     }
                     // Orphan the in-flight sweep so a recovery can't leave
@@ -888,14 +765,14 @@ pub fn run_dist_async_plan(
                         fs.stats.alive[rank] = false;
                     }
                     if let Some(rec) = recover_after {
-                        queue.push(tick + rec, Event::Recover { rank });
+                        run.queue.push(tick + rec, Event::Recover { rank });
                     }
                 }
             }
             Event::Recover { rank } => {
                 if !ranks[rank].alive {
                     ranks[rank].alive = true;
-                    if let Some(o) = obs.as_mut() {
+                    if let Some(o) = run.obs.as_mut() {
                         o.event(rank, tick, SpanKind::Recover);
                     }
                     if let Some(fs) = fault_state.as_mut() {
@@ -909,54 +786,34 @@ pub fn run_dist_async_plan(
                         // tolerates; neighbours' next puts refresh them.
                         ranks[rank].parked = false;
                         ranks[rank].dirty = true;
-                        schedule_sweep(&mut queue, tick, rank, &mut ranks[rank], config);
+                        let epoch = ranks[rank].sweep_epoch;
+                        run.schedule(rank, tick, Event::Sweep { rank, epoch });
                     }
                 }
             }
             Event::Stall { rank, until } => {
                 if ranks[rank].alive {
                     ranks[rank].stalled_until = ranks[rank].stalled_until.max(until);
-                    if let Some(o) = obs.as_mut() {
+                    if let Some(o) = run.obs.as_mut() {
                         o.event(rank, tick, SpanKind::Stall);
                     }
                 }
             }
         }
     }
-    monitor.finalize(now, relaxations, &x_global, &whole);
-    let converged = monitor.converged();
-    let obs_snapshot = obs.map(|o| {
-        let mut snap = o.into_snapshot(Some(&comm));
-        snap.set_counter("relaxations", relaxations);
-        snap.set_counter("ranks", nparts as u64);
-        snap.set_counter(&format!("method/{}", config.method.name()), 1);
-        if let Some(fs) = fault_state.as_ref() {
-            snap.set_counter("crashes", fs.stats.crash_times.len() as u64);
-            snap.set_counter("recoveries", fs.stats.recovery_times.len() as u64);
-            snap.set_counter("skipped_sweeps", fs.stats.skipped_sweeps);
-            snap.set_counter("stalled_sweeps", fs.stats.stalled_sweeps);
-            snap.set_counter("dead_window_drops", fs.stats.dead_window_drops);
-        }
-        snap.set_gauge("sim_time", now);
-        snap.set_gauge(
-            "final_residual",
-            monitor.samples().last().map_or(f64::NAN, |s| s.residual),
-        );
-        snap
-    });
-    SimOutcome {
-        samples: monitor.into_samples(),
-        x: x_global,
-        time: now,
-        relaxations,
-        worker_iterations: ranks.iter().map(|r| r.iterations).collect(),
-        converged,
-        termination: config.termination.map(|_| term_stats),
-        comm,
-        faults: fault_state.map(|fs| fs.stats),
-        obs: obs_snapshot,
-        control: ctrl.map(Controller::into_stats),
+    let iterations = ranks.iter().map(|r| r.iterations).collect();
+    let mut out = run.finish(x_global, &whole, iterations, "ranks", Some(&comm));
+    if let (Some(snap), Some(fs)) = (out.obs.as_mut(), &fault_state) {
+        snap.set_counter("crashes", fs.stats.crash_times.len() as u64);
+        snap.set_counter("recoveries", fs.stats.recovery_times.len() as u64);
+        snap.set_counter("skipped_sweeps", fs.stats.skipped_sweeps);
+        snap.set_counter("stalled_sweeps", fs.stats.stalled_sweeps);
+        snap.set_counter("dead_window_drops", fs.stats.dead_window_drops);
     }
+    out.termination = config.termination.map(|_| term_stats);
+    out.comm = comm;
+    out.faults = fault_state.map(|fs| fs.stats);
+    out
 }
 
 /// Runs **synchronous** distributed Jacobi: one global Jacobi iteration per
@@ -997,34 +854,12 @@ pub fn run_dist_sync_plan(
         .unwrap_or(0);
     let msgs_per_iter: u64 = (0..nparts).map(|p| plan.plan(p).send_to.len() as u64).sum();
     let values_per_iter: u64 = plan.total_volume() as u64;
-    let mut jitters: Vec<WorkerJitter> = (0..nparts)
-        .map(|p| WorkerJitter::new(&config.cost.jitter, p))
-        .collect();
     let exchange = config.cost.put_latency + config.cost.per_value_comm * max_send as f64;
     // Synchronous mode is exactly one global dense-reference iteration per
     // step, so every method-capable engine agrees bit-for-bit in sync mode.
-    let lockstep = Lockstep {
-        method: config.method.fold_omega(config.omega),
-        norm: config.norm,
-        tol: config.tol,
-        sample_every: config.sample_every,
-        stop: config.stop,
-        max_time: config.max_time,
-        max_iterations: config.max_iterations,
-    };
-    let mut out = run_lockstep(a, b, x0, &lockstep, nparts, || {
-        let mut slowest = 0.0f64;
-        for r in 0..nparts {
-            let mut cost = config.cost.sweep_cost(rank_nnz[r]) * jitters[r].next_factor();
-            if let Some(d) = config.delay {
-                if d.worker == r {
-                    cost += d.extra_ticks;
-                }
-            }
-            slowest = slowest.max(cost);
-        }
-        slowest + exchange
-    });
+    let spec = spec!(config);
+    let mut pacing = Pacing::new(&spec, rank_nnz, 1.0);
+    let mut out = run_lockstep(a, b, x0, &spec, nparts, || pacing.slowest() + exchange);
     let iters = out.worker_iterations.first().copied().unwrap_or(0);
     out.comm = crate::monitor::CommVolume {
         puts: msgs_per_iter * iters,

@@ -18,6 +18,7 @@
 //! the sequence of `(tick, payload)` pairs popped is byte-identical — the
 //! determinism regression tests pin this.
 
+use crate::cost::TICK_SCALE;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -79,6 +80,16 @@ impl<T> EventQueue<T> {
     /// (and its pooled payload) in the queue.
     pub fn peek_tick(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse((tick, _, _))| *tick)
+    }
+
+    /// [`Self::pop`], unless the earliest event lies past `max_time` in
+    /// simulated time (ticks / [`TICK_SCALE`]): it then stays queued, so a
+    /// run stops at its horizon without stamping a tick where nothing ran.
+    pub(crate) fn pop_until(&mut self, max_time: f64) -> Option<(u64, T)> {
+        if self.peek_tick()? as f64 / TICK_SCALE > max_time {
+            return None;
+        }
+        self.pop()
     }
 
     /// Number of pending events.

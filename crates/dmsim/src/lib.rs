@@ -31,8 +31,10 @@
 //!
 //! Modules: [`cost`] (cost model and jitter), [`monitor`] (residual
 //! sampling), [`shmem_sim`] (simulated threads, Figures 2–6),
-//! [`dist`] (simulated ranks, Figures 7–9), [`fault`] (deterministic
-//! crash/stall/lossy-link injection for the distributed engine).
+//! [`dist`] (simulated ranks, Figures 7–9; both engines keep only their
+//! sweep and share the rest through a crate-private module), [`fault`]
+//! (deterministic crash/stall/lossy-link injection for the distributed
+//! engine).
 
 // Index-based loops over coupled arrays are the clearest form for these
 // numeric kernels; the iterator rewrites clippy suggests obscure them.
@@ -40,6 +42,7 @@
 
 pub mod cost;
 pub mod dist;
+mod engine;
 pub mod event;
 pub mod fault;
 pub mod monitor;

@@ -70,6 +70,31 @@ pub struct CommVolume {
 }
 
 impl SimOutcome {
+    /// The outcome of a run that stopped at `time` with iterate `x`: the
+    /// monitor's samples and verdict, and no protocol, communication,
+    /// fault, obs or controller record (the engines that keep one add it).
+    pub(crate) fn new(
+        monitor: ResidualMonitor,
+        x: Vec<f64>,
+        time: f64,
+        relaxations: u64,
+        worker_iterations: Vec<u64>,
+    ) -> SimOutcome {
+        SimOutcome {
+            converged: monitor.converged(),
+            samples: monitor.into_samples(),
+            x,
+            time,
+            relaxations,
+            worker_iterations,
+            termination: None,
+            comm: CommVolume::default(),
+            faults: None,
+            obs: None,
+            control: None,
+        }
+    }
+
     /// First simulated time at which the sampled residual fell below `tol`.
     pub fn time_to_tolerance(&self, tol: f64) -> Option<f64> {
         self.samples

@@ -34,21 +34,19 @@ pub(crate) fn decision_kind(d: &Decision) -> SpanKind {
 /// Per-run recording state shared by the simulator engines.
 pub(crate) struct EngineObs {
     /// Per-rank neighbour-data age at use (ticks).
-    staleness: Vec<Histogram>,
+    pub staleness: Vec<Histogram>,
     /// Per-rank gap between consecutive sweep completions (ticks).
-    sweep_period: Vec<Histogram>,
+    pub sweep_period: Vec<Histogram>,
     /// Network latency of landed puts (ticks); distributed engine only.
-    put_latency: Histogram,
+    pub put_latency: Histogram,
     /// Pending event-queue depth, sampled on the residual monitor's grid.
-    queue_depth: Histogram,
+    pub queue_depth: Histogram,
     /// Per-rank span-event rings.
     timelines: Vec<Timeline>,
     /// 1-in-N gate for sweep-frequency records (staleness, periods).
     pub sweep_sampler: Sampler,
     /// 1-in-N gate for put-frequency records (latency, send/arrive spans).
     pub put_sampler: Sampler,
-    /// Last sweep-completion tick per rank (state, updated every sweep).
-    pub last_sweep_end: Vec<Option<u64>>,
     /// Termination-protocol reports seen by the root.
     pub term_reports: u64,
 }
@@ -69,33 +67,8 @@ impl EngineObs {
                 .collect(),
             sweep_sampler: cfg.sampler(),
             put_sampler: cfg.sampler(),
-            last_sweep_end: vec![None; nranks],
             term_reports: 0,
         })
-    }
-
-    /// Records one neighbour-age sample for `rank`.
-    #[inline]
-    pub fn record_staleness(&mut self, rank: usize, age_ticks: u64) {
-        self.staleness[rank].record(age_ticks);
-    }
-
-    /// Records a sweep-to-sweep gap for `rank`.
-    #[inline]
-    pub fn record_sweep_period(&mut self, rank: usize, gap_ticks: u64) {
-        self.sweep_period[rank].record(gap_ticks);
-    }
-
-    /// Records a landed put's network latency.
-    #[inline]
-    pub fn record_put_latency(&mut self, latency_ticks: u64) {
-        self.put_latency.record(latency_ticks);
-    }
-
-    /// Records the event-queue depth (call on the monitor's sample grid).
-    #[inline]
-    pub fn record_queue_depth(&mut self, depth: u64) {
-        self.queue_depth.record(depth);
     }
 
     /// Appends a span event to `rank`'s timeline.

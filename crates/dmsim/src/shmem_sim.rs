@@ -8,17 +8,19 @@
 //! OpenMP implementation. The synchronous variant runs lock-step
 //! iterations whose duration is the slowest thread plus a barrier.
 
-use crate::cost::{CostModel, WorkerJitter, TICK_SCALE};
-use crate::monitor::{whole_csr_kernel, ResidualMonitor, SimOutcome};
-use crate::obsrec::{decision_kind, EngineObs};
-use aj_control::{ControlSpec, Controller, Observation};
-use aj_linalg::method::{self, ResolvedMethod, SyncStep};
+use crate::cost::{CostModel, TICK_SCALE};
+use crate::engine::{run_lockstep, spec, ticks, AsyncRun, Pacing, Reads};
+use crate::event::EventQueue;
+use crate::monitor::{whole_csr_kernel, SimOutcome};
+use aj_control::ControlSpec;
+use aj_linalg::method::{self, ResolvedMethod};
+use aj_linalg::sweeps;
 use aj_linalg::vecops::Norm;
 use aj_linalg::{CsrMatrix, StorageFormat, SweepKernel};
-use aj_obs::{ObsConfig, SpanKind};
+use aj_obs::ObsConfig;
 use aj_trace::{RelaxationEvent, Trace};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Extra ticks added to every iteration of one worker (the paper's
 /// sleep-injection experiment).
@@ -43,6 +45,22 @@ pub enum StopRule {
     /// fixed-count inner sweeps of an outer solve run this way, because the
     /// outer loop measures the residual itself.
     Unmonitored,
+}
+
+impl StopRule {
+    /// Whether a run under this rule stops, given whether the tolerance
+    /// counts as met and every worker's completed iterations.
+    pub(crate) fn met(
+        self,
+        tolerance_met: bool,
+        iterations: impl IntoIterator<Item = u64>,
+    ) -> bool {
+        match self {
+            StopRule::Tolerance => tolerance_met,
+            StopRule::FixedIterations(k) => iterations.into_iter().all(|it| it >= k),
+            StopRule::Unmonitored => false,
+        }
+    }
 }
 
 /// Configuration for the simulated shared-memory solvers.
@@ -72,6 +90,9 @@ pub struct ShmemSimConfig {
     pub omega: f64,
     /// Relaxation method executed per sweep (default plain Jacobi; with
     /// the default the engine is bit-identical to its pre-method form).
+    /// The row-granular engines ([`run_shmem_async_rowwise`],
+    /// [`run_shmem_async_traced`]) run only the default, weighted by
+    /// [`Self::omega`], and panic on any other method.
     pub method: ResolvedMethod,
     /// Sweep storage format for the asynchronous block engine (default
     /// [`StorageFormat::Csr`], bit-identical to the classic loops). The
@@ -110,8 +131,27 @@ impl ShmemSimConfig {
     }
 }
 
-fn block_ranges(n: usize, t: usize) -> Vec<std::ops::Range<usize>> {
-    aj_linalg::util::even_ranges(n, t)
+/// The row blocks and inverse diagonal of an asynchronous shared-memory
+/// run, after checking its shape.
+///
+/// # Panics
+/// Panics if `threads` is 0 or exceeds the number of rows, on a length
+/// mismatch, or on a zero diagonal.
+fn blocks(a: &CsrMatrix, b: &[f64], x0: &[f64], threads: usize) -> (Vec<Range<usize>>, Vec<f64>) {
+    let n = a.nrows();
+    assert!(threads > 0 && threads <= n, "need 1 ≤ threads ≤ rows");
+    assert_eq!(b.len(), n);
+    assert_eq!(x0.len(), n);
+    let diag_inv = sweeps::inverse_diagonal(a).expect("zero diagonal");
+    (aj_linalg::util::even_ranges(n, threads), diag_inv)
+}
+
+/// Stored nonzeros of each row block.
+fn block_nnz(a: &CsrMatrix, ranges: &[Range<usize>]) -> Vec<usize> {
+    ranges
+        .iter()
+        .map(|r| r.clone().map(|i| a.row_nnz(i)).sum())
+        .collect()
 }
 
 /// Runs the **asynchronous** simulated shared-memory solver.
@@ -135,20 +175,8 @@ pub fn run_shmem_async(
     x0: &[f64],
     config: &ShmemSimConfig,
 ) -> SimOutcome {
-    let n = a.nrows();
     let t = config.num_threads;
-    assert!(t > 0 && t <= n, "need 1 ≤ threads ≤ rows");
-    assert_eq!(b.len(), n);
-    assert_eq!(x0.len(), n);
-    let diag_inv: Vec<f64> = a
-        .diagonal()
-        .iter()
-        .map(|d| {
-            assert!(*d != 0.0, "zero diagonal");
-            1.0 / d
-        })
-        .collect();
-    let ranges = block_ranges(n, t);
+    let (ranges, diag_inv) = blocks(a, b, x0, t);
     // One sweep kernel per worker block in the configured storage format.
     // The cost model charges the *stored* nonzeros the kernel streams per
     // sweep — identical to the row-nnz sum for CSR, padded for SELL-C-σ
@@ -160,89 +188,23 @@ pub fn run_shmem_async(
                 .expect("storage format rejected for this matrix")
         })
         .collect();
-    let work_nnz: Vec<usize> = kernels.iter().map(|k| k.work_nnz(a)).collect();
-
+    let work_nnz = kernels.iter().map(|k| k.work_nnz(a)).collect();
+    let mut run = AsyncRun::new(a, b, spec!(config), work_nnz);
     let mut x = x0.to_vec();
-    let mut jitters: Vec<WorkerJitter> = (0..t)
-        .map(|w| WorkerJitter::new(&config.cost.jitter, w))
-        .collect();
     let mut iterations = vec![0u64; t];
-    let mut relaxations = 0u64;
     // The monitor samples through the block kernels: SELL samples take the
     // vectorized pass, and every sample keeps the bits of the CSR one.
-    let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every)
-        .with_samples(config.stop != StopRule::Unmonitored);
-    monitor.observe(0.0, 0, &x, &kernels);
-
-    // Observability shards, built only when recording is on so the off
-    // path allocates nothing and checks one Option per sweep. A worker's
-    // neighbours are the owners of off-block columns its rows touch; the
-    // age of a neighbour's data at use is `commit tick − neighbour's last
-    // commit tick` (values are visible the instant they commit).
-    let mut obs = EngineObs::new(&config.obs, t);
-    // The method each sweep runs, with the legacy ω folded in; controller
-    // decisions retarget it mid-run.
-    let mut method = config.method.fold_omega(config.omega);
-    // Controller state. Commit-tick tracking is shared with observability:
-    // either consumer being on turns it on; with both off the loop body is
-    // unchanged from the uncontrolled engine.
-    let mut ctrl = config
-        .control
-        .as_ref()
-        .map(|spec| Controller::new(spec.cfg, method, spec.interval));
-    let track_commits = obs.is_some() || ctrl.is_some();
-    let neighbors: Vec<Vec<usize>> = if obs.is_some() {
-        let mut owner = vec![0usize; n];
-        for (w, r) in ranges.iter().enumerate() {
-            for i in r.clone() {
-                owner[i] = w;
-            }
-        }
-        ranges
-            .iter()
-            .enumerate()
-            .map(|(w, r)| {
-                let mut set = std::collections::BTreeSet::new();
-                for i in r.clone() {
-                    for (j, _) in a.row_iter(i) {
-                        if owner[j] != w {
-                            set.insert(owner[j]);
-                        }
-                    }
-                }
-                set.into_iter().collect()
-            })
-            .collect()
+    run.monitor.observe(0.0, 0, &x, &kernels);
+    // A worker's neighbours, for its obs staleness samples, are the owners
+    // of the off-block columns its rows touch.
+    let neighbours = if run.obs.is_some() {
+        neighbours(a, &ranges)
     } else {
         Vec::new()
     };
-    let mut last_commit = vec![0u64; if track_commits { t } else { 0 }];
-    // Last observed commit-to-commit gap per worker; the fastest worker's
-    // gap is the controller's staleness unit (ages are measured in "fastest
-    // sweep periods", the paper's delay scale).
-    let mut period = vec![0u64; if ctrl.is_some() { t } else { 0 }];
-
-    // Priority queue of (commit tick, insertion order, worker); the order
-    // component keeps simultaneous commits deterministic.
-    let mut queue: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut order = 0u64;
-    let draw_cost = |w: usize, jitters: &mut [WorkerJitter]| {
-        let mut cost = config.cost.sweep_cost(work_nnz[w]) * jitters[w].next_factor();
-        if let Some(d) = config.delay {
-            if d.worker == w {
-                cost += d.extra_ticks;
-            }
-        }
-        (cost * TICK_SCALE).max(1.0) as u64
-    };
     for w in 0..t {
-        let c = draw_cost(w, &mut jitters);
-        queue.push(Reverse((c, order, w)));
-        order += 1;
+        run.schedule(w, 0, w);
     }
-
-    let mut now = 0.0f64;
-    let mut done = false;
     // Residual scratch, hoisted out of the event loop and reused by every
     // sweep: the engine allocates nothing per event in steady state (rwr's
     // weighted draw is the one exception).
@@ -251,14 +213,7 @@ pub fn run_shmem_async(
     // Momentum state: per-row value before the row's last relaxation (read
     // only by richardson2).
     let mut x_prev = x0.to_vec();
-    while let Some(Reverse((tick, _, w))) = queue.pop() {
-        if done {
-            break;
-        }
-        now = tick as f64 / TICK_SCALE;
-        if now > config.max_time {
-            break;
-        }
+    while let Some((tick, w)) = run.next() {
         // The sweep that finishes now takes effect using the freshest
         // available values (just-in-time reads). Two-phase within the
         // block: all residuals from the same state, then all corrections.
@@ -266,7 +221,7 @@ pub fn run_shmem_async(
         let res = &mut res[..range.len()];
         kernels[w].residuals_into(a, &x, &b[range.clone()], res);
         let swept = method::relax_block(
-            &method,
+            &run.method,
             res,
             &diag_inv[range.clone()],
             &mut x[range.clone()],
@@ -275,120 +230,33 @@ pub fn run_shmem_async(
             iterations[w],
         );
         iterations[w] += 1;
-        relaxations += swept as u64;
-        if let Some(o) = obs.as_mut() {
-            if o.sweep_sampler.hit() {
-                for &nb in &neighbors[w] {
-                    o.record_staleness(w, tick - last_commit[nb]);
-                }
-                if let Some(prev) = o.last_sweep_end[w] {
-                    o.record_sweep_period(w, tick - prev);
-                }
-                o.event(w, tick, SpanKind::SweepEnd);
-            }
-            o.last_sweep_end[w] = Some(tick);
-        }
-        if !period.is_empty() {
-            period[w] = tick - last_commit[w];
-        }
-        if track_commits {
-            last_commit[w] = tick;
-        }
-        let samples_before = if ctrl.is_some() {
-            monitor.samples().len()
-        } else {
-            0
-        };
-        let hit_tol = monitor.observe(now, relaxations, &x, &kernels);
-        if let Some(c) = ctrl.as_mut() {
-            if monitor.samples().len() > samples_before {
-                // Staleness-at-use on the monitor's grid: the oldest live
-                // worker's commit age in units of the fastest live worker's
-                // sweep period — the same coarse quantity both engines can
-                // measure, so decision sequences conform across them.
-                let mut fast = u64::MAX;
-                for v in 0..t {
-                    if !c.is_shed(v) && period[v] > 0 {
-                        fast = fast.min(period[v]);
-                    }
-                }
-                let mut worst = 0usize;
-                let mut staleness = 0.0f64;
-                if fast != u64::MAX {
-                    for v in 0..t {
-                        if c.is_shed(v) {
-                            continue;
-                        }
-                        let age = (tick - last_commit[v]) as f64 / fast as f64;
-                        if age > staleness {
-                            staleness = age;
-                            worst = v;
-                        }
-                    }
-                }
-                let residual = monitor.samples().last().map_or(f64::NAN, |s| s.residual);
-                if let Some(d) = c.observe(Observation {
-                    residual,
-                    staleness,
-                    worst,
-                }) {
-                    method = Controller::retune(method, &d);
-                    if let Some(o) = obs.as_mut() {
-                        o.event(0, tick, decision_kind(&d));
-                    }
-                    if c.rescue_requested() {
-                        // Stop here; the driver escalates to an outer rescue.
-                        done = true;
-                    }
-                }
-            }
-        }
-        match config.stop {
-            StopRule::Tolerance => {
-                if hit_tol {
-                    done = true;
-                }
-            }
-            StopRule::FixedIterations(k) => {
-                if iterations.iter().all(|&it| it >= k) {
-                    done = true;
-                }
-            }
-            StopRule::Unmonitored => {}
-        }
-        if !done && iterations[w] < config.max_iterations {
-            let c = draw_cost(w, &mut jitters);
-            queue.push(Reverse((tick + c, order, w)));
-            order += 1;
+        run.relaxations += swept as u64;
+        run.commit(w, tick, Reads::Commits(&neighbours));
+        let hit_tol = run.observe(tick, &x, &kernels);
+        run.done |= config.stop.met(hit_tol, iterations.iter().copied());
+        if !run.done && iterations[w] < config.max_iterations {
+            run.schedule(w, tick, w);
         }
     }
-    monitor.finalize(now, relaxations, &x, &kernels);
-    let converged = monitor.converged();
-    let obs_snapshot = obs.map(|o| {
-        let mut snap = o.into_snapshot(None);
-        snap.set_counter("relaxations", relaxations);
-        snap.set_counter(&format!("method/{}", config.method.name()), 1);
-        snap.set_counter("workers", t as u64);
-        snap.set_gauge("sim_time", now);
-        snap.set_gauge(
-            "final_residual",
-            monitor.samples().last().map_or(f64::NAN, |s| s.residual),
-        );
-        snap
-    });
-    SimOutcome {
-        samples: monitor.into_samples(),
-        x,
-        time: now,
-        relaxations,
-        worker_iterations: iterations,
-        converged,
-        termination: None,
-        comm: Default::default(),
-        faults: None,
-        obs: obs_snapshot,
-        control: ctrl.map(Controller::into_stats),
+    run.finish(x, &kernels, iterations, "workers", None)
+}
+
+/// For each row block, the blocks owning the off-block columns its rows
+/// touch, in ascending order.
+fn neighbours(a: &CsrMatrix, ranges: &[Range<usize>]) -> Vec<Vec<usize>> {
+    let mut owner = vec![0usize; a.nrows()];
+    for (w, r) in ranges.iter().enumerate() {
+        owner[r.clone()].fill(w);
     }
+    ranges
+        .iter()
+        .enumerate()
+        .map(|(w, r)| {
+            let owners = r.clone().flat_map(|i| a.row_indices(i)).map(|&j| owner[j]);
+            let set: BTreeSet<usize> = owners.filter(|&v| v != w).collect();
+            set.into_iter().collect()
+        })
+        .collect()
 }
 
 /// Runs asynchronous Jacobi at **row granularity** with the paper's §V
@@ -403,6 +271,9 @@ pub fn run_shmem_async(
 /// propagation matrices; it shrinks (relative to everything else) as rows
 /// per worker shrink, reproducing the paper's Figure 2 trend of the
 /// propagated fraction growing with thread count.
+///
+/// # Panics
+/// Panics unless [`ShmemSimConfig::method`] is plain Jacobi.
 pub fn run_shmem_async_traced(
     a: &CsrMatrix,
     b: &[f64],
@@ -418,6 +289,9 @@ pub fn run_shmem_async_traced(
 /// when within-window read freshness matters to convergence (e.g. the
 /// Figure 6 divergence-rescue experiment, which probes the Jacobi↔
 /// Gauss–Seidel boundary), at ~2 events per row per iteration.
+///
+/// # Panics
+/// Panics unless [`ShmemSimConfig::method`] is plain Jacobi.
 pub fn run_shmem_async_rowwise(
     a: &CsrMatrix,
     b: &[f64],
@@ -434,31 +308,19 @@ fn rowwise_impl(
     config: &ShmemSimConfig,
     mut sink: Option<&mut Vec<RelaxationEvent>>,
 ) -> SimOutcome {
-    let n = a.nrows();
+    assert!(
+        matches!(config.method, ResolvedMethod::Jacobi),
+        "the row-wise engine runs plain Jacobi weighted by omega, not {}",
+        config.method.name()
+    );
     let t = config.num_threads;
-    assert!(t > 0 && t <= n, "need 1 ≤ threads ≤ rows");
-    assert_eq!(b.len(), n);
-    assert_eq!(x0.len(), n);
-    let diag_inv: Vec<f64> = a
-        .diagonal()
-        .iter()
-        .map(|d| {
-            assert!(*d != 0.0, "zero diagonal");
-            1.0 / d
-        })
-        .collect();
-    let ranges = block_ranges(n, t);
-    let block_nnz: Vec<usize> = ranges
-        .iter()
-        .map(|r| r.clone().map(|i| a.row_nnz(i)).sum())
-        .collect();
+    let (ranges, diag_inv) = blocks(a, b, x0, t);
+    let spec = spec!(config);
+    let mut pacing = Pacing::new(&spec, block_nnz(a, &ranges), config.cost.compute_oversub(t));
 
     let mut x = x0.to_vec();
-    let mut versions = vec![0u64; n];
+    let mut versions = vec![0u64; a.nrows()];
     let mut seq = 0u64;
-    let mut jitters: Vec<WorkerJitter> = (0..t)
-        .map(|w| WorkerJitter::new(&config.cost.jitter, w))
-        .collect();
     let mut iterations = vec![0u64; t];
     // Sub-event cursor: 0..m are phase-1 reads, m..2m are phase-2 writes.
     let mut cursor = vec![0usize; t];
@@ -467,62 +329,35 @@ fn rowwise_impl(
     // the propagated fraction; 80/20 reflects the relative work of the two
     // phases in the paper's solver structure.
     const PHASE1_FRAC: f64 = 0.8;
-    let mut read_step = vec![0.0f64; t];
-    let mut write_step = vec![0.0f64; t];
-    // Ticks of per-iteration overhead (loop bookkeeping plus the §V
-    // convergence check, which scans the whole residual array and performs
-    // no writes to x). The overhead precedes the relax phases, so reads and
-    // writes cluster in the window's tail — as they do in the real solver.
-    let mut overhead = vec![0.0f64; t];
+    // Each worker's current window as (overhead, read step, write step).
+    // The overhead (loop bookkeeping plus the §V convergence check, which
+    // scans the whole residual array and performs no writes to x) precedes
+    // the relax phases, so reads and writes cluster in the window's tail —
+    // as they do in the real solver.
+    let mut window = |w: usize| {
+        let (overhead, compute) = pacing.window(w);
+        let m = ranges[w].len() as f64;
+        let read = PHASE1_FRAC * compute / m;
+        (overhead, read, (1.0 - PHASE1_FRAC) * compute / m)
+    };
+    let mut steps: Vec<(f64, f64, f64)> = (0..t).map(&mut window).collect();
     // Phase-1 buffers: staged (new value, reads) per row of the block.
     type StagedRow = (f64, Vec<(usize, u64)>);
     let mut staged: Vec<Vec<StagedRow>> =
         ranges.iter().map(|r| Vec::with_capacity(r.len())).collect();
     let mut relaxations = 0u64;
     let whole = whole_csr_kernel(a);
-    let mut monitor = ResidualMonitor::new(a, b, config.norm, config.tol, config.sample_every)
-        .with_samples(config.stop != StopRule::Unmonitored);
+    let mut monitor = spec.monitor(a, b);
     monitor.observe(0.0, 0, &x, &whole);
 
-    // Returns (overhead ticks, compute ticks) for one iteration of worker w.
-    let draw_window =
-        |w: usize, jitters: &mut [WorkerJitter], block_nnz: &[usize], config: &ShmemSimConfig| {
-            let f = jitters[w].next_factor() * config.cost.compute_oversub(t);
-            let mut over = config.cost.per_iteration * f;
-            if let Some(d) = config.delay {
-                if d.worker == w {
-                    over += d.extra_ticks;
-                }
-            }
-            let compute = (config.cost.per_nonzero * block_nnz[w] as f64 * f).max(1.0);
-            (over, compute)
-        };
-
-    // (tick, insertion order, worker)
-    let mut queue: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut order = 0u64;
-    for w in 0..t {
-        let (over, compute) = draw_window(w, &mut jitters, &block_nnz, config);
-        let m = ranges[w].len() as f64;
-        overhead[w] = over;
-        read_step[w] = PHASE1_FRAC * compute / m;
-        write_step[w] = (1.0 - PHASE1_FRAC) * compute / m;
-        queue.push(Reverse((
-            ((over + read_step[w]) * TICK_SCALE).max(1.0) as u64,
-            order,
-            w,
-        )));
-        order += 1;
+    let mut queue = EventQueue::new();
+    for (w, &(overhead, read, _)) in steps.iter().enumerate() {
+        queue.push(ticks(overhead + read), w);
     }
-
     let mut now = 0.0f64;
-    while let Some(Reverse((tick, _, w))) = queue.pop() {
+    while let Some((tick, w)) = queue.pop_until(config.max_time) {
         now = tick as f64 / TICK_SCALE;
-        if now > config.max_time {
-            break;
-        }
         let m = ranges[w].len();
-        let mut stop = false;
         if cursor[w] < m {
             // Phase 1: residual read for row p.
             let i = ranges[w].start + cursor[w];
@@ -568,53 +403,27 @@ fn rowwise_impl(
             staged[w].clear();
             iterations[w] += 1;
             let hit_tol = monitor.observe(now, relaxations, &x, &whole);
-            stop = match config.stop {
-                StopRule::Tolerance => hit_tol,
-                StopRule::FixedIterations(k) => iterations.iter().all(|&it| it >= k),
-                StopRule::Unmonitored => false,
-            };
-            if !stop && iterations[w] < config.max_iterations {
-                let (over, compute) = draw_window(w, &mut jitters, &block_nnz, config);
-                overhead[w] = over;
-                read_step[w] = PHASE1_FRAC * compute / m as f64;
-                write_step[w] = (1.0 - PHASE1_FRAC) * compute / m as f64;
-            } else if !stop {
+            if spec.stop.met(hit_tol, iterations.iter().copied()) {
+                break;
+            }
+            if iterations[w] >= config.max_iterations {
                 continue; // worker retires at its iteration cap
             }
-        }
-        if stop {
-            break;
+            steps[w] = window(w);
         }
         // First read of a fresh iteration pays the overhead phase first.
+        let (overhead, read, write) = steps[w];
         let step = if cursor[w] == 0 {
-            overhead[w] + read_step[w]
+            overhead + read
         } else if cursor[w] < m {
-            read_step[w]
+            read
         } else {
-            write_step[w]
+            write
         };
-        queue.push(Reverse((
-            tick + ((step * TICK_SCALE).max(1.0) as u64),
-            order,
-            w,
-        )));
-        order += 1;
+        queue.push(tick + ticks(step), w);
     }
     monitor.finalize(now, relaxations, &x, &whole);
-    let converged = monitor.converged();
-    SimOutcome {
-        samples: monitor.into_samples(),
-        x,
-        time: now,
-        relaxations,
-        worker_iterations: iterations,
-        converged,
-        termination: None,
-        comm: Default::default(),
-        faults: None,
-        obs: None,
-        control: None,
-    }
+    SimOutcome::new(monitor, x, now, relaxations, iterations)
 }
 
 /// Runs the **synchronous** simulated shared-memory solver: lock-step
@@ -624,104 +433,12 @@ pub fn run_shmem_sync(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemSimCon
     let n = a.nrows();
     let t = config.num_threads;
     assert!(t > 0 && t <= n, "need 1 ≤ threads ≤ rows");
-    let block_nnz: Vec<usize> = block_ranges(n, t)
-        .iter()
-        .map(|r| r.clone().map(|i| a.row_nnz(i)).sum())
-        .collect();
-    let mut jitters: Vec<WorkerJitter> = (0..t)
-        .map(|w| WorkerJitter::new(&config.cost.jitter, w))
-        .collect();
+    let spec = spec!(config);
+    let nnz = block_nnz(a, &aj_linalg::util::even_ranges(n, t));
+    let mut pacing = Pacing::new(&spec, nnz, config.cost.compute_oversub(t));
     let barrier = config.cost.barrier_cost(t);
-    let lockstep = Lockstep {
-        method: config.method.fold_omega(config.omega),
-        norm: config.norm,
-        tol: config.tol,
-        sample_every: config.sample_every,
-        stop: config.stop,
-        max_time: config.max_time,
-        max_iterations: config.max_iterations,
-    };
-    run_lockstep(a, b, x0, &lockstep, t, || {
-        // Slowest worker (plus injected delay) sets the pace.
-        let oversub = config.cost.compute_oversub(t);
-        let mut slowest = 0.0f64;
-        for w in 0..t {
-            let mut cost =
-                config.cost.sweep_cost(block_nnz[w]) * jitters[w].next_factor() * oversub;
-            if let Some(d) = config.delay {
-                if d.worker == w {
-                    cost += d.extra_ticks;
-                }
-            }
-            slowest = slowest.max(cost);
-        }
-        slowest + barrier
-    })
-}
-
-/// What the lock-step loop reads from a synchronous simulator's
-/// configuration.
-pub(crate) struct Lockstep {
-    /// The method with the legacy ω already folded in.
-    pub method: ResolvedMethod,
-    pub norm: Norm,
-    pub tol: f64,
-    pub sample_every: u64,
-    pub stop: StopRule,
-    pub max_time: f64,
-    pub max_iterations: u64,
-}
-
-/// The loop both synchronous simulators run: one whole-matrix
-/// [`SyncStep`] per iteration, `duration()` simulated ticks each, for
-/// `workers` workers or ranks. The monitor samples the residual the step
-/// relaxes from, so a run of `k` iterations takes `k + 1` residual passes
-/// (`k` under [`StopRule::Unmonitored`]) and is bit-identical to
-/// [`aj_linalg::method::method_solve`].
-pub(crate) fn run_lockstep(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    cfg: &Lockstep,
-    workers: usize,
-    mut duration: impl FnMut() -> f64,
-) -> SimOutcome {
-    let diag_inv: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
-    let mut step = SyncStep::new(a, b, &diag_inv, cfg.method, x0);
-    let mut monitor = ResidualMonitor::new(a, b, cfg.norm, cfg.tol, cfg.sample_every)
-        .with_samples(cfg.stop != StopRule::Unmonitored);
-    monitor.observe_step(0.0, 0, &mut step);
-    let mut now = 0.0f64;
-    let mut iters = 0u64;
-    let mut relaxations = 0u64;
-    loop {
-        let stop = match cfg.stop {
-            StopRule::Tolerance => monitor.converged(),
-            StopRule::FixedIterations(k) => iters >= k,
-            StopRule::Unmonitored => false,
-        };
-        if stop || now > cfg.max_time || iters >= cfg.max_iterations {
-            break;
-        }
-        now += duration();
-        relaxations += step.step() as u64;
-        iters += 1;
-        monitor.observe_step(now, relaxations, &mut step);
-    }
-    monitor.finalize_step(now, relaxations, &mut step);
-    SimOutcome {
-        converged: monitor.converged(),
-        samples: monitor.into_samples(),
-        x: step.into_x(),
-        time: now,
-        relaxations,
-        worker_iterations: vec![iters; workers],
-        termination: None,
-        comm: Default::default(),
-        faults: None,
-        obs: None,
-        control: None,
-    }
+    // The slowest worker (plus injected delay) sets the pace.
+    run_lockstep(a, b, x0, &spec, t, || pacing.slowest() + barrier)
 }
 
 #[cfg(test)]
@@ -848,6 +565,15 @@ mod tests {
         assert_eq!(out.x, x0);
         let (out_rw, _) = run_shmem_async_traced(&a, &b, &x0, &cfg);
         assert_eq!(out_rw.x, x0);
+    }
+
+    #[test]
+    #[should_panic(expected = "row-wise engine runs plain Jacobi")]
+    fn rowwise_engine_rejects_a_method_it_would_ignore() {
+        let (a, b, x0) = fd68();
+        let mut cfg = ShmemSimConfig::new(4, 68, 1);
+        cfg.method = ResolvedMethod::Richardson1 { omega: 0.9 };
+        run_shmem_async_rowwise(&a, &b, &x0, &cfg);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub fn weighted_jacobi_iteration(
 ///
 /// # Errors
 /// [`LinalgError::ZeroDiagonal`] naming the first row whose diagonal is 0.
-pub(crate) fn inverse_diagonal(a: &CsrMatrix) -> Result<Vec<f64>, LinalgError> {
+pub fn inverse_diagonal(a: &CsrMatrix) -> Result<Vec<f64>, LinalgError> {
     a.diagonal()
         .iter()
         .enumerate()

@@ -3,10 +3,11 @@
 //! Real-thread shared-memory synchronous and asynchronous Jacobi, following
 //! the paper's §V implementation:
 //!
-//! * the solution `x` and residual `r` live in shared arrays; every thread
-//!   owns a contiguous block of rows (its subdomain);
+//! * the solution `x` lives in a shared array; every thread owns a
+//!   contiguous block of rows (its subdomain) and keeps their residuals
+//!   `r` private;
 //! * one step is `r = b − Ax` over owned rows, then `x += D⁻¹ r`, then a
-//!   convergence check;
+//!   convergence check on `‖b − Ax‖` over the shared `x`;
 //! * the synchronous variant inserts a barrier after the residual and the
 //!   convergence check; the asynchronous variant has no barriers and reads
 //!   "whatever information is available" (Baudet's racy scheme);

@@ -45,10 +45,6 @@ pub struct ShmemConfig {
     pub mode: Mode,
     /// Optional per-iteration delay of one thread.
     pub delay: Option<DelayInjection>,
-    /// Convergence test source: `false` (default) evaluates `‖b − Ax‖` from
-    /// the shared `x`; `true` uses the paper's shared-residual-array norm,
-    /// which is only reliable when every thread has its own core.
-    pub residual_from_shared_r: bool,
     /// Relaxation weight ω (1.0 = plain Jacobi).
     pub omega: f64,
     /// Relaxation method (see [`aj_linalg::method`]). The default
@@ -90,7 +86,6 @@ impl Default for ShmemConfig {
             norm: Norm::L1,
             mode: Mode::Asynchronous,
             delay: None,
-            residual_from_shared_r: false,
             omega: 1.0,
             method: ResolvedMethod::Jacobi,
             format: StorageFormat::Csr,
@@ -127,10 +122,10 @@ pub struct ShmemRun {
 ///
 /// ```text
 /// loop {
-///     r[mine] = b[mine] − (A x)[mine]     // reads shared x
+///     r = b[mine] − (A x)[mine]           // thread-private; reads shared x
 ///     [barrier if synchronous]
-///     x[mine] += D⁻¹ r[mine]
-///     check convergence (‖r‖/‖b‖ from the shared residual array)
+///     x[mine] += D⁻¹ r
+///     check convergence (‖b − A x‖/‖b‖ over the shared x)
 ///     [barrier if synchronous]
 /// }
 /// ```
@@ -155,19 +150,11 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
     if let Some(d) = config.delay {
         assert!(d.thread < t, "delayed thread {} out of range", d.thread);
     }
-    let diag_inv: Vec<f64> = a
-        .diagonal()
-        .iter()
-        .map(|d| {
-            assert!(*d != 0.0, "zero diagonal");
-            1.0 / d
-        })
-        .collect();
+    let diag_inv = aj_linalg::sweeps::inverse_diagonal(a).expect("zero diagonal");
 
     let ranges = aj_linalg::util::even_ranges(n, t);
 
     let x = SharedVec::from_slice(x0);
-    let r = SharedVec::zeros(n);
     let flags: Vec<AtomicBool> = (0..t).map(|_| AtomicBool::new(false)).collect();
     let iter_counts: Vec<AtomicU64> = (0..t).map(|_| AtomicU64::new(0)).collect();
     let barrier = Barrier::new(t);
@@ -204,7 +191,6 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
         for tid in 0..t {
             let range = ranges[tid].clone();
             let x = &x;
-            let r = &r;
             let flags = &flags;
             let iter_counts = &iter_counts;
             let barrier = &barrier;
@@ -284,9 +270,6 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                             res[offset] = b[i] - acc;
                         }
                     }
-                    for (offset, i) in range.clone().enumerate() {
-                        r.store(i, res[offset]);
-                    }
                     if config.mode == Mode::Synchronous {
                         barrier.wait();
                     }
@@ -315,73 +298,32 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                     iters += 1;
                     iter_counts[tid].store(iters as u64, Ordering::Relaxed);
 
-                    // Step 3: convergence test. The paper takes the norm of the
-                    // shared residual array; on a machine with fewer cores
-                    // than threads, long scheduler timeslices leave other
-                    // threads' residual rows arbitrarily stale, and the
-                    // stale-r test terminates runs that have not converged.
-                    // We therefore evaluate ‖b − A·x‖ from the *shared x*,
-                    // which is exactly what the shared-r norm approximates
-                    // when threads genuinely run concurrently (the shared-r
-                    // variant remains available via `residual_from_shared_r`
-                    // for fidelity experiments on multicore hosts).
-                    let res = {
-                        let mut acc = 0.0;
-                        if config.residual_from_shared_r {
-                            match config.norm {
-                                Norm::L1 => {
-                                    for i in 0..r.len() {
-                                        acc += r.load(i).abs();
-                                    }
-                                }
-                                Norm::L2 => {
-                                    for i in 0..r.len() {
-                                        let v = r.load(i);
-                                        acc += v * v;
-                                    }
-                                    acc = acc.sqrt();
-                                }
-                                Norm::Inf => {
-                                    for i in 0..r.len() {
-                                        acc = vecops::max_nan(acc, r.load(i).abs());
-                                    }
-                                }
-                            }
-                        } else {
-                            match config.norm {
-                                Norm::L1 => {
-                                    for i in 0..n {
-                                        let mut row = 0.0;
-                                        for (j, v) in a.row_iter(i) {
-                                            row += v * x.load(j);
-                                        }
-                                        acc += (b[i] - row).abs();
-                                    }
-                                }
-                                Norm::L2 => {
-                                    for i in 0..n {
-                                        let mut row = 0.0;
-                                        for (j, v) in a.row_iter(i) {
-                                            row += v * x.load(j);
-                                        }
-                                        let d = b[i] - row;
-                                        acc += d * d;
-                                    }
-                                    acc = acc.sqrt();
-                                }
-                                Norm::Inf => {
-                                    for i in 0..n {
-                                        let mut row = 0.0;
-                                        for (j, v) in a.row_iter(i) {
-                                            row += v * x.load(j);
-                                        }
-                                        acc = vecops::max_nan(acc, (b[i] - row).abs());
-                                    }
-                                }
-                            }
+                    // Step 3: convergence test. The paper takes the norm of
+                    // the shared residual array; on a machine with fewer
+                    // cores than threads, long scheduler timeslices leave
+                    // other threads' residual rows arbitrarily stale, and
+                    // the stale-r test terminates runs that have not
+                    // converged. We therefore evaluate ‖b − A·x‖ from the
+                    // *shared x*, which is exactly what the shared-r norm
+                    // approximates when threads genuinely run concurrently.
+                    // One pass over the rows; the ∞-norm keeps a NaN row.
+                    let mut acc = 0.0f64;
+                    for i in 0..n {
+                        let mut row = 0.0;
+                        for (j, v) in a.row_iter(i) {
+                            row += v * x.load(j);
                         }
-                        acc / nb
-                    };
+                        let d = (b[i] - row).abs();
+                        acc = match config.norm {
+                            Norm::L1 => acc + d,
+                            Norm::L2 => acc + d * d,
+                            Norm::Inf => vecops::max_nan(acc, d),
+                        };
+                    }
+                    if config.norm == Norm::L2 {
+                        acc = acc.sqrt();
+                    }
+                    let res = acc / nb;
                     if tid == 0 {
                         history.lock().push((start.elapsed().as_secs_f64(), res));
                     }

@@ -1,7 +1,9 @@
 //! Cross-crate integration: every backend must solve the same problem and
 //! agree with the others.
 
-use async_jacobi_repro::dmsim::shmem_sim::{run_shmem_async, run_shmem_sync, ShmemSimConfig};
+use async_jacobi_repro::dmsim::shmem_sim::{
+    run_shmem_async, run_shmem_async_rowwise, run_shmem_sync, ShmemSimConfig,
+};
 use async_jacobi_repro::dmsim::{run_dist_async, run_dist_sync, DistConfig};
 use async_jacobi_repro::linalg::method::{method_solve, ResolvedMethod};
 use async_jacobi_repro::linalg::sweeps;
@@ -322,4 +324,35 @@ fn model_gs_masks_match_linalg_gauss_seidel_solver() {
         (model_sweeps as i64 - gs_sweeps as i64).abs() <= 1,
         "model sweeps {model_sweeps} vs GS sweeps {gs_sweeps}"
     );
+}
+
+#[test]
+fn async_engines_stop_at_the_time_horizon() {
+    // Horizons a few sweeps in, with a tolerance no run meets: every
+    // asynchronous engine must stop at its last event inside the horizon,
+    // not stamp its outcome and final sample with the first one past it.
+    let a = async_jacobi_repro::matrices::fd::laplacian_2d(16, 16);
+    let p = Problem::from_matrix("fd-16x16", a, 2018).unwrap();
+    let n = p.n();
+    let mut shmem = ShmemSimConfig::new(4, n, 2018);
+    shmem.tol = 0.0;
+    shmem.max_time = 500.0;
+    let mut dist = DistConfig::new(n, 2018);
+    dist.tol = 0.0;
+    dist.max_time = 5_000.0;
+    let part = block_partition(n, 4);
+    let (a, b, x0) = (&p.a, &p.b, &p.x0);
+    for (engine, out, horizon) in [
+        ("block", run_shmem_async(a, b, x0, &shmem), 500.0),
+        ("row-wise", run_shmem_async_rowwise(a, b, x0, &shmem), 500.0),
+        ("dist", run_dist_async(a, b, x0, &part, &dist), 5_000.0),
+    ] {
+        let last = out.samples.last().expect("a final sample").time;
+        assert!(out.relaxations > 0, "{engine}: no sweep inside the horizon");
+        assert!(
+            out.time <= horizon && last <= horizon,
+            "{engine}: stopped at {} with its last sample at {last}, past the horizon {horizon}",
+            out.time
+        );
+    }
 }
