@@ -194,13 +194,10 @@ fn bench_reconstruction(c: &mut Criterion) {
     });
 }
 
-fn bench_orderings_and_krylov(c: &mut Criterion) {
+fn bench_solvers(c: &mut Criterion) {
     let p = Problem::paper_fd("fd4624", 1).unwrap();
-    let mut g = c.benchmark_group("orderings_krylov");
+    let mut g = c.benchmark_group("solvers");
     g.sample_size(10);
-    g.bench_function("rcm_fd4624", |b| {
-        b.iter(|| aj_core::partition::reverse_cuthill_mckee(black_box(&p.a)));
-    });
     g.bench_function("multigrid_vcycle_31x31", |b| {
         // One aj-outer V-cycle over the sequential reference smoother,
         // damped Jacobi at ω = 2/3, with the hierarchy built once.
@@ -258,6 +255,6 @@ fn bench_eigen(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_spmv, bench_relaxation, bench_sweep_kernel, bench_model_step, bench_residual, bench_event_queue, bench_event_engine, bench_partitioning, bench_reconstruction, bench_orderings_and_krylov, bench_eigen
+    targets = bench_spmv, bench_relaxation, bench_sweep_kernel, bench_model_step, bench_residual, bench_event_queue, bench_event_engine, bench_partitioning, bench_reconstruction, bench_solvers, bench_eigen
 }
 criterion_main!(kernels);

@@ -478,7 +478,6 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
                 tol: opts.tol,
                 max_iterations: opts.max_iterations as usize,
                 norm: opts.norm,
-                mode: aj_shmem::Mode::Asynchronous,
                 omega: opts.omega,
                 method,
                 format,

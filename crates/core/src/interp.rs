@@ -42,17 +42,6 @@ pub fn time_to_reduction(curve: &[(f64, f64)], factor: f64) -> Option<f64> {
     crossing_log10(curve, first * factor)
 }
 
-/// Geometric mean of the per-`x` residual reduction rate over a curve
-/// (a scalar summary of a convergence curve's slope).
-pub fn mean_reduction_rate(curve: &[(f64, f64)]) -> Option<f64> {
-    let (x0, r0) = *curve.first()?;
-    let (x1, r1) = *curve.last()?;
-    if x1 <= x0 || r0 <= 0.0 || r1 <= 0.0 {
-        return None;
-    }
-    Some((r1 / r0).powf(1.0 / (x1 - x0)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,13 +71,5 @@ mod tests {
     fn degenerate_inputs() {
         assert_eq!(crossing_log10(&[], 0.5), None);
         assert_eq!(crossing_log10(&[(0.0, 1.0)], 0.0), None);
-        assert_eq!(mean_reduction_rate(&[]), None);
-    }
-
-    #[test]
-    fn mean_rate_of_geometric_decay() {
-        let curve: Vec<(f64, f64)> = (0..=10).map(|k| (k as f64, 0.5f64.powi(k))).collect();
-        let rate = mean_reduction_rate(&curve).unwrap();
-        assert!((rate - 0.5).abs() < 1e-12);
     }
 }

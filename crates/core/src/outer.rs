@@ -176,7 +176,6 @@ impl Smoother for EngineSmoother {
                     tol: 0.0,
                     max_iterations: steps,
                     norm: self.norm,
-                    mode: aj_shmem::Mode::Asynchronous,
                     method,
                     format: self.format,
                     obs: self.obs,

@@ -358,10 +358,15 @@ pub(crate) fn run_lockstep(
     let mut relaxations = 0u64;
     loop {
         let stop = spec.stop.met(monitor.converged(), [iters]);
-        if stop || now > spec.max_time || iters >= spec.max_iterations {
+        if stop || iters >= spec.max_iterations {
             break;
         }
-        now += duration();
+        // An iteration that would end past the horizon does not run.
+        let end = now + duration();
+        if end > spec.max_time {
+            break;
+        }
+        now = end;
         relaxations += step.step() as u64;
         iters += 1;
         monitor.observe_step(now, relaxations, &mut step);

@@ -402,26 +402,6 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Row scaling `D^{-1} A` (the Jacobi-preconditioned operator for
-    /// non-symmetric use). Requires a nonzero diagonal.
-    pub fn scale_rows_by_inverse_diagonal(&self) -> Result<CsrMatrix, LinalgError> {
-        let diag = self.diagonal();
-        for (i, &d) in diag.iter().enumerate() {
-            if d == 0.0 {
-                return Err(LinalgError::ZeroDiagonal { row: i });
-            }
-        }
-        let mut out = self.clone();
-        for i in 0..self.nrows {
-            let (start, end) = (self.indptr[i], self.indptr[i + 1]);
-            let inv = 1.0 / diag[i];
-            for k in start..end {
-                out.values[k] *= inv;
-            }
-        }
-        Ok(out)
-    }
-
     /// The principal submatrix `A[keep, keep]`, with rows/columns renumbered
     /// in the order given by `keep`. Used for the §IV-C/D interlacing
     /// analysis of delayed-row propagation matrices.
@@ -461,13 +441,6 @@ impl CsrMatrix {
             indices,
             values,
         }
-    }
-
-    /// Symmetric permutation `P A Pᵀ` where row `i` of the result is row
-    /// `perm[i]` of the input (and likewise for columns).
-    pub fn permute_symmetric(&self, perm: &[usize]) -> CsrMatrix {
-        assert_eq!(perm.len(), self.nrows);
-        self.principal_submatrix(perm)
     }
 
     /// Dense row-major copy; intended for small matrices in tests and the
@@ -557,11 +530,6 @@ impl CsrMatrix {
             col_sums[c] += self.values[k].abs();
         }
         col_sums.into_iter().fold(0.0, f64::max)
-    }
-
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 }
 
@@ -707,17 +675,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_permutation_reverses() {
-        let a = small();
-        let p = a.permute_symmetric(&[2, 1, 0]);
-        assert_eq!(p.get(0, 0), 2.0);
-        assert_eq!(p.get(0, 1), -1.0);
-        assert_eq!(p.get(0, 2), 0.0);
-        // Permuting back recovers the original.
-        assert_eq!(p.permute_symmetric(&[2, 1, 0]), a);
-    }
-
-    #[test]
     fn add_scaled_merges_patterns() {
         let a = small();
         let i = CsrMatrix::identity(3);
@@ -733,7 +690,6 @@ mod tests {
         let a = small();
         assert_eq!(a.norm_inf(), 4.0);
         assert_eq!(a.norm_one(), 4.0);
-        assert!((a.norm_fro() - (3.0 * 4.0 + 4.0 * 1.0f64).sqrt()).abs() < 1e-14);
     }
 
     #[test]

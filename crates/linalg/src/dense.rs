@@ -61,11 +61,6 @@ impl DenseMatrix {
         &self.data[i * self.ncols..(i + 1) * self.ncols]
     }
 
-    /// Mutable row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.ncols..(i + 1) * self.ncols]
-    }
-
     /// Underlying storage (row-major).
     pub fn as_slice(&self) -> &[f64] {
         &self.data

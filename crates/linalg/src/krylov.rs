@@ -1,13 +1,10 @@
-//! Krylov and polynomial accelerations: Conjugate Gradients and
-//! Chebyshev-accelerated Jacobi.
+//! Krylov baseline: Conjugate Gradients.
 //!
 //! The paper studies stationary methods because they parallelize without
 //! reductions; any downstream user will still want the classical
-//! synchronous baselines for context. CG is the standard SPD solver (one
+//! synchronous baseline for context. CG is the standard SPD solver (one
 //! global reduction per iteration — exactly the synchronization the paper
-//! is trying to escape), and Chebyshev acceleration is the classical way to
-//! speed up Jacobi *without* inner products when the spectrum bounds are
-//! known.
+//! is trying to escape).
 
 use crate::csr::CsrMatrix;
 use crate::error::LinalgError;
@@ -79,75 +76,6 @@ pub fn conjugate_gradient(
     })
 }
 
-/// Chebyshev-accelerated Jacobi for symmetric `A` whose scaled spectrum
-/// lies in `[lambda_min, lambda_max]` (for unit-diagonal SPD matrices,
-/// eigenvalues of `A` itself). Uses the standard three-term recurrence; no
-/// inner products, so — unlike CG — it needs *no reductions* beyond the
-/// convergence check, making it the natural synchronous competitor to
-/// asynchronous Jacobi.
-///
-/// # Errors
-/// [`LinalgError::InvalidStructure`] unless `0 < λ_min < λ_max` with both
-/// bounds finite — the SPD spectrum-bound contract. Swapped, nonpositive,
-/// NaN, or infinite bounds would otherwise drive θ/δ into NaN and the
-/// iteration would silently produce NaN iterates rather than fail.
-#[allow(clippy::too_many_arguments)] // spectrum bounds are inherent inputs
-pub fn chebyshev_jacobi(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    lambda_min: f64,
-    lambda_max: f64,
-    tol: f64,
-    max_iter: usize,
-    norm: Norm,
-) -> Result<IterativeResult, LinalgError> {
-    if !lambda_min.is_finite() || !lambda_max.is_finite() || lambda_min <= 0.0 {
-        return Err(LinalgError::InvalidStructure(format!(
-            "chebyshev spectrum bounds must be finite and positive for an SPD \
-             operator (got λ_min = {lambda_min}, λ_max = {lambda_max})"
-        )));
-    }
-    if lambda_min >= lambda_max {
-        return Err(LinalgError::InvalidStructure(format!(
-            "chebyshev spectrum bounds out of order: need λ_min < λ_max \
-             (got λ_min = {lambda_min} ≥ λ_max = {lambda_max})"
-        )));
-    }
-    let n = a.nrows();
-    let diag_inv: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
-    let theta = 0.5 * (lambda_max + lambda_min);
-    let delta = 0.5 * (lambda_max - lambda_min);
-    let sigma = theta / delta;
-    let nb = vecops::norm(b, norm).max(f64::MIN_POSITIVE);
-
-    let mut x = x0.to_vec();
-    let mut history = vec![vecops::norm(&a.residual(&x, b), norm) / nb];
-    // First step: damped Jacobi with 1/θ.
-    let mut r = a.residual(&x, b);
-    let mut d: Vec<f64> = (0..n).map(|i| diag_inv[i] * r[i] / theta).collect();
-    let mut rho_old = 1.0 / sigma;
-    for _ in 0..max_iter {
-        if *history.last().unwrap() < tol {
-            break;
-        }
-        vecops::axpy(1.0, &d, &mut x);
-        r = a.residual(&x, b);
-        history.push(vecops::norm(&r, norm) / nb);
-        let rho = 1.0 / (2.0 * sigma - rho_old);
-        for i in 0..n {
-            d[i] = rho * rho_old * d[i] + 2.0 * rho / delta * diag_inv[i] * r[i];
-        }
-        rho_old = rho;
-    }
-    let converged = *history.last().unwrap() < tol;
-    Ok(IterativeResult {
-        x,
-        history,
-        converged,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,33 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn chebyshev_beats_plain_jacobi_given_spectrum_bounds() {
-        let a = laplacian2d(10, 10).scale_to_unit_diagonal().unwrap();
-        let ext = crate::eigen::lanczos_extreme(&a, 100).unwrap();
-        let b: Vec<f64> = (0..100).map(|i| 0.01 * i as f64 - 0.5).collect();
-        let x0 = vec![0.0; 100];
-        let ch = chebyshev_jacobi(
-            &a,
-            &b,
-            &x0,
-            ext.min.max(1e-8),
-            ext.max,
-            1e-8,
-            10_000,
-            Norm::L2,
-        )
-        .unwrap();
-        assert!(ch.converged, "final {}", ch.history.last().unwrap());
-        let (_, jh) = sweeps::jacobi_solve(&a, &b, &x0, 1e-8, 100_000, Norm::L2).unwrap();
-        assert!(
-            ch.history.len() * 3 < jh.len(),
-            "Chebyshev {} iters vs Jacobi {}",
-            ch.history.len(),
-            jh.len()
-        );
-    }
-
-    #[test]
     fn cg_on_already_converged_start() {
         let a = laplacian2d(4, 4);
         let x_exact = vec![1.0; 16];
@@ -231,30 +132,5 @@ mod tests {
         let r = conjugate_gradient(&a, &b, &x_exact, 1e-10, 10, Norm::L2).unwrap();
         assert!(r.converged);
         assert_eq!(r.history.len(), 1);
-    }
-
-    #[test]
-    fn chebyshev_rejects_bad_bounds_with_error() {
-        let a = laplacian2d(3, 3);
-        let b = [1.0; 9];
-        let x0 = [0.0; 9];
-        // Swapped ordering, nonpositive λ_min, and non-finite bounds each
-        // fail with a descriptive error instead of NaN iterates.
-        for (lo, hi) in [
-            (2.0, 1.0),
-            (1.0, 1.0),
-            (0.0, 2.0),
-            (-1.0, 2.0),
-            (f64::NAN, 2.0),
-            (1.0, f64::INFINITY),
-        ] {
-            let r = chebyshev_jacobi(&a, &b, &x0, lo, hi, 1e-8, 10, Norm::L2);
-            match r {
-                Err(LinalgError::InvalidStructure(msg)) => {
-                    assert!(msg.contains("chebyshev"), "unhelpful message: {msg}")
-                }
-                other => panic!("bounds ({lo}, {hi}) accepted: {other:?}"),
-            }
-        }
     }
 }

@@ -12,13 +12,12 @@
 //!   ([`eigen`]),
 //! * vector kernels and the three norms the paper reports (`‖·‖₁`, `‖·‖₂`,
 //!   `‖·‖∞`; see [`vecops`]),
-//! * classic stationary sweeps used as references ([`sweeps`]), Krylov and
-//!   Chebyshev baselines ([`krylov`]),
+//! * classic stationary sweeps used as references ([`sweeps`]) and a
+//!   conjugate-gradient baseline ([`krylov`]),
 //! * pluggable block-sweep storage formats — scalar CSR and SIMD-friendly
-//!   SELL-C-σ — behind one [`SweepKernel`] ([`kernel`]), a reverse
-//!   Cuthill–McKee ordering ([`rcm`]), and
-//! * permutations / principal submatrices for the §IV-C/D interlacing
-//!   analysis ([`perm`], [`CsrMatrix::principal_submatrix`]).
+//!   SELL-C-σ — behind one [`SweepKernel`] ([`kernel`]), and
+//! * principal submatrices for the §IV-C/D interlacing analysis
+//!   ([`CsrMatrix::principal_submatrix`]).
 //!
 //! Everything operates on `f64`.
 
@@ -35,8 +34,6 @@ pub mod kernel;
 pub mod krylov;
 pub mod method;
 pub mod ops;
-pub mod perm;
-pub mod rcm;
 pub mod sweeps;
 pub mod util;
 pub mod vecops;

@@ -764,19 +764,7 @@ pub fn method_solve(
     max_iter: usize,
     norm: Norm,
 ) -> Result<MethodSolve, LinalgError> {
-    let diag = a.diagonal();
-    let diag_inv: Result<Vec<f64>, LinalgError> = diag
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            if d == 0.0 {
-                Err(LinalgError::ZeroDiagonal { row: i })
-            } else {
-                Ok(1.0 / d)
-            }
-        })
-        .collect();
-    let diag_inv = diag_inv?;
+    let diag_inv = sweeps::inverse_diagonal(a)?;
     let mut x_prev = x0.to_vec();
     let mut x = x0.to_vec();
     let mut x_next = vec![0.0; x.len()];

@@ -98,15 +98,6 @@ pub fn sor_sweep(a: &CsrMatrix, b: &[f64], diag_inv: &[f64], omega: f64, x: &mut
     }
 }
 
-/// One *backward* Gauss–Seidel sweep (descending row order); a forward then
-/// backward pair forms the symmetric Gauss–Seidel iteration.
-pub fn gauss_seidel_sweep_backward(a: &CsrMatrix, b: &[f64], diag_inv: &[f64], x: &mut [f64]) {
-    for i in (0..a.nrows()).rev() {
-        let r = b[i] - a.row_dot(i, x);
-        x[i] += diag_inv[i] * r;
-    }
-}
-
 /// Runs Gauss–Seidel to `tol`; same contract as [`jacobi_solve`].
 pub fn gauss_seidel_solve(
     a: &CsrMatrix,
@@ -295,18 +286,5 @@ mod tests {
         let gs = count_sweeps(1.0);
         let sor = count_sweeps(1.8);
         assert!(sor < gs, "SOR(1.8) {sor} sweeps vs GS {gs}");
-    }
-
-    #[test]
-    fn symmetric_gs_pair_converges() {
-        let a = laplacian(15);
-        let diag_inv: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
-        let b: Vec<f64> = (0..15).map(|i| (i as f64).sin()).collect();
-        let mut x = vec![0.0; 15];
-        for _ in 0..5_000 {
-            gauss_seidel_sweep(&a, &b, &diag_inv, &mut x);
-            gauss_seidel_sweep_backward(&a, &b, &diag_inv, &mut x);
-        }
-        assert!(a.relative_residual(&x, &b, Norm::L2) < 1e-10);
     }
 }

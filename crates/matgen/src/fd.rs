@@ -49,67 +49,6 @@ pub fn laplacian_2d_anisotropic(nx: usize, ny: usize, cx: f64, cy: f64) -> CsrMa
     coo.to_csr()
 }
 
-/// 2-D nine-point Laplacian (compact fourth-order stencil): diagonal 20/6,
-/// edge neighbours −4/6, corner neighbours −1/6 (scaled by 6 to stay
-/// integral: 20, −4, −1). Denser coupling than the 5-point stencil — a
-/// useful stress test for ghost layers (corner exchanges appear).
-pub fn laplacian_2d_9point(nx: usize, ny: usize) -> CsrMatrix {
-    let n = nx * ny;
-    let idx = |i: usize, j: usize| i * ny + j;
-    let mut coo = CooMatrix::with_capacity(n, n, 9 * n);
-    for i in 0..nx {
-        for j in 0..ny {
-            let me = idx(i, j);
-            coo.push(me, me, 20.0);
-            if i + 1 < nx {
-                coo.push_sym(me, idx(i + 1, j), -4.0);
-            }
-            if j + 1 < ny {
-                coo.push_sym(me, idx(i, j + 1), -4.0);
-            }
-            if i + 1 < nx && j + 1 < ny {
-                coo.push_sym(me, idx(i + 1, j + 1), -1.0);
-            }
-            if i + 1 < nx && j > 0 {
-                coo.push_sym(me, idx(i + 1, j - 1), -1.0);
-            }
-        }
-    }
-    coo.to_csr()
-}
-
-/// 3-D seven-point Laplacian with per-direction coefficients.
-pub fn laplacian_3d_anisotropic(
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    cx: f64,
-    cy: f64,
-    cz: f64,
-) -> CsrMatrix {
-    let n = nx * ny * nz;
-    let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
-    let mut coo = CooMatrix::with_capacity(n, n, 7 * n);
-    for i in 0..nx {
-        for j in 0..ny {
-            for k in 0..nz {
-                let me = idx(i, j, k);
-                coo.push(me, me, 2.0 * (cx + cy + cz));
-                if i + 1 < nx {
-                    coo.push_sym(me, idx(i + 1, j, k), -cx);
-                }
-                if j + 1 < ny {
-                    coo.push_sym(me, idx(i, j + 1, k), -cy);
-                }
-                if k + 1 < nz {
-                    coo.push_sym(me, idx(i, j, k + 1), -cz);
-                }
-            }
-        }
-    }
-    coo.to_csr()
-}
-
 /// 3-D seven-point Laplacian on an `nx × ny × nz` box grid.
 pub fn laplacian_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
     let n = nx * ny * nz;
@@ -279,27 +218,6 @@ mod tests {
         // Strictly dominant now, so Jacobi contracts in the ∞-norm.
         let g = aj_linalg::IterationMatrix::new(&a).to_csr();
         assert!(g.norm_inf() < 1.0);
-    }
-
-    #[test]
-    fn nine_point_interior_row_has_nine_nonzeros() {
-        let a = laplacian_2d_9point(5, 5);
-        assert_eq!(a.row_nnz(12), 9); // center of a 5×5 grid
-        assert!(a.is_symmetric(0.0));
-        assert!(a.is_weakly_diagonally_dominant()); // 20 ≥ 4·4 + 4·1
-        let ext = aj_linalg::eigen::lanczos_extreme(&a, 25).unwrap();
-        assert!(ext.min > 0.0);
-    }
-
-    #[test]
-    fn anisotropic_3d_reduces_to_isotropic() {
-        assert_eq!(
-            laplacian_3d_anisotropic(3, 4, 5, 1.0, 1.0, 1.0),
-            laplacian_3d(3, 4, 5)
-        );
-        let c = laplacian_3d_anisotropic(3, 3, 3, 5.0, 1.0, 1.0);
-        assert_eq!(c.get(0, 0), 14.0);
-        assert!(c.is_weakly_diagonally_dominant());
     }
 
     #[test]

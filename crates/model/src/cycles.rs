@@ -13,7 +13,7 @@
 use crate::mask::ActiveMask;
 use crate::propagation::apply_step_weighted;
 use aj_linalg::ops::LinearOperator;
-use aj_linalg::{eigen, CsrMatrix, LinalgError};
+use aj_linalg::{eigen, sweeps, CsrMatrix, LinalgError};
 
 /// The linear period map `e ↦ T e` of a mask sequence (error propagation
 /// through one period, `b = 0`).
@@ -31,18 +31,7 @@ impl<'a> PeriodOperator<'a> {
     /// [`LinalgError::ZeroDiagonal`] when a diagonal entry vanishes.
     pub fn new(a: &'a CsrMatrix, masks: &'a [ActiveMask], omega: f64) -> Result<Self, LinalgError> {
         assert!(!masks.is_empty(), "need at least one mask per period");
-        let diag_inv: Vec<f64> = a
-            .diagonal()
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| {
-                if d == 0.0 {
-                    Err(LinalgError::ZeroDiagonal { row: i })
-                } else {
-                    Ok(1.0 / d)
-                }
-            })
-            .collect::<Result<_, _>>()?;
+        let diag_inv = sweeps::inverse_diagonal(a)?;
         Ok(PeriodOperator {
             a,
             masks,
@@ -83,7 +72,6 @@ pub fn period_spectral_radius(
 mod tests {
     use super::*;
     use crate::gs_equiv;
-    use aj_linalg::sweeps;
     use aj_matrices::fd;
 
     fn unit_fd(nx: usize, ny: usize) -> CsrMatrix {

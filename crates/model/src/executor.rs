@@ -9,6 +9,7 @@
 use crate::propagation::apply_method_step;
 use crate::schedule::DelaySchedule;
 use aj_linalg::method::{method_iteration, ResolvedMethod};
+use aj_linalg::sweeps;
 use aj_linalg::vecops::{self, Norm};
 use aj_linalg::{CsrMatrix, LinalgError};
 
@@ -42,20 +43,6 @@ impl ModelRun {
     pub fn final_residual(&self) -> f64 {
         self.residual_history.last().map_or(f64::NAN, |&(_, r)| r)
     }
-}
-
-fn diag_inv_of(a: &CsrMatrix) -> Result<Vec<f64>, LinalgError> {
-    a.diagonal()
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            if d == 0.0 {
-                Err(LinalgError::ZeroDiagonal { row: i })
-            } else {
-                Ok(1.0 / d)
-            }
-        })
-        .collect()
 }
 
 /// Runs the **asynchronous** model: at step `k` the schedule's mask is
@@ -107,7 +94,7 @@ pub fn run_async_model_method(
     norm: Norm,
 ) -> Result<ModelRun, LinalgError> {
     let n = a.nrows();
-    let diag_inv = diag_inv_of(a)?;
+    let diag_inv = sweeps::inverse_diagonal(a)?;
     let mut x = x0.to_vec();
     let mut x_prev = x0.to_vec();
     let nb = vecops::norm(b, norm).max(f64::MIN_POSITIVE);
@@ -149,7 +136,7 @@ pub fn run_sync_model_method(
     max_steps: u64,
     norm: Norm,
 ) -> Result<ModelRun, LinalgError> {
-    let diag_inv = diag_inv_of(a)?;
+    let diag_inv = sweeps::inverse_diagonal(a)?;
     let cost = schedule.sync_iteration_cost();
     let mut x_prev = x0.to_vec();
     let mut x = x0.to_vec();

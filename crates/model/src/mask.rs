@@ -1,7 +1,5 @@
 //! Active-row sets `Ψ(k)` and their 0/1 diagonal indicator `D̂(k)`.
 
-use aj_linalg::CsrMatrix;
-
 /// The set of rows relaxed at one model step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActiveMask {
@@ -107,31 +105,6 @@ impl ActiveMask {
     pub fn active_rows(&self) -> Vec<usize> {
         (0..self.active.len()).filter(|&i| self.active[i]).collect()
     }
-
-    /// Ascending list of delayed rows.
-    pub fn delayed_rows(&self) -> Vec<usize> {
-        (0..self.active.len())
-            .filter(|&i| !self.active[i])
-            .collect()
-    }
-
-    /// The indicator matrix `D̂` as CSR (diagonal of 0/1).
-    pub fn indicator_csr(&self) -> CsrMatrix {
-        let diag: Vec<f64> = self
-            .active
-            .iter()
-            .map(|&a| if a { 1.0 } else { 0.0 })
-            .collect();
-        CsrMatrix::from_diagonal(&diag)
-    }
-
-    /// Complement mask.
-    pub fn complement(&self) -> ActiveMask {
-        ActiveMask {
-            active: self.active.iter().map(|&a| !a).collect(),
-            count: self.active.len() - self.count,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,24 +123,6 @@ mod tests {
         assert_eq!(some.active_rows(), vec![1, 3]);
         let except = ActiveMask::all_except(5, &[0]);
         assert_eq!(except.num_delayed(), 1);
-        assert_eq!(except.delayed_rows(), vec![0]);
-    }
-
-    #[test]
-    fn indicator_matrix_is_diagonal_01() {
-        let m = ActiveMask::from_rows(3, &[0, 2]);
-        let d = m.indicator_csr();
-        assert_eq!(d.get(0, 0), 1.0);
-        assert_eq!(d.get(1, 1), 0.0);
-        assert_eq!(d.get(2, 2), 1.0);
-    }
-
-    #[test]
-    fn complement_flips() {
-        let m = ActiveMask::from_rows(4, &[1]);
-        let c = m.complement();
-        assert_eq!(c.active_rows(), vec![0, 2, 3]);
-        assert_eq!(c.complement(), m);
     }
 
     #[test]

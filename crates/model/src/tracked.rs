@@ -11,7 +11,7 @@
 use crate::propagation::apply_step_weighted;
 use crate::schedule::DelaySchedule;
 use aj_linalg::vecops::{self, Norm};
-use aj_linalg::{CsrMatrix, LinalgError};
+use aj_linalg::{sweeps, CsrMatrix, LinalgError};
 
 /// Options for a tracked run.
 #[derive(Debug, Clone)]
@@ -65,18 +65,7 @@ pub fn run_tracked(
     opts: &TrackedOptions<'_>,
 ) -> Result<TrackedRun, LinalgError> {
     let n = a.nrows();
-    let diag_inv: Vec<f64> = a
-        .diagonal()
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            if d == 0.0 {
-                Err(LinalgError::ZeroDiagonal { row: i })
-            } else {
-                Ok(1.0 / d)
-            }
-        })
-        .collect::<Result<_, _>>()?;
+    let diag_inv = sweeps::inverse_diagonal(a)?;
     let mut x = x0.to_vec();
     let nb = vecops::norm(b, opts.residual_norm).max(f64::MIN_POSITIVE);
     let error_of = |x: &[f64]| {

@@ -35,7 +35,7 @@ use aj_linalg::method::relax_block;
 use aj_linalg::{CooMatrix, CsrMatrix, ResolvedMethod, StorageFormat, SweepKernel};
 use aj_obs::{Histogram, Sampler, Snapshot, SpanKind, Timeline};
 
-use crate::wire::{self, Codec, DoneMsg, JobMsg, Msg};
+use crate::wire::{self, DoneMsg, JobMsg, Msg};
 
 /// How long the child keeps re-dialing the parent at startup.
 const DIAL_RETRY: Duration = Duration::from_millis(50);
@@ -77,8 +77,8 @@ impl Shared {
 }
 
 /// Dials `parent` and performs the hello/welcome handshake. Returns the
-/// connection (read half still attached) and the negotiated codec.
-fn dial(parent: &str, rank: usize, resume: bool) -> Result<(BufReader<TcpStream>, Codec), String> {
+/// connection (read half still attached).
+fn dial(parent: &str, rank: usize, resume: bool) -> Result<BufReader<TcpStream>, String> {
     let mut last_err = String::from("no attempt");
     for _ in 0..DIAL_ATTEMPTS {
         match TcpStream::connect(parent) {
@@ -97,50 +97,40 @@ fn dial(parent: &str, rank: usize, resume: bool) -> Result<(BufReader<TcpStream>
     ))
 }
 
-fn handshake(
-    stream: TcpStream,
-    rank: usize,
-    resume: bool,
-) -> Result<(BufReader<TcpStream>, Codec), String> {
+fn handshake(stream: TcpStream, rank: usize, resume: bool) -> Result<BufReader<TcpStream>, String> {
     stream
         .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
         .map_err(|e| e.to_string())?;
     let hello = Msg::Hello {
         rank,
         proto: wire::PROTO_VERSION,
-        codecs: Codec::PREFERENCE
-            .iter()
-            .map(|c| c.name().to_string())
-            .collect(),
         resume,
     };
     let mut w = stream.try_clone().map_err(|e| e.to_string())?;
-    send_line(&mut w, &hello, Codec::DecF64)?;
+    send_line(&mut w, &hello)?;
     let mut reader = BufReader::new(stream);
     match read_msg(&mut reader)? {
-        Msg::Welcome { proto, codec, .. } => {
+        Msg::Welcome { proto, .. } => {
             if proto != wire::PROTO_VERSION {
                 return Err(format!(
                     "rank {rank}: parent speaks protocol {proto}, we speak {}",
                     wire::PROTO_VERSION
                 ));
             }
-            let codec = Codec::from_name(&codec)
-                .ok_or_else(|| format!("rank {rank}: parent chose unknown codec '{codec}'"))?;
             // Steady state: reads block until data or disconnect.
             reader
                 .get_ref()
                 .set_read_timeout(None)
                 .map_err(|e| e.to_string())?;
-            Ok((reader, codec))
+            Ok(reader)
         }
         Msg::Reject { error } => Err(format!("rank {rank}: rejected by parent: {error}")),
         other => Err(format!("rank {rank}: expected welcome, got {other:?}")),
     }
 }
 
-fn send_line(w: &mut TcpStream, msg: &Msg, codec: Codec) -> Result<(), String> {
-    let mut line = wire::render(msg, codec);
+fn send_line(w: &mut TcpStream, msg: &Msg) -> Result<(), String> {
+    let mut line = wire::render(msg);
     line.push('\n');
     w.write_all(line.as_bytes()).map_err(|e| e.to_string())
 }
@@ -219,7 +209,7 @@ fn spawn_reader(mut reader: BufReader<TcpStream>, shared: Arc<Shared>, t0: Insta
 /// Propagates handshake failures, malformed jobs, and a transport that
 /// cannot be re-established within the reconnect budget.
 pub fn run(parent: &str, rank: usize) -> Result<(), String> {
-    let (mut reader, codec) = dial(parent, rank, false)?;
+    let mut reader = dial(parent, rank, false)?;
     let mut writer = reader.get_ref().try_clone().map_err(|e| e.to_string())?;
 
     // Job then start arrive sequentially before any concurrency begins.
@@ -252,7 +242,7 @@ pub fn run(parent: &str, rank: usize) -> Result<(), String> {
     });
     spawn_reader(reader, Arc::clone(&shared), t0, 0);
 
-    sweep_loop(rank, &job, state, &shared, &mut writer, codec, parent, t0)
+    sweep_loop(rank, &job, state, &shared, &mut writer, parent, t0)
 }
 
 /// Immutable per-rank solver state built once from the job.
@@ -319,7 +309,6 @@ fn sweep_loop(
     state: RankState,
     shared: &Arc<Shared>,
     writer: &mut TcpStream,
-    mut codec: Codec,
     parent: &str,
     t0: Instant,
 ) -> Result<(), String> {
@@ -349,9 +338,8 @@ fn sweep_loop(
     'outer: while !shared.stop.load(Ordering::Acquire) && iterations < job.max_iterations {
         if shared.broken() {
             match reconnect(rank, parent, shared, t0) {
-                Ok((w, c)) => {
+                Ok(w) => {
                     *writer = w;
-                    codec = c;
                     reconnects += 1;
                     // Resync: re-expose our current boundary so neighbours
                     // recover our last committed state, mirroring what a
@@ -367,7 +355,7 @@ fn sweep_loop(
                             sent_us: now_us,
                             vals,
                         };
-                        if send_line(writer, &msg, codec).is_err() {
+                        if send_line(writer, &msg).is_err() {
                             continue 'outer; // broken again; retry loop
                         }
                     }
@@ -433,7 +421,7 @@ fn sweep_loop(
                 sent_us: now_us,
                 vals,
             };
-            if send_line(writer, &msg, codec).is_err() {
+            if send_line(writer, &msg).is_err() {
                 continue 'outer; // transport died; reconnect path handles it
             }
         }
@@ -450,7 +438,7 @@ fn sweep_loop(
                 norm,
                 iter: iterations,
             };
-            if send_line(writer, &msg, codec).is_err() {
+            if send_line(writer, &msg).is_err() {
                 continue 'outer;
             }
         }
@@ -462,7 +450,7 @@ fn sweep_loop(
                 rank,
                 iter: iterations,
             };
-            if send_line(writer, &msg, codec).is_err() {
+            if send_line(writer, &msg).is_err() {
                 continue 'outer;
             }
         }
@@ -510,10 +498,10 @@ fn sweep_loop(
         x: x[..n_owned].to_vec(),
         obs,
     }));
-    if send_line(writer, &done, codec).is_err() && !shared.stop.load(Ordering::Acquire) {
-        if let Ok((w, c)) = reconnect(rank, parent, shared, t0) {
+    if send_line(writer, &done).is_err() && !shared.stop.load(Ordering::Acquire) {
+        if let Ok(w) = reconnect(rank, parent, shared, t0) {
             *writer = w;
-            send_line(writer, &done, c)?;
+            send_line(writer, &done)?;
         }
     }
     Ok(())
@@ -527,7 +515,7 @@ fn reconnect(
     parent: &str,
     shared: &Arc<Shared>,
     t0: Instant,
-) -> Result<(TcpStream, Codec), String> {
+) -> Result<TcpStream, String> {
     let deadline = Instant::now() + RECONNECT_BUDGET;
     let mut last_err = String::new();
     while Instant::now() < deadline {
@@ -535,12 +523,12 @@ fn reconnect(
             return Err(format!("rank {rank}: stopped while reconnecting"));
         }
         match dial_once(parent, rank) {
-            Ok((reader, codec)) => {
+            Ok(reader) => {
                 let writer = reader.get_ref().try_clone().map_err(|e| e.to_string())?;
                 let epoch = shared.conn_epoch.load(Ordering::Acquire) + 1;
                 shared.conn_epoch.store(epoch, Ordering::Release);
                 spawn_reader(reader, Arc::clone(shared), t0, epoch);
-                return Ok((writer, codec));
+                return Ok(writer);
             }
             Err(e) => {
                 last_err = e;
@@ -551,7 +539,7 @@ fn reconnect(
     Err(format!("rank {rank}: reconnect failed: {last_err}"))
 }
 
-fn dial_once(parent: &str, rank: usize) -> Result<(BufReader<TcpStream>, Codec), String> {
+fn dial_once(parent: &str, rank: usize) -> Result<BufReader<TcpStream>, String> {
     let stream = TcpStream::connect(parent).map_err(|e| e.to_string())?;
     stream.set_nodelay(true).ok();
     handshake(stream, rank, true)

@@ -10,9 +10,9 @@
 //! engine was simulator-only (DESIGN.md §2). This crate closes that gap
 //! with no new dependencies:
 //!
-//! * [`wire`] — versioned NDJSON protocol: hello/welcome handshake with
-//!   codec negotiation (`hexf64` bit-lossless, `decf64` fallback), job
-//!   shipment, one-sided puts, residual reports, heartbeats, stop, done.
+//! * [`wire`] — versioned NDJSON protocol: hello/welcome handshake, job
+//!   shipment, one-sided puts, residual reports, heartbeats, stop, done;
+//!   bulk values travel as bit-lossless `hexf64`.
 //! * [`child`] — the per-rank worker: an atomic-u64 ghost window (element
 //!   atomicity ≈ an RMA window), the dmsim method arms over real sockets,
 //!   reconnect-and-resync when the transport breaks.
@@ -35,4 +35,4 @@ pub mod wire;
 
 pub use child::run as run_child;
 pub use parent::{run_net, ChildMode, NetConfig, NetHooks, NetOutcome};
-pub use wire::{Codec, PROTO_VERSION};
+pub use wire::PROTO_VERSION;

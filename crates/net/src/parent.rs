@@ -42,7 +42,7 @@ use aj_obs::{ObsConfig, Snapshot};
 use aj_partition::{CommPlan, LocalSystem, SubdomainPlan};
 
 use crate::child;
-use crate::wire::{self, Codec, JobMsg, MethodMsg, Msg};
+use crate::wire::{self, JobMsg, MethodMsg, Msg};
 
 /// How workers are launched.
 #[derive(Debug, Clone)]
@@ -163,21 +163,16 @@ enum Event {
     Down { rank: usize },
 }
 
-struct WriterSlot {
-    stream: TcpStream,
-    codec: Codec,
-}
-
-type Writers = Arc<Mutex<HashMap<usize, WriterSlot>>>;
+type Writers = Arc<Mutex<HashMap<usize, TcpStream>>>;
 
 fn send_to(writers: &Writers, rank: usize, msg: &Msg) -> bool {
     let guard = writers.lock().unwrap();
-    let Some(slot) = guard.get(&rank) else {
+    let Some(stream) = guard.get(&rank) else {
         return false;
     };
-    let mut line = wire::render(msg, slot.codec);
+    let mut line = wire::render(msg);
     line.push('\n');
-    (&slot.stream).write_all(line.as_bytes()).is_ok()
+    (&*stream).write_all(line.as_bytes()).is_ok()
 }
 
 fn broadcast(writers: &Writers, ranks: usize, msg: &Msg) -> u64 {
@@ -255,15 +250,14 @@ fn handle_conn(
         return;
     }
     let reject = |why: String| {
-        let mut out = wire::render(&Msg::Reject { error: why }, Codec::DecF64);
+        let mut out = wire::render(&Msg::Reject { error: why });
         out.push('\n');
         let _ = (&stream).write_all(out.as_bytes());
     };
-    let (rank, resume, codec) = match wire::parse(&line) {
+    let (rank, resume) = match wire::parse(&line) {
         Ok(Msg::Hello {
             rank,
             proto,
-            codecs,
             resume,
         }) => {
             if proto != wire::PROTO_VERSION {
@@ -275,37 +269,27 @@ fn handle_conn(
             if rank >= ranks {
                 return reject(format!("rank {rank} out of range (ranks={ranks})"));
             }
-            match Codec::negotiate(&codecs) {
-                Some(c) => (rank, resume, c),
-                None => return reject(format!("no common codec in {codecs:?}")),
-            }
+            (rank, resume)
         }
         Ok(_) | Err(_) => return reject("expected hello".into()),
     };
     let welcome = Msg::Welcome {
         proto: wire::PROTO_VERSION,
-        codec: codec.name().to_string(),
         ranks,
     };
-    let mut out = wire::render(&welcome, codec);
+    let mut out = wire::render(&welcome);
     out.push('\n');
     if !resume {
         // Ship the job in the same flush; `start` comes from the
         // coordinator once every rank is in.
-        out.push_str(&wire::render(
-            &Msg::Job(Box::new(jobs[rank].clone())),
-            codec,
-        ));
+        out.push_str(&wire::render(&Msg::Job(Box::new(jobs[rank].clone()))));
         out.push('\n');
     }
     if (&stream).write_all(out.as_bytes()).is_err() {
         return;
     }
     stream.set_read_timeout(None).ok();
-    writers
-        .lock()
-        .unwrap()
-        .insert(rank, WriterSlot { stream, codec });
+    writers.lock().unwrap().insert(rank, stream);
     if tx.send(Event::Joined { rank, resume }).is_err() {
         return;
     }
@@ -507,8 +491,8 @@ pub fn run_net(
                 if ms < at {
                     return true;
                 }
-                if let Some(slot) = writers.lock().unwrap().remove(&r) {
-                    let _ = slot.stream.shutdown(Shutdown::Both);
+                if let Some(stream) = writers.lock().unwrap().remove(&r) {
+                    let _ = stream.shutdown(Shutdown::Both);
                 }
                 false
             });
@@ -680,16 +664,16 @@ pub fn run_net(
                 // Joined below; make sure its transport is dead first so a
                 // blocked read wakes.
                 if !dones.contains_key(&r) {
-                    if let Some(slot) = writers.lock().unwrap().get(&r) {
-                        let _ = slot.stream.shutdown(Shutdown::Both);
+                    if let Some(stream) = writers.lock().unwrap().get(&r) {
+                        let _ = stream.shutdown(Shutdown::Both);
                     }
                 }
             }
         }
     }
     accept_stop.store(true, Ordering::Release);
-    for slot in writers.lock().unwrap().values() {
-        let _ = slot.stream.shutdown(Shutdown::Both);
+    for stream in writers.lock().unwrap().values() {
+        let _ = stream.shutdown(Shutdown::Both);
     }
     for child in children {
         if let ChildHandle::Thread(h) = child {

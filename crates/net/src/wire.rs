@@ -5,24 +5,21 @@
 //! [`aj_obs::json`] (the vendored `serde` is an inert stub). Every message
 //! carries a `"t"` tag.
 //!
-//! ## Handshake and codec negotiation
+//! ## Handshake
 //!
 //! A child opens with `hello` carrying the protocol version
-//! ([`PROTO_VERSION`]), its rank, and the value codecs it speaks, newest
-//! first. The parent answers `welcome` with the negotiated codec (the first
-//! entry of [`Codec::PREFERENCE`] both sides speak) or `reject` with a
-//! reason. Version mismatches are rejected outright — the protocol is
-//! versioned precisely so a future rolling upgrade can add a compatibility
-//! shim here instead of corrupting windows silently.
+//! ([`PROTO_VERSION`]) and its rank. The parent answers `welcome` or
+//! `reject` with a reason. Version mismatches are rejected outright — the
+//! protocol is versioned precisely so a future rolling upgrade can add a
+//! compatibility shim here instead of corrupting windows silently.
 //!
-//! ## Value codecs
+//! ## Values
 //!
-//! * `hexf64` (preferred): each f64 as its 16-digit lowercase-hex IEEE-754
-//!   bit pattern, quoted. Bit-lossless — the fixed point a child hands back
-//!   is exactly what its sweeps produced, and cross-validation against the
-//!   simulator never chases decimal round-trip noise.
-//! * `decf64`: plain JSON numbers (shortest round-trip decimal). Kept as
-//!   the negotiation fallback and for eyeball-debugging captures.
+//! Bulk f64 arrays (matrix values, iterates, boundary puts) are `hexf64`:
+//! each f64 as its 16-digit lowercase-hex IEEE-754 bit pattern, quoted.
+//! Bit-lossless — the fixed point a child hands back is exactly what its
+//! sweeps produced, and cross-validation against the simulator never
+//! chases decimal round-trip noise.
 //!
 //! Scalar floats outside bulk value arrays (norms, ω) are always decimal;
 //! they are thresholds and labels, not window contents.
@@ -32,46 +29,7 @@ use aj_obs::json::{self, Value};
 
 /// Protocol version spoken by this build. A peer announcing any other
 /// version is rejected during the handshake.
-pub const PROTO_VERSION: u64 = 1;
-
-/// Bulk f64 encoding negotiated at handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Codec {
-    /// 16-hex-digit IEEE-754 bit patterns (lossless).
-    HexF64,
-    /// Plain JSON numbers (shortest round-trip decimal).
-    DecF64,
-}
-
-impl Codec {
-    /// Negotiation preference, best first.
-    pub const PREFERENCE: &'static [Codec] = &[Codec::HexF64, Codec::DecF64];
-
-    /// Stable wire name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Codec::HexF64 => "hexf64",
-            Codec::DecF64 => "decf64",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn from_name(s: &str) -> Option<Codec> {
-        match s {
-            "hexf64" => Some(Codec::HexF64),
-            "decf64" => Some(Codec::DecF64),
-            _ => None,
-        }
-    }
-
-    /// Picks the best codec offered by a peer, in our preference order.
-    pub fn negotiate(offered: &[String]) -> Option<Codec> {
-        Codec::PREFERENCE
-            .iter()
-            .copied()
-            .find(|c| offered.iter().any(|o| o == c.name()))
-    }
-}
+pub const PROTO_VERSION: u64 = 2;
 
 /// The relaxation method a child runs, with every parameter already
 /// resolved by the parent (`omega=auto` never runs Lanczos in a child).
@@ -204,15 +162,13 @@ pub struct DoneMsg {
 /// One protocol message (the `"t"` tag on the wire).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Child → parent opening: version, rank, codecs (best first),
-    /// `resume` on a reconnect after a broken transport.
+    /// Child → parent opening: version, rank, and `resume` on a reconnect
+    /// after a broken transport.
     Hello {
         /// Announcing rank.
         rank: usize,
         /// Protocol version.
         proto: u64,
-        /// Codec names the child speaks, best first.
-        codecs: Vec<String>,
         /// True on reconnect (state kept; no new `job`/`start`).
         resume: bool,
     },
@@ -220,12 +176,10 @@ pub enum Msg {
     Welcome {
         /// Protocol version.
         proto: u64,
-        /// Negotiated codec name.
-        codec: String,
         /// Total rank count.
         ranks: usize,
     },
-    /// Parent → child handshake refusal (version/codec/rank problems).
+    /// Parent → child handshake refusal (version/rank problems).
     Reject {
         /// Human-readable reason.
         error: String,
@@ -283,20 +237,15 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-fn push_f64_arr(out: &mut String, vals: &[f64], codec: Codec) {
+fn push_f64_arr(out: &mut String, vals: &[f64]) {
     out.push('[');
     for (i, v) in vals.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        match codec {
-            Codec::HexF64 => {
-                out.push('"');
-                out.push_str(&format!("{:016x}", v.to_bits()));
-                out.push('"');
-            }
-            Codec::DecF64 => push_f64(out, *v),
-        }
+        out.push('"');
+        out.push_str(&format!("{:016x}", v.to_bits()));
+        out.push('"');
     }
     out.push(']');
 }
@@ -326,37 +275,24 @@ fn push_links(out: &mut String, links: &[(usize, Vec<usize>)]) {
     out.push(']');
 }
 
-/// Renders one message as a single JSON line (no trailing newline). Bulk
-/// f64 arrays use `codec`; everything else is codec-independent.
-pub fn render(msg: &Msg, codec: Codec) -> String {
+/// Renders one message as a single JSON line (no trailing newline).
+pub fn render(msg: &Msg) -> String {
     let mut o = String::new();
     match msg {
         Msg::Hello {
             rank,
             proto,
-            codecs,
             resume,
         } => {
             o.push_str(&format!(
-                "{{\"t\":\"hello\",\"proto\":{proto},\"rank\":{rank},\"resume\":{},\"codecs\":[",
+                "{{\"t\":\"hello\",\"proto\":{proto},\"rank\":{rank},\"resume\":{}}}",
                 u64::from(*resume)
             ));
-            for (i, c) in codecs.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                json::write_escaped(&mut o, c);
-            }
-            o.push_str("]}");
         }
-        Msg::Welcome {
-            proto,
-            codec,
-            ranks,
-        } => {
-            o.push_str(&format!("{{\"t\":\"welcome\",\"proto\":{proto},\"codec\":"));
-            json::write_escaped(&mut o, codec);
-            o.push_str(&format!(",\"ranks\":{ranks}}}"));
+        Msg::Welcome { proto, ranks } => {
+            o.push_str(&format!(
+                "{{\"t\":\"welcome\",\"proto\":{proto},\"ranks\":{ranks}}}"
+            ));
         }
         Msg::Reject { error } => {
             o.push_str("{\"t\":\"reject\",\"error\":");
@@ -373,11 +309,11 @@ pub fn render(msg: &Msg, codec: Codec) -> String {
             o.push_str(",\"cols\":");
             push_u64_arr(&mut o, &j.cols);
             o.push_str(",\"vals\":");
-            push_f64_arr(&mut o, &j.vals, codec);
+            push_f64_arr(&mut o, &j.vals);
             o.push_str(",\"b\":");
-            push_f64_arr(&mut o, &j.b, codec);
+            push_f64_arr(&mut o, &j.b);
             o.push_str(",\"x\":");
-            push_f64_arr(&mut o, &j.x, codec);
+            push_f64_arr(&mut o, &j.x);
             o.push_str(",\"sends\":");
             push_links(&mut o, &j.sends);
             o.push_str(",\"recvs\":");
@@ -411,7 +347,7 @@ pub fn render(msg: &Msg, codec: Codec) -> String {
             o.push_str(&format!(
                 "{{\"t\":\"put\",\"from\":{from},\"to\":{to},\"sent_us\":{sent_us},\"vals\":"
             ));
-            push_f64_arr(&mut o, vals, codec);
+            push_f64_arr(&mut o, vals);
             o.push('}');
         }
         Msg::Report { rank, norm, iter } => {
@@ -430,7 +366,7 @@ pub fn render(msg: &Msg, codec: Codec) -> String {
                 "{{\"t\":\"done\",\"rank\":{},\"iters\":{},\"reports\":{},\"reconnects\":{},\"x\":",
                 d.rank, d.iters, d.reports, d.reconnects
             ));
-            push_f64_arr(&mut o, &d.x, codec);
+            push_f64_arr(&mut o, &d.x);
             match &d.obs {
                 Some(snap) => {
                     o.push_str(",\"obs\":");
@@ -470,14 +406,12 @@ fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("field '{key}' is not a string"))
 }
 
-/// Decodes one f64 in either codec (hex string or number).
+/// Decodes one `hexf64` element.
 fn f64_elem(e: &Value) -> Result<f64, String> {
-    if let Some(s) = e.as_str() {
-        return u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|_| format!("bad hexf64 value '{s}'"));
-    }
-    e.as_f64().ok_or_else(|| "bad f64 element".to_string())
+    let s = e.as_str().ok_or("bad hexf64 element")?;
+    u64::from_str_radix(s, 16)
+        .map(f64::from_bits)
+        .map_err(|_| format!("bad hexf64 value '{s}'"))
 }
 
 fn get_f64_arr(v: &Value, key: &str) -> Result<Vec<f64>, String> {
@@ -524,9 +458,7 @@ fn get_links(v: &Value, key: &str) -> Result<Vec<(usize, Vec<usize>)>, String> {
         .collect()
 }
 
-/// Parses one wire line into a [`Msg`]. Accepts both codecs regardless of
-/// what was negotiated (a resumed connection may replay lines rendered for
-/// the other side of a renegotiation).
+/// Parses one wire line into a [`Msg`].
 pub fn parse(line: &str) -> Result<Msg, String> {
     let v = json::parse(line.trim())?;
     let t = get_str(&v, "t")?;
@@ -535,20 +467,9 @@ pub fn parse(line: &str) -> Result<Msg, String> {
             rank: get_usize(&v, "rank")?,
             proto: get_u64(&v, "proto")?,
             resume: get_u64(&v, "resume")? != 0,
-            codecs: want(&v, "codecs")?
-                .as_arr()
-                .ok_or("field 'codecs' is not an array")?
-                .iter()
-                .map(|e| {
-                    e.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "bad codec".to_string())
-                })
-                .collect::<Result<Vec<String>, String>>()?,
         }),
         "welcome" => Ok(Msg::Welcome {
             proto: get_u64(&v, "proto")?,
-            codec: get_str(&v, "codec")?.to_string(),
             ranks: get_usize(&v, "ranks")?,
         }),
         "reject" => Ok(Msg::Reject {
@@ -625,11 +546,11 @@ pub fn parse(line: &str) -> Result<Msg, String> {
 mod tests {
     use super::*;
 
-    fn roundtrip(msg: &Msg, codec: Codec) {
-        let line = render(msg, codec);
+    fn roundtrip(msg: &Msg) {
+        let line = render(msg);
         assert!(!line.contains('\n'), "one line per message: {line}");
         let back = parse(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
-        assert_eq!(&back, msg, "codec {codec:?}");
+        assert_eq!(&back, msg);
     }
 
     fn sample_job() -> Msg {
@@ -663,17 +584,15 @@ mod tests {
     }
 
     #[test]
-    fn every_message_roundtrips_in_both_codecs() {
+    fn every_message_roundtrips() {
         let msgs = [
             Msg::Hello {
                 rank: 3,
                 proto: PROTO_VERSION,
-                codecs: vec!["hexf64".into(), "decf64".into()],
                 resume: true,
             },
             Msg::Welcome {
                 proto: PROTO_VERSION,
-                codec: "hexf64".into(),
                 ranks: 4,
             },
             Msg::Reject {
@@ -712,9 +631,7 @@ mod tests {
             })),
         ];
         for msg in &msgs {
-            for codec in [Codec::HexF64, Codec::DecF64] {
-                roundtrip(msg, codec);
-            }
+            roundtrip(msg);
         }
     }
 
@@ -735,7 +652,7 @@ mod tests {
             sent_us: 9,
             vals: vals.clone(),
         };
-        let Msg::Put { vals: back, .. } = parse(&render(&msg, Codec::HexF64)).unwrap() else {
+        let Msg::Put { vals: back, .. } = parse(&render(&msg)).unwrap() else {
             panic!("wrong tag");
         };
         for (a, b) in vals.iter().zip(&back) {
@@ -744,28 +661,26 @@ mod tests {
     }
 
     #[test]
-    fn negotiation_prefers_hex_and_tolerates_unknowns() {
-        let pick = |names: &[&str]| {
-            Codec::negotiate(&names.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    fn a_version_1_hello_decodes_to_a_version_the_parent_rejects() {
+        // Version 1 children also sent their codec list; it is ignored, so
+        // such a peer meets the version check instead of a parse error.
+        let line = r#"{"t":"hello","proto":1,"rank":2,"resume":0,"codecs":["hexf64","decf64"]}"#;
+        let hello = Msg::Hello {
+            rank: 2,
+            proto: 1,
+            resume: false,
         };
-        assert_eq!(pick(&["hexf64", "decf64"]), Some(Codec::HexF64));
-        assert_eq!(pick(&["decf64", "hexf64"]), Some(Codec::HexF64));
-        assert_eq!(pick(&["decf64"]), Some(Codec::DecF64));
-        assert_eq!(pick(&["zstd-frames", "decf64"]), Some(Codec::DecF64));
-        assert_eq!(pick(&["zstd-frames"]), None);
-        assert_eq!(pick(&[]), None);
+        assert_eq!(parse(line), Ok(hello));
+        assert_ne!(PROTO_VERSION, 1);
     }
 
     #[test]
     fn non_finite_norms_stay_parseable() {
-        let line = render(
-            &Msg::Report {
-                rank: 0,
-                norm: f64::INFINITY,
-                iter: 1,
-            },
-            Codec::HexF64,
-        );
+        let line = render(&Msg::Report {
+            rank: 0,
+            norm: f64::INFINITY,
+            iter: 1,
+        });
         let Msg::Report { norm, .. } = parse(&line).unwrap() else {
             panic!("wrong tag");
         };
@@ -781,6 +696,7 @@ mod tests {
             "{\"t\":\"warp\"}",
             "{\"t\":\"put\",\"from\":0}",
             "{\"t\":\"put\",\"from\":0,\"to\":1,\"sent_us\":2,\"vals\":[\"zz\"]}",
+            "{\"t\":\"put\",\"from\":0,\"to\":1,\"sent_us\":2,\"vals\":[1.5]}",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }

@@ -26,27 +26,6 @@ pub struct SubdomainPlan {
     pub send_to: Vec<(usize, Vec<usize>)>,
 }
 
-impl SubdomainPlan {
-    /// All neighbouring part ids (union of send and receive sides).
-    pub fn neighbors(&self) -> Vec<usize> {
-        let mut n: Vec<usize> = self
-            .recv_from
-            .iter()
-            .map(|(p, _)| *p)
-            .chain(self.send_to.iter().map(|(p, _)| *p))
-            .collect();
-        n.sort_unstable();
-        n.dedup();
-        n
-    }
-
-    /// Total values exchanged per iteration (sent + received).
-    pub fn comm_volume(&self) -> usize {
-        self.send_to.iter().map(|(_, v)| v.len()).sum::<usize>()
-            + self.recv_from.iter().map(|(_, v)| v.len()).sum::<usize>()
-    }
-}
-
 /// Communication plans for every part of a partition.
 #[derive(Debug, Clone)]
 pub struct CommPlan {
@@ -170,8 +149,6 @@ mod tests {
         let right = cp.plan(1);
         assert_eq!(right.ghosts, vec![2]);
         assert_eq!(right.send_to, vec![(0, vec![3])]);
-        assert_eq!(left.neighbors(), vec![1]);
-        assert_eq!(left.comm_volume(), 2);
     }
 
     #[test]

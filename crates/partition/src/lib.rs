@@ -4,13 +4,13 @@
 //! the paper).
 //!
 //! The paper assigns each process a *contiguous* block of rows (its
-//! subdomain); SuiteSparse matrices are first reordered with METIS so that
-//! graph-partitioned subdomains become contiguous. We reproduce that
-//! pipeline with
+//! subdomain), after reordering the SuiteSparse matrices with METIS. The
+//! figures here split rows in natural order into contiguous blocks
+//! ([`block_partition`]); the engines take any row-to-part assignment. The
+//! crate provides
 //!
 //! * [`Partition`] — an assignment of rows to parts with quality metrics
-//!   (edge cut, imbalance) and a renumbering permutation that makes parts
-//!   contiguous;
+//!   (edge cut, imbalance);
 //! * partitioners in [`partitioners`] — plain contiguous blocks, greedy BFS
 //!   graph growing (the METIS substitute), and recursive coordinate
 //!   bisection for grid problems;
@@ -25,10 +25,8 @@ pub mod comm;
 pub mod local;
 pub mod partition;
 pub mod partitioners;
-pub mod rcm;
 
 pub use comm::{CommPlan, SubdomainPlan};
 pub use local::LocalSystem;
 pub use partition::Partition;
 pub use partitioners::{bfs_partition, block_partition, coordinate_bisection};
-pub use rcm::reverse_cuthill_mckee;

@@ -59,13 +59,6 @@ impl LocalSystem {
         self.global_ghosts.len()
     }
 
-    /// Local residual of the owned rows given the current owned+ghost `x`.
-    pub fn local_residual(&self, b_local: &[f64], x: &[f64]) -> Vec<f64> {
-        (0..self.n_owned())
-            .map(|r| b_local[r] - self.matrix.row_dot(r, x))
-            .collect()
-    }
-
     /// Builds a reusable sweep kernel over all owned rows in the requested
     /// storage format (see [`aj_linalg::kernel`]).
     ///
@@ -257,32 +250,6 @@ mod tests {
         }
         x_global = new_global;
         assert!(aj_linalg::vecops::rel_diff(&x_global, &x_ref) < 1e-14);
-    }
-
-    #[test]
-    fn local_residual_matches_global_rows() {
-        let n = 9;
-        let a = fd::laplacian_1d(n);
-        let p = block_partition(n, 3);
-        let cp = CommPlan::build(&a, &p);
-        let b: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let x: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let r_global = a.residual(&x, &b);
-        for part in 0..3 {
-            let plan = cp.plan(part);
-            let ls = LocalSystem::build(&a, plan);
-            let x_local: Vec<f64> = plan
-                .owned
-                .iter()
-                .chain(plan.ghosts.iter())
-                .map(|&g| x[g])
-                .collect();
-            let b_local: Vec<f64> = plan.owned.iter().map(|&g| b[g]).collect();
-            let r_local = ls.local_residual(&b_local, &x_local);
-            for (l, &g) in plan.owned.iter().enumerate() {
-                assert!((r_local[l] - r_global[g]).abs() < 1e-14);
-            }
-        }
     }
 
     #[test]

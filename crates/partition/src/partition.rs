@@ -1,6 +1,5 @@
 //! Row-to-part assignments and their quality metrics.
 
-use aj_linalg::perm::Permutation;
 use aj_linalg::CsrMatrix;
 
 /// An assignment of matrix rows to `nparts` parts.
@@ -96,20 +95,9 @@ impl Partition {
         cut / 2
     }
 
-    /// A permutation that renumbers rows so each part is a contiguous,
-    /// ascending block (part 0 first). Applying it via
-    /// [`CsrMatrix::permute_symmetric`] reproduces the paper's
-    /// "METIS-then-contiguous-subdomains" setup.
-    pub fn renumbering(&self) -> Permutation {
-        let mut order = Vec::with_capacity(self.assignment.len());
-        for part in self.parts() {
-            order.extend(part);
-        }
-        Permutation::from_vec(order)
-    }
-
-    /// The partition expressed in the renumbered ordering: part `p` owns the
-    /// contiguous range returned by [`Partition::contiguous_ranges`]`[p]`.
+    /// The partition as contiguous row ranges of the parts' sizes, part 0
+    /// first: the block part `p` would own if rows were renumbered part by
+    /// part (the paper's "METIS-then-contiguous-subdomains" setup).
     pub fn contiguous_ranges(&self) -> Vec<std::ops::Range<usize>> {
         let sizes = self.sizes();
         let mut ranges = Vec::with_capacity(self.nparts);
@@ -159,10 +147,8 @@ mod tests {
     }
 
     #[test]
-    fn renumbering_makes_parts_contiguous() {
+    fn contiguous_ranges_follow_part_sizes() {
         let p = Partition::from_assignment(2, vec![1, 0, 1, 0]);
-        let perm = p.renumbering();
-        assert_eq!(perm.as_slice(), &[1, 3, 0, 2]);
         let ranges = p.contiguous_ranges();
         assert_eq!(ranges, vec![0..2, 2..4]);
     }

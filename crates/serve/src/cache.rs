@@ -11,7 +11,6 @@
 //! solve drops it.
 
 use aj_core::linalg::method::ResolvedMethod;
-use aj_core::linalg::StorageFormat;
 use aj_core::outer::OuterKind;
 use aj_core::partition::CommPlan;
 use aj_core::{prepare_dist_plan, spec, Hierarchy, OuterSpec, Problem};
@@ -40,9 +39,6 @@ pub struct CachedPlan {
     /// run a Lanczos spectrum estimate against this problem's matrix, so
     /// the resolution is memoized exactly like the distributed plans.
     methods: Mutex<Vec<(String, u64, ResolvedMethod)>>,
-    /// `(format selector, parsed)` pairs, memoized like the methods so a
-    /// hot job spec never re-parses its storage-format string.
-    formats: Mutex<Vec<(String, StorageFormat)>>,
     /// `(outer selector, parsed spec, hierarchy)` triples. The hierarchy —
     /// the O(levels·nnz) coarsening for `vcycle` — is the expensive part,
     /// memoized exactly like the distributed plans; the Krylov kinds carry
@@ -60,7 +56,6 @@ impl CachedPlan {
             problem: Arc::new(problem),
             dist_plans: Mutex::new(Vec::new()),
             methods: Mutex::new(Vec::new()),
-            formats: Mutex::new(Vec::new()),
             outers: Mutex::new(Vec::new()),
         }
     }
@@ -121,33 +116,6 @@ impl CachedPlan {
     /// Number of memoized method resolutions (test hook).
     pub fn resolved_method_count(&self) -> usize {
         self.methods.lock().unwrap().len()
-    }
-
-    /// Parses a storage-format selector, memoizing the result per selector
-    /// string (parsing is cheap but the memo keeps the hot path
-    /// allocation-free and mirrors [`CachedPlan::resolve_method`]).
-    ///
-    /// # Errors
-    /// Propagates parse errors with the full grammar in the message.
-    pub fn resolve_format(&self, selector: &str) -> Result<StorageFormat, String> {
-        {
-            let formats = self.formats.lock().unwrap();
-            if let Some((_, f)) = formats.iter().find(|(sel, _)| sel == selector) {
-                return Ok(*f);
-            }
-        }
-        let parsed = spec::parse_format(selector)?;
-        let mut formats = self.formats.lock().unwrap();
-        if let Some((_, f)) = formats.iter().find(|(sel, _)| sel == selector) {
-            return Ok(*f);
-        }
-        formats.push((selector.to_string(), parsed));
-        Ok(parsed)
-    }
-
-    /// Number of memoized format resolutions (test hook).
-    pub fn resolved_format_count(&self) -> usize {
-        self.formats.lock().unwrap().len()
     }
 
     /// Parses an outer selector and, for `vcycle`, builds this problem's
@@ -355,26 +323,6 @@ mod tests {
         // Parse errors surface, not cache.
         assert!(e.resolve_method("warp-drive", 1).is_err());
         assert_eq!(e.resolved_method_count(), 3);
-    }
-
-    #[test]
-    fn format_resolutions_memoize_per_selector() {
-        let cache = PlanCache::new(2);
-        let (e, _) = cache.get_or_build("fd68", 1).unwrap();
-        let f1 = e.resolve_format("sellc:c=4").unwrap();
-        let f2 = e.resolve_format("sellc:c=4").unwrap();
-        assert_eq!(f1, f2);
-        assert_eq!(f1, StorageFormat::SellC { c: 4 });
-        assert_eq!(e.resolved_format_count(), 1);
-        e.resolve_format("csr").unwrap();
-        e.resolve_format("auto").unwrap();
-        assert_eq!(e.resolved_format_count(), 3);
-        // Parse errors surface, not cache, and quote the grammar.
-        for bad in ["ellpack", "rcm-blocked"] {
-            let err = e.resolve_format(bad).unwrap_err();
-            assert!(err.contains(spec::FORMAT_GRAMMAR), "{err}");
-        }
-        assert_eq!(e.resolved_format_count(), 3);
     }
 
     #[test]

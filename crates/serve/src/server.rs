@@ -56,18 +56,12 @@ impl Server {
         self.addr
     }
 
-    /// A flag that makes [`Server::run`] return when set (for embedding the
-    /// server in a thread and stopping it from outside).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
     /// The underlying service (metrics/cache access while serving).
     pub fn service(&self) -> &Arc<SolveService> {
         &self.service
     }
 
-    /// Serves until a `shutdown` request arrives or the stop flag is set.
+    /// Serves until a `shutdown` request arrives.
     /// Connection reader threads are detached; they exit on socket EOF or
     /// read errors once the client hangs up.
     ///

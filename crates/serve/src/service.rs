@@ -680,7 +680,7 @@ fn execute(inner: &ServiceInner, spec: &JobSpec) -> Result<(JobResult, Option<Sn
     // resolve step is free — `omega=auto` never re-runs Lanczos on a
     // cache hit.
     let method = spec::parse_method(&plan.resolve_method(&spec.method, spec.seed)?.to_spec())?;
-    let format = plan.resolve_format(&spec.format)?;
+    let format = spec::parse_format(&spec.format)?;
     // Outer solves memoize the parsed spec and (for vcycle) the hierarchy
     // on the cached plan — repeat outer jobs skip the coarsening. The
     // driver re-checks the hierarchy against the problem, which is free.

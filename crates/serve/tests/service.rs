@@ -194,6 +194,26 @@ fn outer_selector_flows_through_and_memoizes_hierarchy() {
 }
 
 #[test]
+fn bad_format_selector_fails_the_job_with_the_grammar() {
+    let service = SolveService::start(quiet_config(1, 8));
+    let bad = service
+        .submit(JobSpec {
+            format: "ellpack".into(),
+            ..small("fd68", "sim-async")
+        })
+        .unwrap()
+        .wait();
+    let JobOutcome::Failed(msg) = bad else {
+        panic!("bad format selector must fail the job, got {bad:?}");
+    };
+    assert!(
+        msg.contains("ellpack") && msg.contains(aj_core::spec::FORMAT_GRAMMAR),
+        "unhelpful message: {msg}"
+    );
+    service.shutdown(true);
+}
+
+#[test]
 fn queue_full_sheds_at_the_door() {
     // One worker, tiny queue, slow jobs: submissions past capacity must be
     // rejected synchronously with QueueFull.

@@ -1,16 +1,15 @@
 //! # aj-shmem
 //!
-//! Real-thread shared-memory synchronous and asynchronous Jacobi, following
-//! the paper's §V implementation:
+//! Real-thread shared-memory asynchronous Jacobi, following the paper's §V
+//! implementation (the synchronous comparison runs on the simulators):
 //!
 //! * the solution `x` lives in a shared array; every thread owns a
 //!   contiguous block of rows (its subdomain) and keeps their residuals
 //!   `r` private;
 //! * one step is `r = b − Ax` over owned rows, then `x += D⁻¹ r`, then a
 //!   convergence check on `‖b − Ax‖` over the shared `x`;
-//! * the synchronous variant inserts a barrier after the residual and the
-//!   convergence check; the asynchronous variant has no barriers and reads
-//!   "whatever information is available" (Baudet's racy scheme);
+//! * there are no barriers between the steps: a thread reads "whatever
+//!   information is available" (Baudet's racy scheme);
 //! * element reads/writes are word-atomic — the paper relies on aligned
 //!   8-byte stores being atomic on x86; we use `AtomicU64` bit-casts with
 //!   `Relaxed` ordering, which is the same guarantee made portable;
@@ -31,4 +30,4 @@ pub mod traced;
 pub mod versioned;
 
 pub use shared_vec::SharedVec;
-pub use solver::{DelayInjection, Mode, ShmemConfig, ShmemRun};
+pub use solver::{DelayInjection, ShmemConfig, ShmemRun};

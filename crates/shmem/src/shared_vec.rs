@@ -56,14 +56,6 @@ impl SharedVec {
     pub fn snapshot(&self) -> Vec<f64> {
         (0..self.len()).map(|i| self.load(i)).collect()
     }
-
-    /// Overwrites all elements from a slice.
-    pub fn copy_from(&self, values: &[f64]) {
-        assert_eq!(values.len(), self.len());
-        for (i, &v) in values.iter().enumerate() {
-            self.store(i, v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,12 +100,5 @@ mod tests {
             assert!(x == 1.0 || x == -1.0, "torn read: {x}");
         }
         writer.join().unwrap();
-    }
-
-    #[test]
-    fn copy_from_replaces_contents() {
-        let v = SharedVec::zeros(3);
-        v.copy_from(&[7.0, 8.0, 9.0]);
-        assert_eq!(v.snapshot(), vec![7.0, 8.0, 9.0]);
     }
 }

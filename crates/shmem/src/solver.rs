@@ -10,15 +10,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-/// Synchronous (barrier) or asynchronous (racy) execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Barriers after the residual computation and the convergence check.
-    Synchronous,
-    /// No barriers; threads use whatever values are in shared memory.
-    Asynchronous,
-}
-
 /// Artificially slows one thread, emulating the paper's hardware-fault
 /// scenario (the thread sleeps `duration` every iteration).
 #[derive(Debug, Clone, Copy)]
@@ -41,8 +32,6 @@ pub struct ShmemConfig {
     pub max_iterations: usize,
     /// Norm used for the convergence test (the paper reports the 1-norm).
     pub norm: Norm,
-    /// Execution mode.
-    pub mode: Mode,
     /// Optional per-iteration delay of one thread.
     pub delay: Option<DelayInjection>,
     /// Relaxation weight ω (1.0 = plain Jacobi).
@@ -84,7 +73,6 @@ impl Default for ShmemConfig {
             tol: 1e-3,
             max_iterations: 10_000,
             norm: Norm::L1,
-            mode: Mode::Asynchronous,
             delay: None,
             omega: 1.0,
             method: ResolvedMethod::Jacobi,
@@ -118,15 +106,15 @@ pub struct ShmemRun {
     pub control: Option<ControlStats>,
 }
 
-/// Runs shared-memory Jacobi per the paper's program structure:
+/// Runs asynchronous shared-memory Jacobi per the paper's program
+/// structure, with no barrier between the steps — threads use whatever
+/// values are in shared memory:
 ///
 /// ```text
 /// loop {
 ///     r = b[mine] − (A x)[mine]           // thread-private; reads shared x
-///     [barrier if synchronous]
 ///     x[mine] += D⁻¹ r
 ///     check convergence (‖b − A x‖/‖b‖ over the shared x)
-///     [barrier if synchronous]
 /// }
 /// ```
 ///
@@ -270,9 +258,6 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                             res[offset] = b[i] - acc;
                         }
                     }
-                    if config.mode == Mode::Synchronous {
-                        barrier.wait();
-                    }
                     // Step 2: correct my rows. A Switch is realised by
                     // driving β to zero rather than swapping the method.
                     let sweep_method = if ctrl_on {
@@ -377,9 +362,6 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                     {
                         flags[tid].store(true, Ordering::Release);
                     }
-                    if config.mode == Mode::Synchronous {
-                        barrier.wait();
-                    }
                     if let Some(t0) = iter_start {
                         let (hist, tl, _) = shard.as_mut().expect("timed without a shard");
                         hist.record(t0.elapsed().as_nanos() as u64);
@@ -390,8 +372,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                     // Past the hard safety cap (4× the budget, never reached
                     // in normal operation) a thread stops sweeping but keeps
                     // coming to meetings, so no peer waits for it in vain.
-                    // Only a thread that panics misses a meeting, as it
-                    // would miss a synchronous-mode barrier.
+                    // Only a thread that panics misses a meeting.
                     let aborted = || ctrl_on && ctrl_abort.load(Ordering::Acquire);
                     loop {
                         if aborted() || flags.iter().all(|f| f.load(Ordering::Acquire)) {
@@ -423,9 +404,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                     // paper's 272-thread KNL runs), yield so the scheduler
                     // interleaves workers instead of running each to the end
                     // of its timeslice.
-                    if config.mode == Mode::Asynchronous {
-                        std::thread::yield_now();
-                    }
+                    std::thread::yield_now();
                 }
                 (
                     shard.map(|(hist, tl, _)| (hist, tl)),
@@ -498,39 +477,12 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_two_threads_matches_sequential_jacobi() {
-        let (a, b, x0) = problem();
-        let cfg = ShmemConfig {
-            num_threads: 2,
-            tol: 1e-4,
-            max_iterations: 50_000,
-            mode: Mode::Synchronous,
-            ..Default::default()
-        };
-        let run_result = run(&a, &b, &x0, &cfg);
-        assert!(
-            run_result.converged,
-            "residual {}",
-            run_result.final_residual
-        );
-        // Sequential reference.
-        let (x_ref, _) =
-            aj_linalg::sweeps::jacobi_solve(&a, &b, &x0, 1e-4, 50_000, Norm::L1).unwrap();
-        // Both solve the same system to the same tolerance; iterates agree
-        // loosely (identical iteration counts are not guaranteed because the
-        // parallel version checks convergence from the shared array).
-        assert!(a.relative_residual(&x_ref, &b, Norm::L1) < 1e-4);
-        assert!(vecops::rel_diff(&run_result.x, &x_ref) < 1e-2);
-    }
-
-    #[test]
     fn asynchronous_converges_racy() {
         let (a, b, x0) = problem();
         let cfg = ShmemConfig {
             num_threads: 4,
             tol: 1e-4,
             max_iterations: 100_000,
-            mode: Mode::Asynchronous,
             ..Default::default()
         };
         let r = run(&a, &b, &x0, &cfg);
@@ -549,7 +501,6 @@ mod tests {
             num_threads: 2,
             tol: 1e-4,
             max_iterations: 100_000,
-            mode: Mode::Asynchronous,
             delay: Some(DelayInjection {
                 thread: 1,
                 duration: Duration::from_micros(500),
@@ -629,7 +580,6 @@ mod tests {
                 num_threads: 4,
                 tol: 1e-4,
                 max_iterations: 200_000,
-                mode: Mode::Asynchronous,
                 method: m,
                 ..Default::default()
             };
@@ -653,7 +603,6 @@ mod tests {
                 num_threads: 4,
                 tol: 1e-5,
                 max_iterations: 200_000,
-                mode: Mode::Asynchronous,
                 format,
                 ..Default::default()
             };
@@ -665,24 +614,6 @@ mod tests {
             );
             assert!(vecops::rel_diff(&r.x, &x_ref) < 1e-3, "{format}");
         }
-    }
-
-    #[test]
-    fn momentum_converges_synchronously_too() {
-        let (a, b, x0) = problem();
-        let cfg = ShmemConfig {
-            num_threads: 2,
-            tol: 1e-5,
-            max_iterations: 200_000,
-            mode: Mode::Synchronous,
-            method: ResolvedMethod::Richardson2 {
-                omega: 1.0,
-                beta: 0.3,
-            },
-            ..Default::default()
-        };
-        let r = run(&a, &b, &x0, &cfg);
-        assert!(r.converged, "residual {}", r.final_residual);
     }
 
     #[test]
@@ -698,7 +629,6 @@ mod tests {
             num_threads: 2,
             tol: 1e-12,
             max_iterations: 50_000,
-            mode: Mode::Asynchronous,
             delay: Some(DelayInjection {
                 thread: 1,
                 duration: Duration::from_micros(500),
@@ -734,7 +664,6 @@ mod tests {
             num_threads: 2,
             tol: 1e-4,
             max_iterations: 100_000,
-            mode: Mode::Asynchronous,
             control: Some(ControlSpec {
                 cfg: aj_control::ControlConfig::default(),
                 interval,
@@ -768,7 +697,6 @@ mod tests {
             num_threads: 2,
             tol: 0.0,
             max_iterations: 50,
-            mode: Mode::Synchronous,
             ..Default::default()
         };
         let r = run(&a, &b, &x0, &cfg);

@@ -12,7 +12,7 @@
 use async_jacobi_repro::linalg::sweeps;
 use async_jacobi_repro::linalg::vecops::Norm;
 use async_jacobi_repro::model::{run_async_model, DelaySchedule};
-use async_jacobi_repro::shmem::{Mode, ShmemConfig};
+use async_jacobi_repro::shmem::ShmemConfig;
 use async_jacobi_repro::Problem;
 
 fn main() {
@@ -53,7 +53,6 @@ fn main() {
         tol,
         max_iterations: 200_000,
         norm: Norm::L1,
-        mode: Mode::Asynchronous,
         ..Default::default()
     };
     let run = async_jacobi_repro::shmem::solver::run(&p.a, &p.b, &p.x0, &cfg);

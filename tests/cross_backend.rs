@@ -12,7 +12,7 @@ use async_jacobi_repro::model::{
     run_async_model, run_async_model_method, run_sync_model, run_sync_model_method, DelaySchedule,
 };
 use async_jacobi_repro::partition::block_partition;
-use async_jacobi_repro::shmem::{Mode, ShmemConfig};
+use async_jacobi_repro::shmem::ShmemConfig;
 use async_jacobi_repro::Problem;
 
 const TOL: f64 = 1e-8;
@@ -61,7 +61,6 @@ fn all_backends_reach_the_same_solution() {
         tol: TOL,
         max_iterations: 500_000,
         norm: Norm::L2,
-        mode: Mode::Asynchronous,
         ..Default::default()
     };
     let t = async_jacobi_repro::shmem::solver::run(&p.a, &p.b, &p.x0, &cfg);
@@ -126,7 +125,6 @@ fn threads_config(method: ResolvedMethod) -> ShmemConfig {
         tol: 1e-7,
         max_iterations: 500_000,
         norm: Norm::L2,
-        mode: Mode::Asynchronous,
         method,
         ..Default::default()
     }
@@ -330,7 +328,8 @@ fn model_gs_masks_match_linalg_gauss_seidel_solver() {
 fn async_engines_stop_at_the_time_horizon() {
     // Horizons a few sweeps in, with a tolerance no run meets: every
     // asynchronous engine must stop at its last event inside the horizon,
-    // not stamp its outcome and final sample with the first one past it.
+    // not stamp its outcome and final sample with the first one past it,
+    // and every lock-step engine at its last iteration that ends inside it.
     let a = async_jacobi_repro::matrices::fd::laplacian_2d(16, 16);
     let p = Problem::from_matrix("fd-16x16", a, 2018).unwrap();
     let n = p.n();
@@ -346,6 +345,8 @@ fn async_engines_stop_at_the_time_horizon() {
         ("block", run_shmem_async(a, b, x0, &shmem), 500.0),
         ("row-wise", run_shmem_async_rowwise(a, b, x0, &shmem), 500.0),
         ("dist", run_dist_async(a, b, x0, &part, &dist), 5_000.0),
+        ("sim-sync", run_shmem_sync(a, b, x0, &shmem), 500.0),
+        ("dist-sync", run_dist_sync(a, b, x0, &part, &dist), 5_000.0),
     ] {
         let last = out.samples.last().expect("a final sample").time;
         assert!(out.relaxations > 0, "{engine}: no sweep inside the horizon");

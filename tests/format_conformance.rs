@@ -8,7 +8,7 @@ use async_jacobi_repro::dmsim::{run_dist_async, DistConfig};
 use async_jacobi_repro::linalg::vecops::{self, Norm};
 use async_jacobi_repro::linalg::{sweeps, StorageFormat};
 use async_jacobi_repro::partition::{block_partition, CommPlan, LocalSystem};
-use async_jacobi_repro::shmem::{Mode, ShmemConfig};
+use async_jacobi_repro::shmem::ShmemConfig;
 use async_jacobi_repro::Problem;
 
 const TOL: f64 = 1e-8;
@@ -63,7 +63,6 @@ fn every_format_reaches_the_same_fixed_point_on_every_async_engine() {
             tol: TOL,
             max_iterations: 500_000,
             norm: Norm::L2,
-            mode: Mode::Asynchronous,
             format,
             ..Default::default()
         };

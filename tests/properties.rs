@@ -1,6 +1,5 @@
 //! Cross-crate property-based tests (proptest).
 
-use async_jacobi_repro::linalg::perm::Permutation;
 use async_jacobi_repro::linalg::vecops::{self, Norm};
 use async_jacobi_repro::linalg::{CooMatrix, CsrMatrix};
 use async_jacobi_repro::model::mask::ActiveMask;
@@ -53,28 +52,6 @@ proptest! {
         let ax = a.spmv(&xs);
         let ay = a.spmv(&ys);
         let rhs: Vec<f64> = (0..12).map(|i| alpha * ax[i] + ay[i]).collect();
-        prop_assert!(vecops::rel_diff(&lhs, &rhs) < 1e-12);
-    }
-
-    /// Symmetric permutation preserves SpMV: (PAPᵀ)(Px) = P(Ax).
-    #[test]
-    fn permutation_commutes_with_spmv(
-        entries in proptest::collection::vec((0usize..10, 0usize..10, -1.0f64..1.0), 5..30),
-        xs in proptest::collection::vec(-1.0f64..1.0, 10),
-        seed in 0u64..1000,
-    ) {
-        let a = wdd_matrix(10, entries);
-        // Deterministic shuffle from the seed.
-        let mut order: Vec<usize> = (0..10).collect();
-        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-        for i in (1..10).rev() {
-            s ^= s << 13; s ^= s >> 7; s ^= s << 17;
-            order.swap(i, (s % (i as u64 + 1)) as usize);
-        }
-        let p = Permutation::from_vec(order);
-        let pa = a.permute_symmetric(p.as_slice());
-        let lhs = pa.spmv(&p.apply(&xs));
-        let rhs = p.apply(&a.spmv(&xs));
         prop_assert!(vecops::rel_diff(&lhs, &rhs) < 1e-12);
     }
 
@@ -205,23 +182,6 @@ proptest! {
         }
     }
 
-    /// RCM always returns a valid permutation and never increases the
-    /// bandwidth of an already-banded (1-D chain) matrix beyond its width.
-    #[test]
-    fn rcm_is_valid_on_random_wdd_matrices(
-        entries in proptest::collection::vec((0usize..16, 0usize..16, -1.0f64..1.0), 5..60),
-    ) {
-        let a = wdd_matrix(16, entries);
-        let p = async_jacobi_repro::partition::reverse_cuthill_mckee(&a);
-        // Valid permutation (constructor validates, so reaching here with
-        // the right length is the assertion).
-        prop_assert_eq!(p.len(), 16);
-        // Permuting must preserve symmetry and nnz.
-        let r = a.permute_symmetric(p.as_slice());
-        prop_assert_eq!(r.nnz(), a.nnz());
-        prop_assert!(r.is_symmetric(1e-14));
-    }
-
     /// Manufactured problems have zero residual at the exact solution and
     /// the error metric is a norm (zero iff equal).
     #[test]
@@ -263,44 +223,6 @@ proptest! {
         async_jacobi_repro::matrices::mm::write_matrix_market(&a, &mut buf).unwrap();
         let b = async_jacobi_repro::matrices::mm::read_matrix_market(&buf[..]).unwrap();
         prop_assert_eq!(a, b);
-    }
-
-    /// `apply` then `apply_inverse` (and the inverse permutation's `apply`)
-    /// recover any vector exactly, for any permutation.
-    #[test]
-    fn permutation_apply_round_trips(
-        xs in proptest::collection::vec(-1.0f64..1.0, 12),
-        seed in 0u64..1000,
-    ) {
-        let mut order: Vec<usize> = (0..12).collect();
-        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-        for i in (1..12).rev() {
-            s ^= s << 13; s ^= s >> 7; s ^= s << 17;
-            order.swap(i, (s % (i as u64 + 1)) as usize);
-        }
-        let p = Permutation::from_vec(order);
-        let forward = p.apply(&xs);
-        prop_assert_eq!(&p.apply_inverse(&forward), &xs);
-        prop_assert_eq!(&p.inverse().apply(&forward), &xs);
-        prop_assert_eq!(&p.apply(&p.inverse().apply(&xs)), &xs);
-    }
-
-    /// RCM orderings are bijections, and conjugating by the ordering and
-    /// then by its inverse recovers the matrix exactly.
-    #[test]
-    fn rcm_permutation_round_trips(
-        entries in proptest::collection::vec((0usize..11, 0usize..11, -1.0f64..1.0), 4..30),
-    ) {
-        let a = wdd_matrix(11, entries);
-        let p = async_jacobi_repro::partition::reverse_cuthill_mckee(&a);
-        let mut seen = [false; 11];
-        for &old in p.as_slice() {
-            prop_assert!(!seen[old]);
-            seen[old] = true;
-        }
-        let reordered = a.permute_symmetric(p.as_slice());
-        let back = reordered.permute_symmetric(p.inverse().as_slice());
-        prop_assert_eq!(back, a);
     }
 
     /// Every storage format computes the same block residuals as the CSR
