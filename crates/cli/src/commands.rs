@@ -263,7 +263,6 @@ pub fn solve(args: &Args) -> Result<i32, String> {
         ranks,
         args.has_flag("detect"),
     )?;
-    aj_core::spec::validate_backend(&backend, p.n())?;
 
     let start = std::time::Instant::now();
     let report = aj_core::solve(&p, backend, &opts)?;

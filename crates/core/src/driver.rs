@@ -8,12 +8,12 @@ use crate::outer::{run_outer, Hierarchy, OuterKind, OuterReport, OuterSpec};
 use crate::problem::Problem;
 use aj_control::{ControlConfig, ControlSpec, ControlStats};
 use aj_dmsim::monitor::{CommVolume, Sample};
-use aj_dmsim::shmem_sim::{run_shmem_async, run_shmem_sync, ShmemSimConfig};
+use aj_dmsim::shmem_sim::{run_shmem_async, run_shmem_sync, ShmemSimConfig, StopRule};
 use aj_dmsim::{
     run_dist_async_plan, run_dist_sync_plan, DistConfig, FaultPlan, FaultStats,
     TerminationProtocol, TerminationStats,
 };
-use aj_linalg::method::{sync_solve, Method, ResolvedMethod, SafeInterval};
+use aj_linalg::method::{sync_solve, Method, ResolvedMethod, SafeInterval, SyncStep};
 use aj_linalg::vecops::Norm;
 use aj_linalg::{krylov, sweeps, CsrMatrix, StorageFormat};
 use aj_net::{run_net, NetConfig};
@@ -133,6 +133,27 @@ impl Backend {
             },
         }
     }
+
+    /// The backend as a report names it.
+    pub(crate) fn label(&self) -> String {
+        let kind = |asynchronous| if asynchronous { "async" } else { "sync" };
+        match *self {
+            Backend::Jacobi => "Jacobi".into(),
+            Backend::GaussSeidel => "Gauss–Seidel".into(),
+            Backend::ConjugateGradient => "Conjugate Gradients".into(),
+            Backend::AsyncThreads { workers } => format!("async threads ×{workers}"),
+            Backend::SimShared {
+                workers,
+                asynchronous,
+            } => format!("simulated {} threads ×{workers}", kind(asynchronous)),
+            Backend::SimDistributed {
+                ranks,
+                asynchronous,
+                ..
+            } => format!("simulated {} ranks ×{ranks}", kind(asynchronous)),
+            Backend::Net { ranks } => format!("net processes ×{ranks}"),
+        }
+    }
 }
 
 /// Common solve options.
@@ -145,9 +166,10 @@ pub struct SolveOptions {
     /// Residual norm.
     pub norm: Norm,
     /// Weight of plain Jacobi: the standalone `jacobi` method, or an outer
-    /// solve's `jacobi` smoother. A value other than 1 is rejected for any
-    /// other relaxation (which carries its own weight in its selector) and
-    /// on Gauss–Seidel and CG.
+    /// solve's `jacobi` smoother, which then runs as `richardson1` with
+    /// this ω. It must be finite and positive, and a value other than 1 is
+    /// rejected for any other relaxation (which carries its own weight in
+    /// its selector) and on Gauss–Seidel and CG.
     pub omega: f64,
     /// Relaxation method (see [`aj_linalg::method`] and
     /// [`crate::spec::parse_method`]). The default [`Method::Jacobi`] keeps
@@ -317,8 +339,11 @@ pub struct SolveReport {
 /// Solves `p` with the chosen backend.
 ///
 /// # Errors
-/// Returns a message for solver-level failures (e.g. CG breakdown).
+/// Returns a message for a worker or rank count outside `1..=n`, an
+/// option the backend would not honour, and solver-level failures (e.g.
+/// CG breakdown).
 pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<SolveReport, String> {
+    crate::spec::validate_backend(&backend, p.n())?;
     let caps = backend.capabilities();
     check_options(caps, opts)?;
     // Plan-time storage-format auto-selection: `format=auto` measures the
@@ -361,7 +386,13 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
         .method
         .resolve_full(&p.a, opts.seed)
         .map_err(|e| format!("method {}: {e}", opts.method.name()))?;
-    let method = resolution.method;
+    // Plain Jacobi damped by ω is `richardson1` with that ω; `check_options`
+    // has rejected ω ≠ 1 for every other method.
+    let method = if opts.omega == 1.0 {
+        resolution.method
+    } else {
+        resolution.method.fold_omega(opts.omega)
+    };
     // The controller needs the safe interval even when the method resolved
     // without a spectrum estimate (fixed parameters, plain Jacobi): run the
     // estimate at plan time so the in-loop controller never does.
@@ -379,253 +410,30 @@ pub fn solve(p: &Problem, backend: Backend, opts: &SolveOptions) -> Result<Solve
         }
         None => None,
     };
-    // Tag non-default methods onto the backend label so reports and logs
-    // say which update rule actually ran.
-    let method_tag = if matches!(method, ResolvedMethod::Jacobi) {
-        String::new()
-    } else {
-        format!(" [{}]", method.label())
+    // Tag non-default methods and formats onto the backend label so
+    // reports and logs say which update rule and layout actually ran.
+    let mut label = backend.label();
+    if !matches!(method, ResolvedMethod::Jacobi) {
+        label.push_str(&format!(" [{}]", method.label()));
+    }
+    if format != StorageFormat::Csr {
+        label.push_str(&format!(" [{format}]"));
+    }
+    let engine = Engine {
+        backend,
+        method,
+        format,
+        plan: opts.plan.clone(),
     };
-    let format_tag = if format == StorageFormat::Csr {
-        String::new()
-    } else {
-        format!(" [{format}]")
-    };
-    // `last` is the engine's own residual of its final iterate, when it has
-    // one (its last sample or history entry).
-    let report = |label: String, x: Vec<f64>, history: Vec<(f64, f64)>, last: Option<f64>| {
-        let final_residual = p.final_residual(&x, opts.norm, last);
-        SolveReport {
-            backend: label,
-            converged: final_residual < opts.tol,
-            x,
-            history,
-            final_residual,
-            comm: None,
-            termination: None,
-            faults: None,
-            metrics: None,
-            outer: None,
-            control: None,
-        }
-    };
-    let sweep_curve = |history: &[f64]| -> Vec<(f64, f64)> {
-        history
-            .iter()
-            .enumerate()
-            .map(|(k, &r)| (k as f64, r))
-            .collect()
-    };
-    let sampled_curve = |samples: &[Sample]| -> (Vec<(f64, f64)>, Option<f64>) {
-        let curve = samples.iter().map(|s| (s.time, s.residual)).collect();
-        (curve, samples.last().map(|s| s.residual))
-    };
-    let rep: Result<SolveReport, String> = match backend {
-        Backend::Jacobi => {
-            let out = sync_solve(
-                &p.a,
-                &p.b,
-                &p.x0,
-                &method.fold_omega(opts.omega),
-                opts.tol,
-                opts.max_iterations as usize,
-                opts.norm,
-            )
-            .map_err(|e| e.to_string())?;
-            let label = match method {
-                ResolvedMethod::Jacobi if opts.omega == 1.0 => "Jacobi".into(),
-                ResolvedMethod::Jacobi => format!("damped Jacobi (ω={})", opts.omega),
-                _ => format!("sequential{method_tag}"),
-            };
-            let last = out.history.last().copied();
-            Ok(report(label, out.x, sweep_curve(&out.history), last))
-        }
-        Backend::GaussSeidel => {
-            let (x, hist) = sweeps::gauss_seidel_solve(
-                &p.a,
-                &p.b,
-                &p.x0,
-                opts.tol,
-                opts.max_iterations as usize,
-                opts.norm,
-            )
-            .map_err(|e| e.to_string())?;
-            let last = hist.last().copied();
-            Ok(report("Gauss–Seidel".into(), x, sweep_curve(&hist), last))
-        }
-        Backend::ConjugateGradient => {
-            let r = krylov::conjugate_gradient(
-                &p.a,
-                &p.b,
-                &p.x0,
-                opts.tol,
-                opts.max_iterations as usize,
-                opts.norm,
-            )
-            .map_err(|e| e.to_string())?;
-            // CG's history follows the recurrence residual, which drifts
-            // from the true one: recompute.
-            Ok(report(
-                "Conjugate Gradients".into(),
-                r.x,
-                sweep_curve(&r.history),
-                None,
-            ))
-        }
-        Backend::AsyncThreads { workers } => {
-            let cfg = aj_shmem::ShmemConfig {
-                num_threads: workers,
-                tol: opts.tol,
-                max_iterations: opts.max_iterations as usize,
-                norm: opts.norm,
-                omega: opts.omega,
-                method,
-                format,
-                obs: opts.obs,
-                control: control_spec,
-                ..Default::default()
-            };
-            let out = aj_shmem::solver::run(&p.a, &p.b, &p.x0, &cfg);
-            // The threads engine recomputes its final residual itself.
-            let mut rep = report(
-                format!("async threads ×{workers}{method_tag}{format_tag}"),
-                out.x,
-                out.residual_history,
-                Some(out.final_residual),
-            );
-            rep.metrics = out.obs;
-            rep.control = out.control;
-            Ok(rep)
-        }
-        Backend::SimShared {
-            workers,
-            asynchronous,
-        } => {
-            let mut cfg = ShmemSimConfig::new(workers, p.n(), opts.seed);
-            cfg.tol = opts.tol;
-            cfg.max_iterations = opts.max_iterations;
-            cfg.norm = opts.norm;
-            cfg.omega = opts.omega;
-            cfg.method = method;
-            cfg.format = format;
-            cfg.obs = opts.obs;
-            cfg.control = control_spec;
-            let out = if asynchronous {
-                run_shmem_async(&p.a, &p.b, &p.x0, &cfg)
-            } else {
-                run_shmem_sync(&p.a, &p.b, &p.x0, &cfg)
-            };
-            let (curve, last) = sampled_curve(&out.samples);
-            let kind = if asynchronous { "async" } else { "sync" };
-            let mut rep = report(
-                format!("simulated {kind} threads ×{workers}{method_tag}{format_tag}"),
-                out.x,
-                curve,
-                last,
-            );
-            rep.metrics = out.obs;
-            rep.control = out.control;
-            Ok(rep)
-        }
-        Backend::SimDistributed {
-            ranks,
-            asynchronous,
-            detect,
-        } => {
-            let plan = dist_plan(&p.a, opts.plan.as_ref(), ranks, "backend")?;
-            let mut cfg = DistConfig::new(p.n(), opts.seed);
-            cfg.tol = opts.tol;
-            cfg.max_iterations = opts.max_iterations;
-            cfg.norm = opts.norm;
-            cfg.omega = opts.omega;
-            cfg.method = method;
-            cfg.format = format;
-            cfg.obs = opts.obs;
-            if detect && asynchronous {
-                let mut proto = TerminationProtocol::default();
-                if let Some(timeout) = opts.staleness_timeout {
-                    proto.staleness_timeout = timeout;
-                }
-                cfg.termination = Some(proto);
-            }
-            if asynchronous {
-                cfg.faults = opts.faults.clone();
-                cfg.control = control_spec;
-            }
-            let out = if asynchronous {
-                run_dist_async_plan(&p.a, &p.b, &p.x0, &plan, &cfg)
-            } else {
-                run_dist_sync_plan(&p.a, &p.b, &p.x0, &plan, &cfg)
-            };
-            let (curve, last) = sampled_curve(&out.samples);
-            let kind = if asynchronous { "async" } else { "sync" };
-            let mut rep = report(
-                format!("simulated {kind} ranks ×{ranks}{method_tag}{format_tag}"),
-                out.x,
-                curve,
-                last,
-            );
-            rep.comm = Some(out.comm);
-            rep.termination = out.termination;
-            rep.faults = out.faults;
-            rep.metrics = out.obs;
-            rep.control = out.control;
-            Ok(rep)
-        }
-        Backend::Net { ranks } => {
-            let plan = dist_plan(&p.a, opts.plan.as_ref(), ranks, "backend")?;
-            let mut cfg = NetConfig::new(ranks);
-            cfg.tol = opts.tol;
-            cfg.max_iterations = opts.max_iterations;
-            cfg.omega = opts.omega;
-            cfg.method = method;
-            cfg.format = format;
-            cfg.seed = opts.seed;
-            cfg.obs = opts.obs;
-            if let Some(timeout) = opts.staleness_timeout {
-                // Wall-clock seconds for real processes (the simulator's
-                // timeout is in simulated ticks).
-                cfg.staleness_timeout = timeout;
-            }
-            if let Some(pace) = opts.pace_us {
-                cfg.pace_us = pace;
-            }
-            if let Some(faults) = &opts.faults {
-                // Real processes can only die: a crash kills the child
-                // `at` milliseconds after the solve starts. Recovery,
-                // stalls, and link rules are simulator-only affordances.
-                if !faults.stalls.is_empty() || !faults.links.is_empty() {
-                    return Err(
-                        "the net backend supports crash faults only (no stalls or link rules)"
-                            .into(),
-                    );
-                }
-                for crash in &faults.crashes {
-                    if crash.recover_after.is_some() {
-                        return Err(format!(
-                            "the net backend cannot recover a killed process \
-                             (crash of rank {} specifies a recovery)",
-                            crash.rank
-                        ));
-                    }
-                    cfg.hooks.kills.push((crash.rank, crash.at as u64));
-                }
-            }
-            let out = run_net(&p.a, &p.b, &p.x0, &plan, &cfg)?;
-            // The parent samples while the ranks still run: recompute.
-            let mut rep = report(
-                format!("net processes ×{ranks}{method_tag}{format_tag}"),
-                out.x,
-                out.history,
-                None,
-            );
-            rep.comm = Some(out.comm);
-            rep.termination = Some(out.termination);
-            rep.metrics = out.obs;
-            Ok(rep)
-        }
-    };
-    let rep = stamp_auto(rep?);
+    let stop = Stop::Tolerance(opts.tol, opts.max_iterations);
+    let (rep, last) = run_engine(&p.a, &p.b, &p.x0, &engine, stop, control_spec, opts)?;
+    let final_residual = p.final_residual(&rep.x, opts.norm, last);
+    let rep = stamp_auto(SolveReport {
+        backend: label,
+        converged: final_residual < opts.tol,
+        final_residual,
+        ..rep
+    });
     // Controller-requested rescue: the stalled standalone run is abandoned
     // and the solve escalates to the default V-cycle outer around the same
     // backend (control off — the outer loop owns convergence from here).
@@ -676,6 +484,9 @@ fn check_options(caps: Capabilities, opts: &SolveOptions) -> Result<(), String> 
              their own iteration)",
             opts.method.to_spec()
         )
+    })?;
+    ensure(opts.omega.is_finite() && opts.omega > 0.0, || {
+        format!("omega must be finite and positive, got {}", opts.omega)
     })?;
     ensure(caps.methods || opts.omega == 1.0, || {
         format!("omega={} does not apply to gs or cg", opts.omega)
@@ -734,6 +545,248 @@ fn ensure(ok: bool, what: impl FnOnce() -> String) -> Result<(), String> {
     } else {
         Err(what())
     }
+}
+
+/// When an engine run stops.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stop {
+    /// Below the tolerance, or at the iteration cap.
+    Tolerance(f64, u64),
+    /// After exactly this many sweeps, taking no residual samples: an
+    /// outer solve's inner run, whose outer loop measures the residual.
+    Sweeps(u64),
+}
+
+/// An engine and what it runs, fixed once per standalone solve, or once
+/// per hierarchy level of an outer solve.
+pub(crate) struct Engine {
+    pub backend: Backend,
+    /// The resolved method, the solve's ω folded in.
+    pub method: ResolvedMethod,
+    /// A concrete storage format.
+    pub format: StorageFormat,
+    /// The distributed backends' communication plan; `None` builds a block
+    /// partition's.
+    pub plan: Option<Arc<CommPlan>>,
+}
+
+/// Runs `engine` on `A x = b` from `x0` until `stop`: the one place that
+/// configures an engine. `opts` supplies the norm, seed, obs, faults,
+/// staleness timeout and pacing. Worker and rank counts are clamped to the
+/// rows of `a`, a coarse level's size; [`solve`] has rejected a standalone
+/// count out of range. Returns the report with its `backend`,
+/// `final_residual` and `converged` unset, and the engine's own residual
+/// of its final iterate (its last sample or history entry), if it has one.
+pub(crate) fn run_engine(
+    a: &CsrMatrix,
+    b: &[f64],
+    x0: &[f64],
+    engine: &Engine,
+    stop: Stop,
+    control: Option<ControlSpec>,
+    opts: &SolveOptions,
+) -> Result<(SolveReport, Option<f64>), String> {
+    let n = a.nrows();
+    let fit = |count: usize| count.min(n).max(1);
+    // A fixed sweep count has a tolerance no residual meets.
+    let (tol, max_iterations, sim_stop) = match stop {
+        Stop::Tolerance(tol, cap) => (tol, cap, StopRule::Tolerance),
+        Stop::Sweeps(k) => (0.0, k, StopRule::Unmonitored),
+    };
+    let (method, format, norm) = (engine.method, engine.format, opts.norm);
+    let report = |x, history| SolveReport {
+        backend: String::new(),
+        x,
+        history,
+        converged: false,
+        final_residual: f64::NAN,
+        comm: None,
+        termination: None,
+        faults: None,
+        metrics: None,
+        outer: None,
+        control: None,
+    };
+    let sweep_curve = |history: &[f64]| -> Vec<(f64, f64)> {
+        history
+            .iter()
+            .enumerate()
+            .map(|(k, &r)| (k as f64, r))
+            .collect()
+    };
+    let sampled_curve = |samples: &[Sample]| -> (Vec<(f64, f64)>, Option<f64>) {
+        let curve = samples.iter().map(|s| (s.time, s.residual)).collect();
+        (curve, samples.last().map(|s| s.residual))
+    };
+    let solver_error = |e: aj_linalg::LinalgError| e.to_string();
+    Ok(match engine.backend {
+        Backend::Jacobi => match stop {
+            Stop::Tolerance(..) => {
+                let out = sync_solve(a, b, x0, &method, tol, max_iterations as usize, norm)
+                    .map_err(solver_error)?;
+                let last = out.history.last().copied();
+                (report(out.x, sweep_curve(&out.history)), last)
+            }
+            Stop::Sweeps(k) => {
+                let diag_inv = sweeps::inverse_diagonal(a).map_err(solver_error)?;
+                let mut step = SyncStep::new(a, b, &diag_inv, method, x0);
+                for _ in 0..k {
+                    step.step();
+                }
+                (report(step.into_x(), Vec::new()), None)
+            }
+        },
+        Backend::GaussSeidel => {
+            let (x, history) =
+                sweeps::gauss_seidel_solve(a, b, x0, tol, max_iterations as usize, norm)
+                    .map_err(solver_error)?;
+            let last = history.last().copied();
+            (report(x, sweep_curve(&history)), last)
+        }
+        Backend::ConjugateGradient => {
+            let r = krylov::conjugate_gradient(a, b, x0, tol, max_iterations as usize, norm)
+                .map_err(solver_error)?;
+            // CG's history follows the recurrence residual, which drifts
+            // from the true one: recompute.
+            (report(r.x, sweep_curve(&r.history)), None)
+        }
+        Backend::AsyncThreads { workers } => {
+            let cfg = aj_shmem::ShmemConfig {
+                num_threads: fit(workers),
+                tol,
+                max_iterations: max_iterations as usize,
+                norm,
+                method,
+                format,
+                obs: opts.obs,
+                control,
+                ..Default::default()
+            };
+            let out = aj_shmem::solver::run(a, b, x0, &cfg);
+            // The threads engine recomputes its final residual itself.
+            let rep = SolveReport {
+                metrics: out.obs,
+                control: out.control,
+                ..report(out.x, out.residual_history)
+            };
+            (rep, Some(out.final_residual))
+        }
+        Backend::SimShared {
+            workers,
+            asynchronous,
+        } => {
+            let mut cfg = ShmemSimConfig::new(fit(workers), n, opts.seed);
+            cfg.tol = tol;
+            cfg.max_iterations = max_iterations;
+            cfg.stop = sim_stop;
+            cfg.norm = norm;
+            cfg.method = method;
+            cfg.format = format;
+            cfg.obs = opts.obs;
+            cfg.control = control;
+            let out = if asynchronous {
+                run_shmem_async(a, b, x0, &cfg)
+            } else {
+                run_shmem_sync(a, b, x0, &cfg)
+            };
+            let (curve, last) = sampled_curve(&out.samples);
+            let rep = SolveReport {
+                metrics: out.obs,
+                control: out.control,
+                ..report(out.x, curve)
+            };
+            (rep, last)
+        }
+        Backend::SimDistributed {
+            ranks,
+            asynchronous,
+            detect,
+        } => {
+            let plan = dist_plan(a, engine.plan.as_ref(), fit(ranks), "backend")?;
+            let mut cfg = DistConfig::new(n, opts.seed);
+            cfg.tol = tol;
+            cfg.max_iterations = max_iterations;
+            cfg.stop = sim_stop;
+            cfg.norm = norm;
+            cfg.method = method;
+            cfg.format = format;
+            cfg.obs = opts.obs;
+            if asynchronous {
+                cfg.termination = detect.then(|| {
+                    opts.staleness_timeout.map_or_else(
+                        TerminationProtocol::default,
+                        TerminationProtocol::with_staleness_timeout,
+                    )
+                });
+                cfg.faults = opts.faults.clone();
+                cfg.control = control;
+            }
+            let out = if asynchronous {
+                run_dist_async_plan(a, b, x0, &plan, &cfg)
+            } else {
+                run_dist_sync_plan(a, b, x0, &plan, &cfg)
+            };
+            let (curve, last) = sampled_curve(&out.samples);
+            let rep = SolveReport {
+                comm: Some(out.comm),
+                termination: out.termination,
+                faults: out.faults,
+                metrics: out.obs,
+                control: out.control,
+                ..report(out.x, curve)
+            };
+            (rep, last)
+        }
+        Backend::Net { ranks } => {
+            let plan = dist_plan(a, engine.plan.as_ref(), fit(ranks), "backend")?;
+            let mut cfg = NetConfig {
+                tol,
+                max_iterations,
+                method,
+                format,
+                obs: opts.obs,
+                ..NetConfig::default()
+            };
+            if let Some(timeout) = opts.staleness_timeout {
+                // Wall-clock seconds for real processes (the simulator's
+                // timeout is in simulated ticks).
+                cfg.staleness_timeout = timeout;
+            }
+            if let Some(pace) = opts.pace_us {
+                cfg.pace_us = pace;
+            }
+            if let Some(faults) = &opts.faults {
+                // Real processes can only die: a crash kills the child
+                // `at` milliseconds after the solve starts. Recovery,
+                // stalls, and link rules are simulator-only affordances.
+                if !faults.stalls.is_empty() || !faults.links.is_empty() {
+                    return Err(
+                        "the net backend supports crash faults only (no stalls or link rules)"
+                            .into(),
+                    );
+                }
+                for crash in &faults.crashes {
+                    if crash.recover_after.is_some() {
+                        return Err(format!(
+                            "the net backend cannot recover a killed process \
+                             (crash of rank {} specifies a recovery)",
+                            crash.rank
+                        ));
+                    }
+                    cfg.hooks.kills.push((crash.rank, crash.at as u64));
+                }
+            }
+            let out = run_net(a, b, x0, &plan, &cfg)?;
+            // The parent samples while the ranks still run: recompute.
+            let rep = SolveReport {
+                comm: Some(out.comm),
+                termination: Some(out.termination),
+                metrics: out.obs,
+                ..report(out.x, out.history)
+            };
+            (rep, None)
+        }
+    })
 }
 
 #[cfg(test)]

@@ -4,23 +4,21 @@
 //! The composition inverts the usual driver flow: instead of an engine
 //! owning the whole solve, the outer loop owns convergence and calls the
 //! engine for `K` relaxation sweeps on a residual equation `A z = r` at a
-//! time (`max_iterations = K`, start from zero). The simulators run those
-//! sweeps [`StopRule::Unmonitored`]: the outer loop measures the residual
-//! itself, so the inner runs take no residual samples. Inner sweeps
-//! run as asynchronously as the chosen backend allows; the only
-//! synchronization points are the coarse-grid transfers (V-cycle) and the
-//! Krylov recurrence (FCG/FGMRES).
+//! time, from zero, through the same engine call a standalone solve makes.
+//! The simulators run those sweeps
+//! [`StopRule::Unmonitored`](aj_dmsim::shmem_sim::StopRule::Unmonitored)
+//! and the sequential engine runs them as `K` `SyncStep` steps: the outer
+//! loop measures the residual itself, so the inner runs take no residual
+//! samples. Inner sweeps run as asynchronously as the chosen backend
+//! allows; the only synchronization points are the coarse-grid transfers
+//! (V-cycle) and the Krylov recurrence (FCG/FGMRES).
 
-use crate::driver::{dist_plan, Backend, SolveOptions, SolveReport};
+use crate::driver::{dist_plan, run_engine, Backend, Engine, SolveOptions, SolveReport, Stop};
 use crate::problem::Problem;
-use aj_dmsim::shmem_sim::{run_shmem_async, run_shmem_sync, ShmemSimConfig, StopRule};
-use aj_dmsim::{run_dist_async_plan, run_dist_sync_plan, DistConfig};
-use aj_linalg::method::{Method, OmegaSpec, ResolvedMethod};
-use aj_linalg::vecops::Norm;
+use aj_linalg::method::{Method, OmegaSpec};
 use aj_linalg::{CsrMatrix, StorageFormat};
-use aj_obs::{ObsConfig, Snapshot};
-use aj_outer::{flex, smoothing_method, vcycle, ReferenceSmoother, Smoother};
-use aj_partition::CommPlan;
+use aj_obs::Snapshot;
+use aj_outer::{flex, smoothing_method, vcycle, Smoother};
 use std::sync::Arc;
 
 pub use aj_outer::{Hierarchy, OuterKind, OuterSpec};
@@ -40,122 +38,67 @@ pub struct OuterReport {
     pub inner_sweeps: u64,
 }
 
-/// Per-hierarchy-level memoized state: the resolved method (Lanczos ω
-/// estimation runs once per level, not once per smoothing call) and, for
-/// the distributed engine, the communication plan.
-struct LevelState {
-    method: ResolvedMethod,
-    plan: Option<Arc<CommPlan>>,
-}
-
-/// [`Smoother`] adapter that runs one of the execution engines for `steps`
-/// sweeps per call: the sequential dense reference ([`ReferenceSmoother`])
-/// for `sync`, the backend's own engine otherwise. `smoothing = true`
-/// (V-cycle position) re-targets `omega=auto` to the oscillatory half-band
-/// via [`smoothing_method`]; `false` (Krylov preconditioner position) keeps
-/// the standalone rule.
-struct EngineSmoother {
+/// [`Smoother`] adapter that runs the backend's engine for `steps` sweeps
+/// per call through [`run_engine`]. `smoothing = true` (V-cycle position)
+/// re-targets `omega=auto` to the oscillatory half-band via
+/// [`smoothing_method`]; `false` (Krylov preconditioner position) keeps the
+/// standalone rule.
+struct EngineSmoother<'o> {
     backend: Backend,
     method: Method,
     smoothing: bool,
-    seed: u64,
     format: StorageFormat,
-    norm: Norm,
-    obs: ObsConfig,
-    /// Fine-level plan passed down from [`SolveOptions::plan`] (serve's
-    /// plan cache); reused at level 0 when its part count matches.
-    fine_plan: Option<Arc<CommPlan>>,
-    levels: Vec<Option<LevelState>>,
-    reference: Option<ReferenceSmoother>,
+    opts: &'o SolveOptions,
+    /// Each level's engine, memoized: Lanczos ω estimation runs once per
+    /// level, not once per smoothing call, and so does the distributed
+    /// engine's communication plan.
+    levels: Vec<Option<Engine>>,
     /// Merged counters/histograms from every inner run (timelines are
     /// dropped: each inner run restarts its clock, so lanes from different
     /// smoothing calls would interleave meaninglessly).
     snap: Snapshot,
 }
 
-impl EngineSmoother {
-    fn new(
-        backend: Backend,
-        smooth: Method,
-        smoothing: bool,
-        opts: &SolveOptions,
-        format: StorageFormat,
-    ) -> Self {
-        let reference = (backend == Backend::Jacobi)
-            .then(|| ReferenceSmoother::new(smooth, opts.seed, smoothing));
-        EngineSmoother {
-            backend,
-            method: smooth,
-            smoothing,
-            seed: opts.seed,
-            format,
-            norm: opts.norm,
-            obs: opts.obs,
-            fine_plan: opts.plan.clone(),
-            levels: Vec::new(),
-            reference,
-            snap: Snapshot::new(),
-        }
-    }
-
-    /// Resolves (once) and returns this level's method and, for the
-    /// distributed engine, its communication plan.
-    fn level_state(
-        &mut self,
-        level: usize,
-        a: &CsrMatrix,
-    ) -> Result<(ResolvedMethod, Option<Arc<CommPlan>>), String> {
+impl EngineSmoother<'_> {
+    /// Resolves (once) and returns this level's engine.
+    fn level(&mut self, level: usize, a: &CsrMatrix) -> Result<&Engine, String> {
         if self.levels.len() <= level {
             self.levels.resize_with(level + 1, || None);
         }
         if self.levels[level].is_none() {
+            let smoother_error = |e| format!("level {level} smoother: {e}");
             let method = if self.smoothing {
-                smoothing_method(&self.method, a)
-                    .map_err(|e| format!("level {level} smoother: {e}"))?
+                smoothing_method(&self.method, a).map_err(smoother_error)?
             } else {
                 self.method
             };
-            let resolved = method
-                .resolve(a, self.seed)
-                .map_err(|e| format!("level {level} smoother: {e}"))?;
             let plan = match self.backend {
                 Backend::SimDistributed { ranks, .. } => {
-                    let given = self.fine_plan.as_ref().filter(|_| level == 0);
+                    // serve's cached plan is the fine level's.
+                    let given = self.opts.plan.as_ref().filter(|_| level == 0);
                     let nparts = ranks.min(a.nrows()).max(1);
                     Some(dist_plan(a, given, nparts, "inner backend")?)
                 }
                 _ => None,
             };
-            self.levels[level] = Some(LevelState {
-                method: resolved,
+            self.levels[level] = Some(Engine {
+                backend: self.backend,
+                method: method.resolve(a, self.opts.seed).map_err(smoother_error)?,
+                format: self.format,
                 plan,
             });
         }
-        let state = self.levels[level].as_ref().unwrap();
-        Ok((state.method, state.plan.clone()))
+        Ok(self.levels[level].as_ref().expect("memoized above"))
     }
 
-    /// Folds one inner run's observability into the outer aggregate.
-    fn absorb(&mut self, obs: Option<Snapshot>) {
-        let Some(s) = obs else { return };
-        for (k, v) in &s.counters {
-            self.snap.add_counter(k, *v);
-        }
-        for (k, h) in &s.histograms {
-            self.snap.merge_histogram(k, h);
-        }
-    }
-
+    /// The merged inner observability, when obs is on and the engine
+    /// records any (the sequential one records none).
     fn into_snapshot(self) -> Option<Snapshot> {
-        if self.obs.is_on() && self.reference.is_none() {
-            Some(self.snap)
-        } else {
-            None
-        }
+        (self.opts.obs.is_on() && self.backend != Backend::Jacobi).then_some(self.snap)
     }
 }
 
-impl Smoother for EngineSmoother {
+impl Smoother for EngineSmoother<'_> {
     fn smooth(
         &mut self,
         level: usize,
@@ -163,66 +106,19 @@ impl Smoother for EngineSmoother {
         r: &[f64],
         steps: usize,
     ) -> Result<Vec<f64>, String> {
-        if let Some(reference) = &mut self.reference {
-            return reference.smooth(level, a, r, steps);
+        let opts = self.opts;
+        let zeros = vec![0.0; a.nrows()];
+        let engine = self.level(level, a)?;
+        let (rep, _) = run_engine(a, r, &zeros, engine, Stop::Sweeps(steps as u64), None, opts)?;
+        if let Some(s) = rep.metrics {
+            for (k, v) in &s.counters {
+                self.snap.add_counter(k, *v);
+            }
+            for (k, h) in &s.histograms {
+                self.snap.merge_histogram(k, h);
+            }
         }
-        let (method, plan) = self.level_state(level, a)?;
-        let n = a.nrows();
-        let zeros = vec![0.0; n];
-        match self.backend {
-            Backend::AsyncThreads { workers } => {
-                let cfg = aj_shmem::ShmemConfig {
-                    num_threads: workers.min(n).max(1),
-                    tol: 0.0,
-                    max_iterations: steps,
-                    norm: self.norm,
-                    method,
-                    format: self.format,
-                    obs: self.obs,
-                    ..Default::default()
-                };
-                let out = aj_shmem::solver::run(a, r, &zeros, &cfg);
-                self.absorb(out.obs);
-                Ok(out.x)
-            }
-            Backend::SimShared {
-                workers,
-                asynchronous,
-            } => {
-                let mut cfg = ShmemSimConfig::new(workers.min(n).max(1), n, self.seed);
-                cfg.stop = StopRule::Unmonitored;
-                cfg.max_iterations = steps as u64;
-                cfg.norm = self.norm;
-                cfg.method = method;
-                cfg.format = self.format;
-                cfg.obs = self.obs;
-                let out = if asynchronous {
-                    run_shmem_async(a, r, &zeros, &cfg)
-                } else {
-                    run_shmem_sync(a, r, &zeros, &cfg)
-                };
-                self.absorb(out.obs);
-                Ok(out.x)
-            }
-            Backend::SimDistributed { asynchronous, .. } => {
-                let plan = plan.expect("distributed level state always carries a plan");
-                let mut cfg = DistConfig::new(n, self.seed);
-                cfg.stop = StopRule::Unmonitored;
-                cfg.max_iterations = steps as u64;
-                cfg.norm = self.norm;
-                cfg.method = method;
-                cfg.format = self.format;
-                cfg.obs = self.obs;
-                let out = if asynchronous {
-                    run_dist_async_plan(a, r, &zeros, &plan, &cfg)
-                } else {
-                    run_dist_sync_plan(a, r, &zeros, &plan, &cfg)
-                };
-                self.absorb(out.obs);
-                Ok(out.x)
-            }
-            _ => unreachable!("run_outer admits only inner-capable backends"),
-        }
+        Ok(rep.x)
     }
 }
 
@@ -259,20 +155,6 @@ pub(crate) fn run_outer(
                 .into(),
         );
     }
-    let kind = |asynchronous| if asynchronous { "async" } else { "sync" };
-    let engine_label = match backend {
-        Backend::AsyncThreads { workers } => format!("async threads ×{workers}"),
-        Backend::SimShared {
-            workers,
-            asynchronous,
-        } => format!("simulated {} threads ×{workers}", kind(asynchronous)),
-        Backend::SimDistributed {
-            ranks,
-            asynchronous,
-            ..
-        } => format!("simulated {} ranks ×{ranks}", kind(asynchronous)),
-        _ => "sequential reference".to_string(),
-    };
     let smoothing = matches!(spec.kind, OuterKind::VCycle { .. });
     if opts.outer_plan.is_some() && !smoothing {
         return Err(format!(
@@ -280,8 +162,8 @@ pub(crate) fn run_outer(
             spec.name()
         ));
     }
-    // A plain Jacobi smoother takes the solve's weight ω, as the engines'
-    // own fold does for a standalone run; every other smoother carries its
+    // A plain Jacobi smoother takes the solve's weight ω, as `solve` folds
+    // it into a standalone run's method; every other smoother carries its
     // own parameters, and `solve` rejects ω ≠ 1 for them.
     let smooth = match spec.smooth {
         Method::Jacobi if opts.omega != 1.0 => Method::Richardson1 {
@@ -289,7 +171,15 @@ pub(crate) fn run_outer(
         },
         m => m,
     };
-    let mut smoother = EngineSmoother::new(backend, smooth, smoothing, opts, format);
+    let mut smoother = EngineSmoother {
+        backend,
+        method: smooth,
+        smoothing,
+        format,
+        opts,
+        levels: Vec::new(),
+        snap: Snapshot::new(),
+    };
     let (out, levels) = match spec.kind {
         OuterKind::VCycle { levels, steps } => {
             let h = match &opts.outer_plan {
@@ -364,7 +254,7 @@ pub(crate) fn run_outer(
         .map(|(k, &r)| (k as f64, r))
         .collect();
     Ok(SolveReport {
-        backend: format!("outer={} on {engine_label}", spec.to_spec()),
+        backend: format!("outer={} on {}", spec.to_spec(), backend.label()),
         converged: final_residual < opts.tol,
         x: out.x,
         history,

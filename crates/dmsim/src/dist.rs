@@ -451,15 +451,9 @@ pub fn run_dist_async_plan(
 
     // Termination-detection state (root = rank 0).
     let norm_b = aj_linalg::vecops::norm(b, aj_linalg::vecops::Norm::L1);
-    let mut aggregator = config.termination.map(|t| {
-        RootAggregator::new(
-            nparts,
-            config.tol * t.safety_factor,
-            norm_b,
-            t.confirmations,
-            t.staleness_timeout,
-        )
-    });
+    let mut aggregator = config
+        .termination
+        .map(|t| RootAggregator::new(nparts, config.tol, norm_b, t.staleness_timeout));
     let mut term_stats = TerminationStats::default();
     let mut stopped_count = 0usize;
     let mut comm = crate::monitor::CommVolume::default();
@@ -1203,6 +1197,49 @@ mod tests {
         // ⌈0.25 · 25⌉ = 7 rows per sweep, on every rank.
         let sweeps: u64 = out.worker_iterations.iter().sum();
         assert_eq!(out.relaxations, sweeps * 7);
+    }
+
+    #[test]
+    fn lock_step_engines_panic_on_a_zero_diagonal_like_the_block_engine() {
+        // An 8-row path whose row 3 stores no diagonal.
+        let mut coo = aj_linalg::CooMatrix::new(8, 8);
+        for i in 0..8 {
+            if i != 3 {
+                coo.push(i, i, 2.0);
+            }
+            if i + 1 < 8 {
+                coo.push_sym(i, i + 1, -1.0);
+            }
+        }
+        let a = coo.to_csr();
+        let (b, x0) = (vec![1.0; 8], vec![0.0; 8]);
+        let p = block_partition(8, 2);
+        let mut shared = crate::ShmemSimConfig::new(2, 8, 1);
+        shared.max_iterations = 50;
+        let mut dist = DistConfig::new(8, 1);
+        dist.max_iterations = 50;
+        let panic_message = |run: &dyn Fn() -> SimOutcome| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("a zero diagonal must not run");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        use crate::shmem_sim::{run_shmem_async, run_shmem_sync};
+        for (engine, message) in [
+            (
+                "sim-async",
+                panic_message(&|| run_shmem_async(&a, &b, &x0, &shared)),
+            ),
+            (
+                "sim-sync",
+                panic_message(&|| run_shmem_sync(&a, &b, &x0, &shared)),
+            ),
+            (
+                "dist-sync",
+                panic_message(&|| run_dist_sync(&a, &b, &x0, &p, &dist)),
+            ),
+        ] {
+            assert!(message.starts_with("zero diagonal"), "{engine}: {message}");
+        }
     }
 
     #[test]

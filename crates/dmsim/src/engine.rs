@@ -18,7 +18,7 @@ use crate::shmem_sim::{SimDelay, StopRule};
 use aj_control::{ControlSpec, Controller, Observation};
 use aj_linalg::method::{ResolvedMethod, SyncStep};
 use aj_linalg::vecops::Norm;
-use aj_linalg::{CsrMatrix, SweepKernel};
+use aj_linalg::{sweeps, CsrMatrix, SweepKernel};
 use aj_obs::{ObsConfig, SpanKind};
 
 /// Whole event ticks for a duration in simulated time, at least one.
@@ -340,7 +340,8 @@ impl<'a, E> AsyncRun<'a, E> {
 /// `workers` workers or ranks. The monitor samples the residual the step
 /// relaxes from, so a run of `k` iterations takes `k + 1` residual passes
 /// (`k` under [`StopRule::Unmonitored`]) and is bit-identical to
-/// [`aj_linalg::method::method_solve`].
+/// [`aj_linalg::method::method_solve`]. Panics on a zero diagonal, as the
+/// block engines do.
 pub(crate) fn run_lockstep(
     a: &CsrMatrix,
     b: &[f64],
@@ -349,7 +350,7 @@ pub(crate) fn run_lockstep(
     workers: usize,
     mut duration: impl FnMut() -> f64,
 ) -> SimOutcome {
-    let diag_inv: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
+    let diag_inv = sweeps::inverse_diagonal(a).expect("zero diagonal");
     let mut step = SyncStep::new(a, b, &diag_inv, spec.method, x0);
     let mut monitor = spec.monitor(a, b);
     monitor.observe_step(0.0, 0, &mut step);

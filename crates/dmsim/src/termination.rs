@@ -15,18 +15,14 @@
 //!    barrier, no synchronisation of iteration counts;
 //! 2. the root keeps the latest report per rank; once a **complete round**
 //!    is in — a fresh report from every rank considered alive since the
-//!    previous round was judged — it sums the latest norms and checks
-//!    `Σ ‖r_owned‖₁ < tol·‖b‖₁`. After `confirmations` consecutive
-//!    below-tolerance rounds it broadcasts a stop message;
+//!    previous round was judged — it sums the latest norms, and the first
+//!    round with `Σ ‖r_owned‖₁ < ½·tol·‖b‖₁` makes it broadcast a stop
+//!    message;
 //! 3. a rank receiving the stop finishes its in-flight sweep and retires.
 //!
-//! Counting *rounds* rather than *reports* matters: reports arrive one at a
-//! time, and two consecutive below-tolerance ingests can come from the same
-//! reporting round (even from the same rank). An earlier version credited a
-//! confirmation per below-tolerance *report* once initial coverage was
-//! reached, so `confirmations: 2` could be satisfied without any rank
-//! reporting twice — exactly the stale-snapshot race the confirmation knob
-//! exists to rule out.
+//! Judging *rounds* rather than *reports* matters: reports arrive one at a
+//! time, and a round's sum must hold a report from every live rank, not
+//! two reports from one of them.
 //!
 //! ## Staleness timeouts and dead-rank exclusion
 //!
@@ -42,37 +38,25 @@
 //! is re-included automatically — presumed death is re-evaluated from
 //! report times at every ingest, never latched.
 //!
-//! ## Why one confirmation round suffices for W.D.D. systems
+//! ## Why one round suffices for W.D.D. systems
 //!
 //! Reports are stale by up to `check_interval` iterations plus a network
 //! latency, so the root's sum is a snapshot of the *past*. The paper's own
 //! Theorem 1 closes the gap: for weakly diagonally dominant systems the
 //! global residual 1-norm is non-increasing under any relaxation schedule,
-//! so a past global norm below tolerance implies the present one is too —
-//! the protocol never stops early. (Per-rank reports taken at different
-//! times with inconsistent ghost views can misestimate the instantaneous
-//! global norm; [`TerminationStats::detected_residual`] vs the true final
-//! residual quantifies that gap, and the integration tests bound it.)
-//! For non-W.D.D. systems the root demands `confirmations` consecutive
-//! below-tolerance rounds before stopping, trading detection latency for
-//! robustness.
+//! so a past global norm below tolerance implies the present one is too.
+//! Per-rank reports taken at different times with inconsistent ghost
+//! views can still underestimate the instantaneous global norm; the
+//! factor ½ absorbs that in practice, and
+//! [`TerminationStats::detected_residual`] against the true final
+//! residual measures the gap. A consistent confirmation round would close
+//! it (ROADMAP item 1).
 
 /// Configuration of the detection protocol.
 #[derive(Debug, Clone, Copy)]
 pub struct TerminationProtocol {
     /// Local iterations between residual reports.
     pub check_interval: u64,
-    /// Consecutive below-tolerance aggregate rounds the root requires
-    /// before broadcasting the stop (1 is safe for W.D.D. systems by
-    /// Theorem 1; use ≥ 2 otherwise). Each round needs a fresh report from
-    /// every rank not presumed dead.
-    pub confirmations: u32,
-    /// The root stops at `aggregate < safety_factor × tol`. Per-rank
-    /// reports are taken at different instants with different ghost views,
-    /// so their sum can *underestimate* the instantaneous global norm; a
-    /// factor of 0.5 absorbs that inconsistency in practice (the
-    /// integration tests check the true residual at stop).
-    pub safety_factor: f64,
     /// Simulated time without a report after which the root presumes a rank
     /// dead and excludes it from detection (`f64::INFINITY` = never — the
     /// pre-fault behaviour, where one crashed rank blocks detection
@@ -85,8 +69,6 @@ impl Default for TerminationProtocol {
     fn default() -> Self {
         TerminationProtocol {
             check_interval: 5,
-            confirmations: 1,
-            safety_factor: 0.5,
             staleness_timeout: f64::INFINITY,
         }
     }
@@ -120,6 +102,13 @@ pub struct TerminationStats {
     pub excluded_ranks: Vec<usize>,
 }
 
+/// The root stops at `aggregate < SAFETY_FACTOR × tol`. Per-rank reports
+/// are taken at different instants with different ghost views, so their
+/// sum can *underestimate* the instantaneous global norm; the factor
+/// absorbs that inconsistency in practice (the integration tests check the
+/// true residual at stop).
+const SAFETY_FACTOR: f64 = 0.5;
+
 /// Root-side aggregation state.
 #[derive(Debug)]
 pub struct RootAggregator {
@@ -130,9 +119,8 @@ pub struct RootAggregator {
     /// Whether the rank reported since the last judged round.
     fresh: Vec<bool>,
     norm_b: f64,
-    tol: f64,
-    confirmations_needed: u32,
-    confirmations_seen: u32,
+    /// The stop threshold, `SAFETY_FACTOR × tol`.
+    threshold: f64,
     staleness_timeout: f64,
     excluded_at_decision: Vec<usize>,
     decided: bool,
@@ -141,21 +129,13 @@ pub struct RootAggregator {
 impl RootAggregator {
     /// Creates the aggregator for `nparts` ranks with tolerance `tol`
     /// relative to `norm_b = ‖b‖₁`.
-    pub fn new(
-        nparts: usize,
-        tol: f64,
-        norm_b: f64,
-        confirmations: u32,
-        staleness_timeout: f64,
-    ) -> Self {
+    pub fn new(nparts: usize, tol: f64, norm_b: f64, staleness_timeout: f64) -> Self {
         RootAggregator {
             latest: vec![None; nparts],
             last_report: vec![0.0; nparts],
             fresh: vec![false; nparts],
             norm_b: norm_b.max(f64::MIN_POSITIVE),
-            tol,
-            confirmations_needed: confirmations.max(1),
-            confirmations_seen: 0,
+            threshold: SAFETY_FACTOR * tol,
             staleness_timeout: if staleness_timeout > 0.0 {
                 staleness_timeout
             } else {
@@ -173,9 +153,9 @@ impl RootAggregator {
     }
 
     /// Ingests a report arriving at simulated time `now`; returns
-    /// `Some(aggregate relative residual)` when this report completes the
-    /// below-tolerance round that reaches the confirmation count — i.e. the
-    /// root should broadcast the stop now.
+    /// `Some(aggregate relative residual)` when this report completes a
+    /// round below the threshold — i.e. the root should broadcast the stop
+    /// now.
     pub fn ingest(&mut self, rank: usize, local_norm: f64, now: f64) -> Option<f64> {
         if self.decided {
             return None;
@@ -198,17 +178,12 @@ impl RootAggregator {
             .sum();
         let rel = total / self.norm_b;
         self.fresh.iter_mut().for_each(|f| *f = false);
-        if rel < self.tol {
-            self.confirmations_seen += 1;
-            if self.confirmations_seen >= self.confirmations_needed {
-                self.decided = true;
-                self.excluded_at_decision = (0..self.latest.len())
-                    .filter(|&q| self.presumed_dead(q, now))
-                    .collect();
-                return Some(rel);
-            }
-        } else {
-            self.confirmations_seen = 0;
+        if rel < self.threshold {
+            self.decided = true;
+            self.excluded_at_decision = (0..self.latest.len())
+                .filter(|&q| self.presumed_dead(q, now))
+                .collect();
+            return Some(rel);
         }
         None
     }
@@ -233,7 +208,7 @@ mod tests {
 
     #[test]
     fn waits_for_every_rank_before_judging() {
-        let mut agg = RootAggregator::new(3, 1e-3, 1.0, 1, NEVER);
+        let mut agg = RootAggregator::new(3, 1e-3, 1.0, NEVER);
         assert!(agg.ingest(0, 0.0, 1.0).is_none());
         assert!(agg.ingest(1, 0.0, 2.0).is_none());
         // Last rank completes the round; everything is below tolerance.
@@ -244,42 +219,15 @@ mod tests {
     }
 
     #[test]
-    fn confirmations_require_a_fresh_round_each() {
-        // Two confirmations = two *complete* below-tolerance rounds; extra
-        // below-tolerance reports inside one round must not double-count.
-        let mut agg = RootAggregator::new(2, 1e-2, 1.0, 2, NEVER);
-        assert!(agg.ingest(0, 1e-4, 1.0).is_none());
-        assert!(agg.ingest(0, 1e-4, 2.0).is_none()); // same round, same rank
-        assert!(agg.ingest(1, 1e-4, 3.0).is_none()); // round 1 → 1st confirmation
-        assert!(agg.ingest(0, 1e-4, 4.0).is_none()); // round 2 incomplete
-        assert!(agg.ingest(0, 1e-4, 5.0).is_none()); // still incomplete
-        let rel = agg.ingest(1, 1e-4, 6.0).expect("round 2 → decide");
-        assert!(rel < 1e-2);
-    }
-
-    #[test]
-    fn above_tolerance_rounds_reset_confirmations() {
-        let mut agg = RootAggregator::new(2, 1e-2, 1.0, 2, NEVER);
-        assert!(agg.ingest(0, 1e-4, 1.0).is_none());
-        assert!(agg.ingest(1, 1e-4, 2.0).is_none()); // 1st confirmation
-        assert!(agg.ingest(0, 1.0, 3.0).is_none()); // round 2 incomplete
-        assert!(agg.ingest(1, 1e-4, 4.0).is_none()); // round 2 above tol: reset
-        assert!(agg.ingest(0, 1e-4, 5.0).is_none());
-        assert!(agg.ingest(1, 1e-4, 6.0).is_none()); // 1st again
-        assert!(agg.ingest(0, 1e-4, 7.0).is_none());
-        assert!(agg.ingest(1, 1e-4, 8.0).is_some()); // 2nd → decide
-    }
-
-    #[test]
     fn ingest_after_decision_is_inert() {
-        let mut agg = RootAggregator::new(1, 1.0, 1.0, 1, NEVER);
+        let mut agg = RootAggregator::new(1, 1.0, 1.0, NEVER);
         assert!(agg.ingest(0, 0.0, 1.0).is_some());
         assert!(agg.ingest(0, 0.0, 2.0).is_none());
     }
 
     #[test]
     fn zero_norm_b_is_guarded() {
-        let mut agg = RootAggregator::new(1, 1e-8, 0.0, 1, NEVER);
+        let mut agg = RootAggregator::new(1, 1e-8, 0.0, NEVER);
         // Does not divide by zero; a zero residual still terminates.
         assert!(agg.ingest(0, 0.0, 1.0).is_some());
     }
@@ -288,7 +236,7 @@ mod tests {
     fn dead_rank_is_excluded_after_the_staleness_timeout() {
         // Rank 1 reports once and dies; without the timeout the root would
         // wait for it forever. With it, detection fires on ranks {0, 2}.
-        let mut agg = RootAggregator::new(3, 1e-3, 1.0, 1, 100.0);
+        let mut agg = RootAggregator::new(3, 1e-3, 1.0, 100.0);
         assert!(agg.ingest(1, 0.5, 10.0).is_none());
         assert!(agg.ingest(0, 1e-5, 20.0).is_none());
         assert!(agg.ingest(2, 1e-5, 30.0).is_none()); // round judged: 0.5 keeps it above tol
@@ -303,7 +251,7 @@ mod tests {
 
     #[test]
     fn never_reporting_rank_times_out_from_run_start() {
-        let mut agg = RootAggregator::new(2, 1e-3, 1.0, 1, 50.0);
+        let mut agg = RootAggregator::new(2, 1e-3, 1.0, 50.0);
         assert!(agg.ingest(0, 1e-6, 10.0).is_none()); // rank 1 not stale yet
         let rel = agg.ingest(0, 1e-6, 90.0).expect("rank 1 presumed dead");
         assert!(rel < 1e-3);
@@ -312,7 +260,7 @@ mod tests {
 
     #[test]
     fn resurrected_rank_rejoins_coverage_and_the_aggregate() {
-        let mut agg = RootAggregator::new(2, 1e-3, 1.0, 1, 50.0);
+        let mut agg = RootAggregator::new(2, 1e-3, 1.0, 50.0);
         assert!(agg.ingest(0, 1e-6, 10.0).is_none());
         // Rank 1 recovers and reports an above-tolerance norm: it must be
         // counted again, blocking detection.

@@ -504,11 +504,12 @@ impl ResolvedMethod {
         }
     }
 
-    /// Folds an engine configuration's legacy damping weight into the
-    /// method. Plain Jacobi damped by ω is `Richardson1 { ω }`: both run
-    /// `x + ω d⁻¹ r`, and at ω = 1 that is Jacobi's own update bit for bit
-    /// (`1·d = d`). Every other method carries its own parameters and
-    /// ignores `omega`. Engines fold once, at entry.
+    /// Folds a legacy damping weight into the method. Plain Jacobi damped
+    /// by ω is `Richardson1 { ω }`: both run `x + ω d⁻¹ r`, and at ω = 1
+    /// that is Jacobi's own update bit for bit (`1·d = d`). Every other
+    /// method carries its own parameters and ignores `omega`. `aj-core`'s
+    /// `solve` folds its `omega` option once, and the simulators fold
+    /// their configs' `omega` once, at entry.
     pub fn fold_omega(self, omega: f64) -> ResolvedMethod {
         match self {
             ResolvedMethod::Jacobi => ResolvedMethod::Richardson1 { omega },

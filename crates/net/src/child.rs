@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use aj_linalg::method::relax_block;
-use aj_linalg::{CooMatrix, CsrMatrix, ResolvedMethod, StorageFormat, SweepKernel};
+use aj_linalg::{sweeps, CooMatrix, CsrMatrix, ResolvedMethod, StorageFormat, SweepKernel};
 use aj_obs::{Histogram, Sampler, Snapshot, SpanKind, Timeline};
 
 use crate::wire::{self, DoneMsg, JobMsg, Msg};
@@ -250,8 +250,8 @@ struct RankState {
     matrix: CsrMatrix,
     diag_inv: Vec<f64>,
     kernel: SweepKernel,
-    /// The job's method with its plain-Jacobi `omega` folded in
-    /// (`omega=auto` is resolved by the parent, never in a child).
+    /// The job's method (`omega=auto` is resolved by the parent, never in
+    /// a child).
     method: ResolvedMethod,
 }
 
@@ -263,8 +263,7 @@ fn build_state(rank: usize, job: &JobMsg) -> Result<RankState, String> {
     }
     // COO assembly tolerates unsorted rows and re-validates bounds.
     let mut coo = CooMatrix::new(n_owned, width);
-    let mut diag = vec![0.0f64; n_owned];
-    for (row, d) in diag.iter_mut().enumerate() {
+    for row in 0..n_owned {
         let (start, end) = (job.indptr[row] as usize, job.indptr[row + 1] as usize);
         if end > job.cols.len() || end > job.vals.len() || start > end {
             return Err(format!("rank {rank}: corrupt indptr in job"));
@@ -275,15 +274,11 @@ fn build_state(rank: usize, job: &JobMsg) -> Result<RankState, String> {
                 return Err(format!("rank {rank}: column {col} out of range in job"));
             }
             coo.push(row, col, job.vals[k]);
-            if col == row {
-                *d = job.vals[k];
-            }
         }
     }
-    if diag.contains(&0.0) {
-        return Err(format!("rank {rank}: zero/missing diagonal in job"));
-    }
     let matrix = coo.to_csr();
+    // Owned columns come first, so the local diagonal is the global one.
+    let diag_inv = sweeps::inverse_diagonal(&matrix).map_err(|e| format!("rank {rank}: {e}"))?;
     let format = match job.format.as_str() {
         "csr" => StorageFormat::Csr,
         "sellc" => StorageFormat::SellC { c: job.sell_c },
@@ -292,13 +287,12 @@ fn build_state(rank: usize, job: &JobMsg) -> Result<RankState, String> {
     let kernel = SweepKernel::build(&matrix, 0..n_owned, format).map_err(|e| e.to_string())?;
     Ok(RankState {
         matrix,
-        diag_inv: diag.into_iter().map(|d| 1.0 / d).collect(),
+        diag_inv,
         kernel,
         method: job
             .method
             .decode()
-            .map_err(|e| format!("rank {rank}: {e}"))?
-            .fold_omega(job.omega),
+            .map_err(|e| format!("rank {rank}: {e}"))?,
     })
 }
 
@@ -333,7 +327,6 @@ fn sweep_loop(
     let mut put_values: u64 = 0;
     let mut reports: u64 = 0;
     let mut reconnects: u64 = 0;
-    let mut last_hb = Instant::now();
 
     'outer: while !shared.stop.load(Ordering::Acquire) && iterations < job.max_iterations {
         if shared.broken() {
@@ -436,18 +429,6 @@ fn sweep_loop(
             let msg = Msg::Report {
                 rank,
                 norm,
-                iter: iterations,
-            };
-            if send_line(writer, &msg).is_err() {
-                continue 'outer;
-            }
-        }
-
-        // Liveness beacon.
-        if last_hb.elapsed() >= Duration::from_millis(job.hb_ms.max(1)) {
-            last_hb = Instant::now();
-            let msg = Msg::Hb {
-                rank,
                 iter: iterations,
             };
             if send_line(writer, &msg).is_err() {
@@ -565,12 +546,9 @@ mod tests {
             method,
             format: "csr".into(),
             sell_c: 0,
-            omega: 1.0,
-            seed: 0,
             max_iterations: 10,
             check_interval: 1,
             pace_us: 0,
-            hb_ms: 50,
             obs_stride: 0,
         }
     }
@@ -599,10 +577,9 @@ mod tests {
                 seed: 7,
             },
         ] {
-            let mut j = job(MethodMsg::encode(&method));
-            j.omega = 0.8;
-            let state = build_state(3, &j).unwrap_or_else(|e| panic!("{}: {e}", method.name()));
-            assert_eq!(state.method, method.fold_omega(0.8), "{}", method.name());
+            let state = build_state(3, &job(MethodMsg::encode(&method)))
+                .unwrap_or_else(|e| panic!("{}: {e}", method.name()));
+            assert_eq!(state.method, method, "{}", method.name());
         }
     }
 
@@ -629,15 +606,5 @@ mod tests {
             assert!(err.starts_with("rank 3: "), "{err}");
             assert!(err.contains(what), "{err}");
         }
-    }
-
-    #[test]
-    fn job_level_omega_keeps_its_acceptance() {
-        // The plain-Jacobi weight is folded in after validation and is not
-        // itself range-checked: ω = 0 freezes the iterate, as in dmsim.
-        let mut j = job(MethodMsg::encode(&ResolvedMethod::Jacobi));
-        j.omega = 0.0;
-        let state = build_state(0, &j).expect("job-level omega 0 is accepted");
-        assert_eq!(state.method, ResolvedMethod::Richardson1 { omega: 0.0 });
     }
 }

@@ -11,7 +11,7 @@
 //! with no new dependencies:
 //!
 //! * [`wire`] — versioned NDJSON protocol: hello/welcome handshake, job
-//!   shipment, one-sided puts, residual reports, heartbeats, stop, done;
+//!   shipment, one-sided puts, residual reports, stop, done;
 //!   bulk values travel as bit-lossless `hexf64`.
 //! * [`child`] — the per-rank worker: an atomic-u64 ghost window (element
 //!   atomicity ≈ an RMA window), the dmsim method arms over real sockets,

@@ -67,39 +67,28 @@ pub struct NetHooks {
     pub drops: Vec<(usize, u64)>,
 }
 
-/// Configuration of a multi-process run.
+/// Configuration of a multi-process run; the plan it runs fixes the rank
+/// count.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Number of worker ranks.
-    pub ranks: usize,
     /// Relative residual tolerance (`‖r‖₁ < tol·‖b‖₁`).
     pub tol: f64,
     /// Per-rank sweep cap (safety net when detection never fires).
     pub max_iterations: u64,
-    /// Relaxation weight for the plain-Jacobi arm.
-    pub omega: f64,
     /// Resolved relaxation method (resolve `omega=auto` before this point).
     pub method: ResolvedMethod,
     /// Sweep-kernel storage format.
     pub format: StorageFormat,
-    /// Workload seed (randomized method streams).
-    pub seed: u64,
     /// Observability recording.
     pub obs: ObsConfig,
     /// Local sweeps between residual reports.
     pub check_interval: u64,
-    /// Consecutive below-tolerance rounds required before stopping.
-    pub confirmations: u32,
-    /// Detection fires at `aggregate < safety_factor × tol`.
-    pub safety_factor: f64,
     /// Wall-clock seconds without a report before a rank is presumed dead
     /// (`f64::INFINITY` = never).
     pub staleness_timeout: f64,
     /// Per-sweep pacing sleep in the children (µs); keeps the
     /// staleness-to-sweep-period ratio in the simulator's regime.
     pub pace_us: u64,
-    /// Child heartbeat cadence (ms).
-    pub hb_ms: u64,
     /// Hard wall-clock budget for the whole run.
     pub deadline: Duration,
     /// Worker launch mode.
@@ -108,25 +97,19 @@ pub struct NetConfig {
     pub hooks: NetHooks,
 }
 
-impl NetConfig {
-    /// Defaults for `ranks` workers: Jacobi over CSR, tol 1e-6, paced to
-    /// the simulator's staleness regime, staleness timeout off.
-    pub fn new(ranks: usize) -> Self {
+impl Default for NetConfig {
+    /// Jacobi over CSR, tol 1e-6, paced to the simulator's staleness
+    /// regime, staleness timeout off.
+    fn default() -> Self {
         NetConfig {
-            ranks,
             tol: 1e-6,
             max_iterations: 200_000,
-            omega: 1.0,
             method: ResolvedMethod::Jacobi,
             format: StorageFormat::Csr,
-            seed: 0,
             obs: ObsConfig::off(),
             check_interval: 5,
-            confirmations: 1,
-            safety_factor: 0.5,
             staleness_timeout: f64::INFINITY,
             pace_us: 150,
-            hb_ms: 50,
             deadline: Duration::from_secs(120),
             mode: ChildMode::Process(None),
             hooks: NetHooks::default(),
@@ -220,12 +203,9 @@ fn build_job(
             StorageFormat::SellC { c } => c,
             _ => 0,
         },
-        omega: cfg.omega,
-        seed: cfg.seed,
         max_iterations: cfg.max_iterations,
         check_interval: cfg.check_interval.max(1),
         pace_us: cfg.pace_us,
-        hb_ms: cfg.hb_ms,
         obs_stride: cfg.obs.stride(),
     }
 }
@@ -316,7 +296,7 @@ enum ChildHandle {
     Thread(std::thread::JoinHandle<Result<(), String>>),
 }
 
-fn spawn_children(addr: &str, cfg: &NetConfig) -> Result<Vec<ChildHandle>, String> {
+fn spawn_children(addr: &str, ranks: usize, cfg: &NetConfig) -> Result<Vec<ChildHandle>, String> {
     match &cfg.mode {
         ChildMode::Process(exe) => {
             let exe: PathBuf = match exe {
@@ -326,7 +306,7 @@ fn spawn_children(addr: &str, cfg: &NetConfig) -> Result<Vec<ChildHandle>, Strin
                     None => std::env::current_exe().map_err(|e| e.to_string())?,
                 },
             };
-            (0..cfg.ranks)
+            (0..ranks)
                 .map(|r| {
                     std::process::Command::new(&exe)
                         .arg("_rank")
@@ -344,7 +324,7 @@ fn spawn_children(addr: &str, cfg: &NetConfig) -> Result<Vec<ChildHandle>, Strin
             if !cfg.hooks.kills.is_empty() {
                 return Err("kill hooks require ChildMode::Process".into());
             }
-            Ok((0..cfg.ranks)
+            Ok((0..ranks)
                 .map(|r| {
                     let addr = addr.to_string();
                     ChildHandle::Thread(std::thread::spawn(move || child::run(&addr, r)))
@@ -354,7 +334,7 @@ fn spawn_children(addr: &str, cfg: &NetConfig) -> Result<Vec<ChildHandle>, Strin
     }
 }
 
-/// Runs the multi-process solve. `plan` must have `cfg.ranks` parts.
+/// Runs the multi-process solve, one rank per part of `plan`.
 ///
 /// # Errors
 /// Fails when workers cannot be spawned or joined, when the wall-clock
@@ -368,8 +348,7 @@ pub fn run_net(
     plan: &CommPlan,
     cfg: &NetConfig,
 ) -> Result<NetOutcome, String> {
-    let ranks = cfg.ranks;
-    assert_eq!(plan.nparts(), ranks, "plan/ranks mismatch");
+    let ranks = plan.nparts();
     assert_eq!(a.nrows(), b.len(), "b length mismatch");
     assert_eq!(a.nrows(), x0.len(), "x0 length mismatch");
 
@@ -424,17 +403,11 @@ pub fn run_net(
         })
     };
 
-    let mut children = spawn_children(&addr, cfg)?;
+    let mut children = spawn_children(&addr, ranks, cfg)?;
     let t_spawn = Instant::now();
 
     let norm_b = aj_linalg::vecops::norm(b, aj_linalg::vecops::Norm::L1);
-    let mut agg = RootAggregator::new(
-        ranks,
-        cfg.tol * cfg.safety_factor,
-        norm_b,
-        cfg.confirmations,
-        cfg.staleness_timeout,
-    );
+    let mut agg = RootAggregator::new(ranks, cfg.tol, norm_b, cfg.staleness_timeout);
     let mut term = TerminationStats::default();
     let mut comm = CommVolume::default();
     let mut history: Vec<(f64, f64)> = Vec::new();
@@ -626,9 +599,6 @@ pub fn run_net(
                     Msg::Done(d) => {
                         dones.insert(d.rank, *d);
                     }
-                    // Heartbeats are liveness only — the aggregator's staleness
-                    // clock is driven by reports, as in the simulator.
-                    Msg::Hb { .. } => {}
                     _ => {}
                 },
                 Event::Down { rank } => {

@@ -29,7 +29,7 @@ use aj_obs::json::{self, Value};
 
 /// Protocol version spoken by this build. A peer announcing any other
 /// version is rejected during the handshake.
-pub const PROTO_VERSION: u64 = 2;
+pub const PROTO_VERSION: u64 = 3;
 
 /// The relaxation method a child runs, with every parameter already
 /// resolved by the parent (`omega=auto` never runs Lanczos in a child).
@@ -123,11 +123,6 @@ pub struct JobMsg {
     pub format: String,
     /// SELL lane count (when `format == "sellc"`).
     pub sell_c: usize,
-    /// Relaxation weight plain Jacobi is damped by (the child folds it
-    /// into the method).
-    pub omega: f64,
-    /// Workload seed (rwr streams).
-    pub seed: u64,
     /// Per-rank sweep cap.
     pub max_iterations: u64,
     /// Sweeps between residual reports to the root.
@@ -135,8 +130,6 @@ pub struct JobMsg {
     /// Sleep per sweep (µs) pacing compute against put latency so the
     /// staleness regime matches the simulator's cost model.
     pub pace_us: u64,
-    /// Heartbeat cadence (ms).
-    pub hb_ms: u64,
     /// Obs stride: 0 = off, 1 = full, N = sampled 1-in-N.
     pub obs_stride: u64,
 }
@@ -209,13 +202,6 @@ pub enum Msg {
         /// `Σ |b_i − (Ax)_i|` over owned rows.
         norm: f64,
         /// Sweep count at the report.
-        iter: u64,
-    },
-    /// Child → parent liveness beacon.
-    Hb {
-        /// Beating rank.
-        rank: usize,
-        /// Sweep count.
         iter: u64,
     },
     /// Parent → children: detection fired (or the run is being torn down);
@@ -329,12 +315,10 @@ pub fn render(msg: &Msg) -> String {
             o.push_str(&format!(",\"seed\":{}}}", j.method.seed));
             o.push_str(",\"format\":");
             json::write_escaped(&mut o, &j.format);
-            o.push_str(&format!(",\"sell_c\":{},\"omega\":", j.sell_c));
-            push_f64(&mut o, j.omega);
             o.push_str(&format!(
-                ",\"seed\":{},\"max_iterations\":{},\"check_interval\":{},\
-                 \"pace_us\":{},\"hb_ms\":{},\"obs_stride\":{}}}",
-                j.seed, j.max_iterations, j.check_interval, j.pace_us, j.hb_ms, j.obs_stride
+                ",\"sell_c\":{},\"max_iterations\":{},\"check_interval\":{},\
+                 \"pace_us\":{},\"obs_stride\":{}}}",
+                j.sell_c, j.max_iterations, j.check_interval, j.pace_us, j.obs_stride
             ));
         }
         Msg::Start => o.push_str("{\"t\":\"start\"}"),
@@ -356,9 +340,6 @@ pub fn render(msg: &Msg) -> String {
             ));
             push_f64(&mut o, *norm);
             o.push('}');
-        }
-        Msg::Hb { rank, iter } => {
-            o.push_str(&format!("{{\"t\":\"hb\",\"rank\":{rank},\"iter\":{iter}}}"));
         }
         Msg::Stop => o.push_str("{\"t\":\"stop\"}"),
         Msg::Done(d) => {
@@ -497,12 +478,9 @@ pub fn parse(line: &str) -> Result<Msg, String> {
             },
             format: get_str(&v, "format")?.to_string(),
             sell_c: get_usize(&v, "sell_c")?,
-            omega: get_f64(&v, "omega")?,
-            seed: get_u64(&v, "seed")?,
             max_iterations: get_u64(&v, "max_iterations")?,
             check_interval: get_u64(&v, "check_interval")?,
             pace_us: get_u64(&v, "pace_us")?,
-            hb_ms: get_u64(&v, "hb_ms")?,
             obs_stride: get_u64(&v, "obs_stride")?,
         }))),
         "start" => Ok(Msg::Start),
@@ -515,10 +493,6 @@ pub fn parse(line: &str) -> Result<Msg, String> {
         "report" => Ok(Msg::Report {
             rank: get_usize(&v, "rank")?,
             norm: get_f64(&v, "norm")?,
-            iter: get_u64(&v, "iter")?,
-        }),
-        "hb" => Ok(Msg::Hb {
-            rank: get_usize(&v, "rank")?,
             iter: get_u64(&v, "iter")?,
         }),
         "stop" => Ok(Msg::Stop),
@@ -573,12 +547,9 @@ mod tests {
             },
             format: "sellc".into(),
             sell_c: 8,
-            omega: 1.0,
-            seed: 2018,
             max_iterations: 10_000,
             check_interval: 5,
             pace_us: 150,
-            hb_ms: 50,
             obs_stride: 1,
         }))
     }
@@ -611,7 +582,6 @@ mod tests {
                 norm: 3.25e-7,
                 iter: 40,
             },
-            Msg::Hb { rank: 0, iter: 17 },
             Msg::Stop,
             Msg::Done(Box::new(DoneMsg {
                 rank: 1,
@@ -664,14 +634,22 @@ mod tests {
     fn a_version_1_hello_decodes_to_a_version_the_parent_rejects() {
         // Version 1 children also sent their codec list; it is ignored, so
         // such a peer meets the version check instead of a parse error.
-        let line = r#"{"t":"hello","proto":1,"rank":2,"resume":0,"codecs":["hexf64","decf64"]}"#;
-        let hello = Msg::Hello {
-            rank: 2,
-            proto: 1,
-            resume: false,
-        };
-        assert_eq!(parse(line), Ok(hello));
-        assert_ne!(PROTO_VERSION, 1);
+        // Version 2 hellos look like today's.
+        for (proto, line) in [
+            (
+                1,
+                r#"{"t":"hello","proto":1,"rank":2,"resume":0,"codecs":["hexf64","decf64"]}"#,
+            ),
+            (2, r#"{"t":"hello","proto":2,"rank":2,"resume":0}"#),
+        ] {
+            let hello = Msg::Hello {
+                rank: 2,
+                proto,
+                resume: false,
+            };
+            assert_eq!(parse(line), Ok(hello));
+            assert_ne!(PROTO_VERSION, proto);
+        }
     }
 
     #[test]

@@ -16,19 +16,20 @@ fn solve_setup(n: usize, ranks: usize) -> (aj_linalg::CsrMatrix, Vec<f64>, Vec<f
     (a, b, x0, plan)
 }
 
-fn thread_cfg(ranks: usize) -> NetConfig {
-    let mut cfg = NetConfig::new(ranks);
-    cfg.mode = ChildMode::Thread;
-    cfg.tol = 1e-8;
-    cfg.pace_us = 20; // fast tests: light pacing still exercises staleness
-    cfg.deadline = std::time::Duration::from_secs(60);
-    cfg
+fn thread_cfg() -> NetConfig {
+    NetConfig {
+        mode: ChildMode::Thread,
+        tol: 1e-8,
+        pace_us: 20, // fast tests: light pacing still exercises staleness
+        deadline: std::time::Duration::from_secs(60),
+        ..NetConfig::default()
+    }
 }
 
 #[test]
 fn two_ranks_converge_to_the_fixed_point() {
     let (a, b, x0, plan) = solve_setup(64, 2);
-    let mut cfg = thread_cfg(2);
+    let mut cfg = thread_cfg();
     cfg.obs = ObsConfig::sampled(4);
     let out = run_net(&a, &b, &x0, &plan, &cfg).expect("net solve");
 
@@ -72,7 +73,7 @@ fn four_ranks_all_methods_converge() {
         },
     ] {
         let (a, b, x0, plan) = solve_setup(48, 4);
-        let mut cfg = thread_cfg(4);
+        let mut cfg = thread_cfg();
         cfg.tol = 1e-6;
         // Light pacing keeps put latency under the sweep period — the
         // regime the termination protocol's inconsistent-read safety
@@ -90,7 +91,7 @@ fn four_ranks_all_methods_converge() {
 #[test]
 fn dropped_socket_reconnects_and_still_converges() {
     let (a, b, x0, plan) = solve_setup(64, 2);
-    let mut cfg = thread_cfg(2);
+    let mut cfg = thread_cfg();
     cfg.tol = 1e-8;
     cfg.pace_us = 100; // long enough that the drop lands mid-solve
     cfg.hooks = NetHooks {
@@ -111,7 +112,7 @@ fn dropped_socket_reconnects_and_still_converges() {
 #[test]
 fn kill_hooks_rejected_in_thread_mode() {
     let (a, b, x0, plan) = solve_setup(32, 2);
-    let mut cfg = thread_cfg(2);
+    let mut cfg = thread_cfg();
     cfg.hooks.kills = vec![(1, 10)];
     let err = run_net(&a, &b, &x0, &plan, &cfg).unwrap_err();
     assert!(err.contains("kill hooks"), "unexpected error: {err}");

@@ -17,12 +17,14 @@ use aj_partition::{block_partition, CommPlan};
 fn tight_tolerance_stays_in_the_modeled_staleness_regime() {
     let p = aj_core::spec::load_problem("fd68", 2018).unwrap();
     let plan = CommPlan::build(&p.a, &block_partition(p.n(), 4));
-    let mut cfg = NetConfig::new(4);
-    cfg.obs = aj_core::obs::ObsConfig::sampled(4);
-    cfg.mode = ChildMode::Thread;
-    cfg.tol = 1e-11;
-    cfg.staleness_timeout = 30.0;
-    cfg.deadline = std::time::Duration::from_secs(60);
+    let cfg = NetConfig {
+        obs: aj_core::obs::ObsConfig::sampled(4),
+        mode: ChildMode::Thread,
+        tol: 1e-11,
+        staleness_timeout: 30.0,
+        deadline: std::time::Duration::from_secs(60),
+        ..NetConfig::default()
+    };
     let out = run_net(&p.a, &p.b, &p.x0, &plan, &cfg).expect("net solve");
 
     // A false decision leaves whole subdomains frozen at ~1e-3; a true one

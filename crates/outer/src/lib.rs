@@ -20,10 +20,10 @@
 //! plug in through the [`Smoother`] trait: given a level, its matrix, and
 //! a residual, run `steps` relaxation sweeps on `A z = r` from `z = 0` and
 //! return the correction `z`. [`ReferenceSmoother`] is the sequential
-//! dense-reference implementation; `aj-core` adapts the shared-memory and
-//! distributed engines behind the same trait, so inner sweeps run
-//! asynchronously and only the coarse-grid transfer / Krylov recurrence
-//! are synchronization points.
+//! dense-reference implementation this crate's tests run; `aj-core` runs
+//! every engine, the sequential one included, behind the same trait, so
+//! inner sweeps run asynchronously and only the coarse-grid transfer /
+//! Krylov recurrence are synchronization points.
 
 pub mod flex;
 pub mod hierarchy;
@@ -242,13 +242,8 @@ impl Smoother for ReferenceSmoother {
             let resolved = method
                 .resolve(a, self.seed)
                 .map_err(|e| format!("level {level} smoother: {e}"))?;
-            let mut diag_inv = a.diagonal();
-            for d in &mut diag_inv {
-                if *d == 0.0 {
-                    return Err(format!("level {level} smoother: zero diagonal"));
-                }
-                *d = 1.0 / *d;
-            }
+            let diag_inv = aj_linalg::sweeps::inverse_diagonal(a)
+                .map_err(|e| format!("level {level} smoother: {e}"))?;
             self.resolved[level] = Some((resolved, diag_inv));
         }
         let (resolved, diag_inv) = self.resolved[level].as_ref().unwrap();

@@ -338,25 +338,7 @@ pub fn render_response(resp: &Response) -> String {
         Response::Done { id, result } => {
             push_kv(&mut s, "status", |o| json::write_escaped(o, "done"));
             push_kv(&mut s, "id", |o| push_u64(o, *id));
-            push_kv(&mut s, "backend", |o| {
-                json::write_escaped(o, &result.backend)
-            });
-            push_kv(&mut s, "converged", |o| {
-                o.push_str(if result.converged { "true" } else { "false" })
-            });
-            push_kv(&mut s, "final_residual", |o| {
-                json::write_f64(o, result.final_residual)
-            });
-            push_kv(&mut s, "samples", |o| push_u64(o, result.samples as u64));
-            push_kv(&mut s, "cache_hit", |o| {
-                o.push_str(if result.cache_hit { "true" } else { "false" })
-            });
-            push_kv(&mut s, "queued_us", |o| {
-                push_u64(o, result.queued.as_micros() as u64)
-            });
-            push_kv(&mut s, "solved_us", |o| {
-                push_u64(o, result.solved.as_micros() as u64)
-            });
+            push_result_fields(&mut s, result);
             // Additive v2 field: only emitted when set, so v1 readers (and
             // the pinned v1 compat lines) never see it.
             if result.replayed {
@@ -411,6 +393,55 @@ pub fn render_response(resp: &Response) -> String {
     s
 }
 
+/// Writes a [`JobResult`]'s base fields, `backend` through `solved_us`,
+/// into an already-open JSON object. Shared between `done` responses and
+/// the WAL's `done` events, like [`push_spec_fields`].
+pub(crate) fn push_result_fields(s: &mut String, result: &JobResult) {
+    push_kv(s, "backend", |o| json::write_escaped(o, &result.backend));
+    push_kv(s, "converged", |o| {
+        o.push_str(if result.converged { "true" } else { "false" })
+    });
+    push_kv(s, "final_residual", |o| {
+        json::write_f64(o, result.final_residual)
+    });
+    push_kv(s, "samples", |o| push_u64(o, result.samples as u64));
+    push_kv(s, "cache_hit", |o| {
+        o.push_str(if result.cache_hit { "true" } else { "false" })
+    });
+    push_kv(s, "queued_us", |o| {
+        push_u64(o, result.queued.as_micros() as u64)
+    });
+    push_kv(s, "solved_us", |o| {
+        push_u64(o, result.solved.as_micros() as u64)
+    });
+}
+
+/// Reads the base fields [`push_result_fields`] writes; the rest of the
+/// result (replay flag, session context) is left unset.
+pub(crate) fn result_from(v: &Value) -> JobResult {
+    let micros = |key| Duration::from_micros(v.get(key).and_then(Value::as_u64).unwrap_or(0));
+    JobResult {
+        backend: v
+            .get("backend")
+            .and_then(Value::as_str)
+            .unwrap_or_default()
+            .to_string(),
+        converged: matches!(v.get("converged"), Some(Value::Bool(true))),
+        final_residual: v
+            .get("final_residual")
+            .and_then(Value::as_f64)
+            .unwrap_or(f64::NAN),
+        samples: v.get("samples").and_then(Value::as_u64).unwrap_or(0) as usize,
+        cache_hit: matches!(v.get("cache_hit"), Some(Value::Bool(true))),
+        queued: micros("queued_us"),
+        solved: micros("solved_us"),
+        replayed: false,
+        session_solve: None,
+        warm_started: false,
+        initial_residual: 0.0,
+    }
+}
+
 /// Parses one response line (client side: load generator, example, tests).
 ///
 /// # Errors
@@ -430,24 +461,6 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         "done" => Ok(Response::Done {
             id: id()?,
             result: JobResult {
-                backend: v
-                    .get("backend")
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                converged: matches!(v.get("converged"), Some(Value::Bool(true))),
-                final_residual: v
-                    .get("final_residual")
-                    .and_then(Value::as_f64)
-                    .unwrap_or(f64::NAN),
-                samples: v.get("samples").and_then(Value::as_u64).unwrap_or(0) as usize,
-                cache_hit: matches!(v.get("cache_hit"), Some(Value::Bool(true))),
-                queued: Duration::from_micros(
-                    v.get("queued_us").and_then(Value::as_u64).unwrap_or(0),
-                ),
-                solved: Duration::from_micros(
-                    v.get("solved_us").and_then(Value::as_u64).unwrap_or(0),
-                ),
                 replayed: matches!(v.get("replayed"), Some(Value::Bool(true))),
                 session_solve: v.get("session_solve").and_then(Value::as_u64),
                 warm_started: matches!(v.get("warm_started"), Some(Value::Bool(true))),
@@ -455,6 +468,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                     .get("initial_residual")
                     .and_then(Value::as_f64)
                     .unwrap_or(0.0),
+                ..result_from(&v)
             },
         }),
         "shed" => {

@@ -34,7 +34,7 @@
 //! violates them, because a log that lies about acknowledged outcomes is
 //! worse than no log at all.
 
-use crate::job::{JobOutcome, JobResult, JobSpec, ShedReason};
+use crate::job::{JobOutcome, JobSpec, ShedReason};
 use crate::proto;
 use crate::wal::{CrashPlan, Wal, WalConfig, WalError, WalStats};
 use aj_obs::json::{self, Value};
@@ -214,23 +214,7 @@ impl JobStore {
             JobOutcome::Done(r) => {
                 proto::push_kv(&mut s, "ev", |o| json::write_escaped(o, "done"));
                 proto::push_kv(&mut s, "id", |o| o.push_str(&id.to_string()));
-                proto::push_kv(&mut s, "backend", |o| json::write_escaped(o, &r.backend));
-                proto::push_kv(&mut s, "converged", |o| {
-                    o.push_str(if r.converged { "true" } else { "false" })
-                });
-                proto::push_kv(&mut s, "final_residual", |o| {
-                    json::write_f64(o, r.final_residual)
-                });
-                proto::push_kv(&mut s, "samples", |o| o.push_str(&r.samples.to_string()));
-                proto::push_kv(&mut s, "cache_hit", |o| {
-                    o.push_str(if r.cache_hit { "true" } else { "false" })
-                });
-                proto::push_kv(&mut s, "queued_us", |o| {
-                    o.push_str(&(r.queued.as_micros() as u64).to_string())
-                });
-                proto::push_kv(&mut s, "solved_us", |o| {
-                    o.push_str(&(r.solved.as_micros() as u64).to_string())
-                });
+                proto::push_result_fields(&mut s, r);
             }
             JobOutcome::Shed(ShedReason::Cancelled) => {
                 proto::push_kv(&mut s, "ev", |o| json::write_escaped(o, "cancelled"));
@@ -325,33 +309,10 @@ fn apply_event(
         }
         "done" | "shed" | "cancelled" | "failed" => {
             let outcome = match ev.as_str() {
-                "done" => JobOutcome::Done(JobResult {
-                    backend: v
-                        .get("backend")
-                        .and_then(Value::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    converged: matches!(v.get("converged"), Some(Value::Bool(true))),
-                    final_residual: v
-                        .get("final_residual")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(f64::NAN),
-                    samples: v.get("samples").and_then(Value::as_u64).unwrap_or(0) as usize,
-                    cache_hit: matches!(v.get("cache_hit"), Some(Value::Bool(true))),
-                    queued: Duration::from_micros(
-                        v.get("queued_us").and_then(Value::as_u64).unwrap_or(0),
-                    ),
-                    solved: Duration::from_micros(
-                        v.get("solved_us").and_then(Value::as_u64).unwrap_or(0),
-                    ),
-                    replayed: false,
-                    // Session warm-start context dies with the process by
-                    // design; replayed outcomes report the solve's numbers
-                    // without it.
-                    session_solve: None,
-                    warm_started: false,
-                    initial_residual: 0.0,
-                }),
+                // Session warm-start context dies with the process by
+                // design; replayed outcomes report the solve's numbers
+                // without it.
+                "done" => JobOutcome::Done(proto::result_from(&v)),
                 "cancelled" => JobOutcome::Shed(ShedReason::Cancelled),
                 "shed" => {
                     let reason = v
@@ -384,6 +345,8 @@ fn apply_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobResult;
+    use crate::proto::Response;
 
     fn tmp(name: &str) -> StoreConfig {
         let dir = std::env::temp_dir().join(format!("aj-store-{name}-{}", std::process::id()));
@@ -397,6 +360,62 @@ mod tests {
             idempotency_key: key.map(str::to_string),
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn a_result_decodes_alike_from_its_response_and_its_wal_event() {
+        let result = JobResult {
+            backend: "simulated async threads ×4 [sellc:c=8]".into(),
+            converged: true,
+            final_residual: 1.0 / 3.0 * 1e-7,
+            samples: 17,
+            cache_hit: true,
+            queued: Duration::from_micros(1_234),
+            solved: Duration::from_micros(98_765),
+            replayed: true,
+            session_solve: Some(3),
+            warm_started: true,
+            initial_residual: 0.5,
+        };
+        let base = |r: &JobResult| {
+            let bits = r.final_residual.to_bits();
+            let timing = (r.queued, r.solved);
+            (
+                r.backend.clone(),
+                r.converged,
+                bits,
+                r.samples,
+                r.cache_hit,
+                timing,
+            )
+        };
+        let line = proto::render_response(&Response::Done {
+            id: 9,
+            result: result.clone(),
+        });
+        let Ok(Response::Done {
+            result: from_response,
+            ..
+        }) = proto::parse_response(&line)
+        else {
+            panic!("done response does not parse: {line}");
+        };
+        let cfg = tmp("result-fields");
+        {
+            let (store, _) = JobStore::open(&cfg).unwrap();
+            store.submitted(9, None, &spec(None)).unwrap();
+            store.outcome(9, &JobOutcome::Done(result.clone())).unwrap();
+        }
+        let (_store, rec) = JobStore::open(&cfg).unwrap();
+        let JobOutcome::Done(from_wal) = &rec.outcomes[&9] else {
+            panic!("replay lost the done event: {:?}", rec.outcomes[&9]);
+        };
+        assert_eq!(base(&from_response), base(&result));
+        assert_eq!(base(from_wal), base(&result));
+        // The response keeps the session context; the log drops it.
+        assert_eq!(from_response, result);
+        assert!(!from_wal.replayed && from_wal.session_solve.is_none());
+        let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub struct ShmemConfig {
     pub norm: Norm,
     /// Optional per-iteration delay of one thread.
     pub delay: Option<DelayInjection>,
-    /// Relaxation weight ω (1.0 = plain Jacobi).
-    pub omega: f64,
     /// Relaxation method (see [`aj_linalg::method`]). The default
     /// [`ResolvedMethod::Jacobi`] keeps the classic two-step program; the
     /// other methods replace step 2's correction rule per thread (momentum
@@ -74,7 +72,6 @@ impl Default for ShmemConfig {
             max_iterations: 10_000,
             norm: Norm::L1,
             delay: None,
-            omega: 1.0,
             method: ResolvedMethod::Jacobi,
             format: StorageFormat::Csr,
             obs: ObsConfig::off(),
@@ -149,8 +146,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
     let nb = vecops::norm(b, config.norm).max(f64::MIN_POSITIVE);
     let history = parking_lot::Mutex::new(Vec::<(f64, f64)>::new());
 
-    // The method every sweep runs, with the legacy ω folded in.
-    let method = config.method.fold_omega(config.omega);
+    let method = config.method;
     // Controller plumbing: thread 0 hosts the controller and publishes the
     // adapted ω/β through these cells; workers build their sweep's method
     // from them. With the controller off the cells are never read.
@@ -555,7 +551,7 @@ mod tests {
             num_threads: 2,
             tol: 1e-4,
             max_iterations: 200_000,
-            omega: 0.6,
+            method: ResolvedMethod::Richardson1 { omega: 0.6 },
             ..Default::default()
         };
         let r = run(&a, &b, &x0, &cfg);

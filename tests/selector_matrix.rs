@@ -235,3 +235,57 @@ fn omega_weights_a_jacobi_smoother_on_every_inner_engine() {
         assert_ne!(weighted.history.len(), plain.history.len(), "{backend:?}");
     }
 }
+
+/// A worker or rank count outside `1..=n` is a rejection from `solve`
+/// itself, not a panic inside the engine.
+#[test]
+fn out_of_range_worker_and_rank_counts_are_rejected() {
+    let p = spec::load_problem("fd40", 2018).unwrap();
+    let shared = |workers| Backend::SimShared {
+        workers,
+        asynchronous: true,
+    };
+    let dist = |ranks| Backend::SimDistributed {
+        ranks,
+        asynchronous: true,
+        detect: false,
+    };
+    let threads = Backend::AsyncThreads { workers: 0 };
+    for backend in [shared(0), shared(41), dist(0), dist(41), threads] {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            aj_core::solve(&p, backend, &SolveOptions::default())
+        }));
+        let result = run.unwrap_or_else(|_| panic!("{backend:?}: panicked"));
+        let err = result
+            .err()
+            .unwrap_or_else(|| panic!("{backend:?}: solved"));
+        assert!(err.contains("must be in 1..=40"), "{backend:?}: {err}");
+    }
+}
+
+/// An out-of-range `omega` is rejected with the message the method
+/// grammar gives the same weight.
+#[test]
+fn out_of_range_omega_is_rejected_like_a_method_weight() {
+    let p = spec::load_problem("grid:8x8", 2018).unwrap();
+    let sim = Backend::SimShared {
+        workers: 4,
+        asynchronous: true,
+    };
+    for omega in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let opts = SolveOptions {
+            omega,
+            max_iterations: 100,
+            ..Default::default()
+        };
+        let err = aj_core::solve(&p, sim, &opts)
+            .err()
+            .unwrap_or_else(|| panic!("omega={omega}: solved"));
+        assert_eq!(
+            err,
+            format!("omega must be finite and positive, got {omega}")
+        );
+        let grammar = spec::parse_method(&format!("richardson1:omega={omega}")).unwrap_err();
+        assert!(grammar.contains(&err), "{grammar}");
+    }
+}

@@ -194,12 +194,9 @@ fn wire_lines() -> Vec<String> {
         }),
         format: "sellc".into(),
         sell_c: 8,
-        omega: 1.0,
-        seed: 2018,
         max_iterations: 100,
         check_interval: 5,
         pace_us: 0,
-        hb_ms: 50,
         obs_stride: 1,
     };
     let msgs = [
@@ -226,7 +223,6 @@ fn wire_lines() -> Vec<String> {
             norm: 1e-3,
             iter: 4,
         },
-        Msg::Hb { rank: 0, iter: 9 },
         Msg::Stop,
         Msg::Done(Box::new(DoneMsg {
             rank: 1,
