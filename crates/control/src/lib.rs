@@ -71,7 +71,7 @@ pub struct ControlConfig {
     /// The default `0.0` declares a stall only when the window shows no net
     /// decay at all (flat or growing residual) — a threshold that is safe at
     /// any observation cadence, from the simulators' sparse monitor grid to
-    /// the real-thread backend's per-sweep sampling. Raise it to demand a
+    /// the real-thread backend's per-round sampling. Raise it to demand a
     /// minimum convergence *rate*, calibrated to your sample spacing.
     pub stall_decades: f64,
     /// Shed the worst worker when its data age exceeds this many fastest

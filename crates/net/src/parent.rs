@@ -31,7 +31,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use aj_dmsim::monitor::CommVolume;
@@ -143,14 +143,31 @@ pub struct NetOutcome {
 enum Event {
     Joined { rank: usize, resume: bool },
     Wire { msg: Msg },
-    Down { rank: usize },
+    Down { rank: usize, conn: u64 },
 }
 
-type Writers = Arc<Mutex<HashMap<usize, TcpStream>>>;
+/// Each rank's live writer, with the number of its accepted connection.
+type Writers = Arc<Mutex<HashMap<usize, (u64, TcpStream)>>>;
+
+/// Removes `rank`'s writer if it is still connection `conn`, and says
+/// whether it did: the `Down` of a connection the rank has re-dialed since
+/// must leave the new writer, and the rank, alone.
+fn remove_if_current<S>(writers: &mut HashMap<usize, (u64, S)>, rank: usize, conn: u64) -> bool {
+    let current = writers.get(&rank).is_some_and(|(c, _)| *c == conn);
+    if current {
+        writers.remove(&rank);
+    }
+    current
+}
+
+/// Locks the writer map.
+fn lock(writers: &Writers) -> MutexGuard<'_, HashMap<usize, (u64, TcpStream)>> {
+    writers.lock().expect("a writer-map holder panicked")
+}
 
 fn send_to(writers: &Writers, rank: usize, msg: &Msg) -> bool {
-    let guard = writers.lock().unwrap();
-    let Some(stream) = guard.get(&rank) else {
+    let guard = lock(writers);
+    let Some((_, stream)) = guard.get(&rank) else {
         return false;
     };
     let mut line = wire::render(msg);
@@ -214,6 +231,7 @@ fn build_job(
 /// that turns wire lines into coordinator events.
 fn handle_conn(
     stream: TcpStream,
+    conn: u64,
     ranks: usize,
     jobs: Arc<Vec<JobMsg>>,
     writers: Writers,
@@ -269,7 +287,7 @@ fn handle_conn(
         return;
     }
     stream.set_read_timeout(None).ok();
-    writers.lock().unwrap().insert(rank, stream);
+    lock(&writers).insert(rank, (conn, stream));
     if tx.send(Event::Joined { rank, resume }).is_err() {
         return;
     }
@@ -277,7 +295,7 @@ fn handle_conn(
         line.clear();
         match reader.read_line(&mut line) {
             Ok(0) | Err(_) => {
-                let _ = tx.send(Event::Down { rank });
+                let _ = tx.send(Event::Down { rank, conn });
                 return;
             }
             Ok(_) => {
@@ -376,8 +394,13 @@ pub fn run_net(
     const EVENT_QUEUE_CAP: usize = 4096;
     let (tx, rx) = mpsc::sync_channel::<Event>(EVENT_QUEUE_CAP);
 
-    // Accept loop: polls until told to stop, handing each connection to a
-    // handler thread (initial joins and reconnects look identical here).
+    // Children dial the bound listener, whose backlog holds them until the
+    // accept loop runs; a failed spawn then leaves no accept thread behind.
+    let mut children = spawn_children(&addr, ranks, cfg)?;
+    let t_spawn = Instant::now();
+
+    // Accept loop: polls until told to stop, handing each connection and its
+    // number to a handler thread (initial joins and reconnects look alike).
     let accept_stop = Arc::new(AtomicBool::new(false));
     let accept_thread = {
         let accept_stop = Arc::clone(&accept_stop);
@@ -385,14 +408,19 @@ pub fn run_net(
         let writers = Arc::clone(&writers);
         let tx = tx.clone();
         std::thread::spawn(move || {
+            let mut conns = 0u64;
             while !accept_stop.load(Ordering::Acquire) {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         stream.set_nonblocking(false).ok();
+                        let conn = conns;
+                        conns += 1;
                         let jobs = Arc::clone(&jobs);
                         let writers = Arc::clone(&writers);
                         let tx = tx.clone();
-                        std::thread::spawn(move || handle_conn(stream, ranks, jobs, writers, tx));
+                        std::thread::spawn(move || {
+                            handle_conn(stream, conn, ranks, jobs, writers, tx)
+                        });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(5));
@@ -402,9 +430,6 @@ pub fn run_net(
             }
         })
     };
-
-    let mut children = spawn_children(&addr, ranks, cfg)?;
-    let t_spawn = Instant::now();
 
     let norm_b = aj_linalg::vecops::norm(b, aj_linalg::vecops::Norm::L1);
     let mut agg = RootAggregator::new(ranks, cfg.tol, norm_b, cfg.staleness_timeout);
@@ -464,7 +489,7 @@ pub fn run_net(
                 if ms < at {
                     return true;
                 }
-                if let Some(stream) = writers.lock().unwrap().remove(&r) {
+                if let Some((_, stream)) = lock(&writers).remove(&r) {
                     let _ = stream.shutdown(Shutdown::Both);
                 }
                 false
@@ -601,9 +626,10 @@ pub fn run_net(
                     }
                     _ => {}
                 },
-                Event::Down { rank } => {
-                    down.insert(rank);
-                    writers.lock().unwrap().remove(&rank);
+                Event::Down { rank, conn } => {
+                    if remove_if_current(&mut lock(&writers), rank, conn) {
+                        down.insert(rank);
+                    }
                 }
             }
         }
@@ -634,7 +660,7 @@ pub fn run_net(
                 // Joined below; make sure its transport is dead first so a
                 // blocked read wakes.
                 if !dones.contains_key(&r) {
-                    if let Some(stream) = writers.lock().unwrap().get(&r) {
+                    if let Some((_, stream)) = lock(&writers).get(&r) {
                         let _ = stream.shutdown(Shutdown::Both);
                     }
                 }
@@ -642,7 +668,7 @@ pub fn run_net(
         }
     }
     accept_stop.store(true, Ordering::Release);
-    for stream in writers.lock().unwrap().values() {
+    for (_, stream) in lock(&writers).values() {
         let _ = stream.shutdown(Shutdown::Both);
     }
     for child in children {
@@ -730,4 +756,24 @@ pub fn run_net(
         wall_secs,
         reconnects,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_down_for_an_old_connection_leaves_the_new_writer() {
+        // Rank 1 dropped connection 3 and re-dialed as connection 7 before
+        // connection 3's `Down` was handled.
+        let mut writers = HashMap::from([(1, (7, "new")), (2, (4, "other"))]);
+        assert!(!remove_if_current(&mut writers, 1, 3));
+        assert_eq!(writers.get(&1), Some(&(7, "new")));
+        // The live connection's own `Down` removes it; a rank without a
+        // writer is left as it is.
+        assert!(remove_if_current(&mut writers, 1, 7));
+        assert!(!writers.contains_key(&1));
+        assert!(!remove_if_current(&mut writers, 1, 7));
+        assert_eq!(writers.get(&2), Some(&(4, "other")));
+    }
 }

@@ -22,13 +22,6 @@ impl SharedVec {
         }
     }
 
-    /// All zeros, length `n`.
-    pub fn zeros(n: usize) -> Self {
-        SharedVec {
-            data: (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
-        }
-    }
-
     /// Length.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -74,7 +67,7 @@ mod tests {
 
     #[test]
     fn special_values_survive_bitcast() {
-        let v = SharedVec::zeros(2);
+        let v = SharedVec::from_slice(&[0.0, 0.0]);
         v.store(0, f64::NEG_INFINITY);
         v.store(1, -0.0);
         assert_eq!(v.load(0), f64::NEG_INFINITY);

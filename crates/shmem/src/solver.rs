@@ -1,7 +1,7 @@
 //! The §V shared-memory solvers.
 
 use crate::shared_vec::SharedVec;
-use aj_control::{ControlSpec, ControlStats, Controller, Decision, Observation};
+use aj_control::{ControlSpec, ControlStats, Controller, Observation};
 use aj_linalg::method::{self, ResolvedMethod};
 use aj_linalg::vecops::{self, Norm};
 use aj_linalg::{CsrMatrix, StorageFormat, SweepKernel};
@@ -39,28 +39,32 @@ pub struct ShmemConfig {
     /// other methods replace step 2's correction rule per thread (momentum
     /// state and row selection are thread-private over the thread's rows).
     pub method: ResolvedMethod,
-    /// Sweep storage format for step 1's residual computation (see
-    /// [`aj_linalg::kernel`]). The default [`StorageFormat::Csr`] keeps the
-    /// classic racy per-row loop over the shared array. Non-default formats
-    /// run a per-thread [`SweepKernel`]: each iteration first *prefetches*
-    /// every column the block touches (owned rows and ghosts) from the
-    /// shared array into a dense thread-local vector, then sweeps that
-    /// snapshot — one sequential gather pass instead of scattered atomic
-    /// loads inside the kernel's vectorized inner loops.
+    /// Sweep storage format of step 1's block residual (see
+    /// [`aj_linalg::kernel`]). Every format, the default
+    /// [`StorageFormat::Csr`] included, runs a per-thread [`SweepKernel`]:
+    /// each iteration first *prefetches* every column the block touches
+    /// (owned rows and ghosts) from the shared array into a dense
+    /// thread-local vector, then sweeps that snapshot — one sequential
+    /// gather pass instead of scattered atomic loads inside the kernel's
+    /// inner loops.
     pub format: StorageFormat,
     /// Observability recording (off by default). When on, each thread owns
     /// a private iteration-duration histogram and timeline shard — no
     /// cross-thread synchronization on the hot path — merged into
     /// [`ShmemRun::obs`] after the threads join.
     pub obs: ObsConfig,
-    /// Optional online controller (off by default). Thread 0 drives the
-    /// decision kernel from its per-iteration residual samples; the adapted
-    /// ω/β are published through atomic cells the workers read each sweep.
-    /// Real threads have no deterministic clock, so staleness is measured as
-    /// sweep-count lag behind the fastest thread — a documented
-    /// simplification relative to the simulators' delay-tick measurement —
-    /// and a [`Decision::Switch`] is realised by driving β to zero (momentum
-    /// off) rather than swapping the per-thread state machines mid-flight.
+    /// Optional online controller (off by default). Thread 0 hosts it and
+    /// feeds it one observation per complete round, a stretch in which
+    /// every live (non-shed) thread has finished at least one sweep since
+    /// the previous sample. The residual is the stop estimate; the
+    /// staleness is the most sweeps any live thread made in the round over
+    /// the fewest, and the thread with the fewest is the worst. Real
+    /// threads have no deterministic clock, so this sweep ratio stands in
+    /// for the simulators' delay-tick measure. The adapted ω/β are
+    /// published through atomic cells the workers read each sweep, and a
+    /// [`aj_control::Decision::Switch`] is realised by driving β to zero
+    /// (momentum off) rather than swapping the per-thread state machines
+    /// mid-flight.
     pub control: Option<ControlSpec>,
 }
 
@@ -89,15 +93,18 @@ pub struct ShmemRun {
     pub wall_time: Duration,
     /// Iterations each thread performed.
     pub iterations: Vec<usize>,
-    /// `(seconds, relative residual)` samples recorded by thread 0.
+    /// `(seconds, stop estimate)` samples recorded by thread 0, one per
+    /// complete round (see [`ShmemConfig::control`]): the aggregate of the
+    /// threads' latest block residuals, as the net backend's history
+    /// aggregates its ranks' reports.
     pub residual_history: Vec<(f64, f64)>,
     /// True when the *true* final residual meets the tolerance.
     pub converged: bool,
     /// True relative residual of `x` (recomputed exactly at the end).
     pub final_residual: f64,
     /// Merged observability snapshot (per-thread iteration-duration
-    /// histograms in ns, timelines), when [`ShmemConfig::obs`] enabled
-    /// recording.
+    /// histograms in ns, timelines, and the `stop_meetings` counter), when
+    /// [`ShmemConfig::obs`] enabled recording.
     pub obs: Option<Snapshot>,
     /// Controller decision record, when [`ShmemConfig::control`] was set.
     pub control: Option<ControlStats>,
@@ -110,18 +117,24 @@ pub struct ShmemRun {
 /// ```text
 /// loop {
 ///     r = b[mine] − (A x)[mine]           // thread-private; reads shared x
+///     publish ‖r‖
 ///     x[mine] += D⁻¹ r
-///     check convergence (‖b − A x‖/‖b‖ over the shared x)
+///     check convergence (the stop estimate below)
 /// }
 /// ```
 ///
-/// Termination follows the §V flag protocol: a thread that has met the
-/// tolerance (or its iteration cap) raises its flag but keeps relaxing until
-/// every flag is up. A raised flag only reports a racy check, so when every
-/// flag is up the threads meet at the barrier and one of them evaluates the
-/// true residual of the now quiescent `x`: the threads then all stop (below
-/// the tolerance, every thread at its cap, or a controller abort) or all
-/// lower the flags of threads short of their cap and go on.
+/// The stop estimate is the norm of every thread's latest block-residual
+/// norm, over ‖b‖: no pass over the whole matrix, and exact for the 1-, 2-
+/// and ∞-norms when the partials are current. Termination follows the §V
+/// flag protocol: a thread whose estimate meets the tolerance (or that has
+/// reached its iteration cap) raises its flag but keeps relaxing until
+/// every flag is up. The partials were taken at different times, so when
+/// every flag is up the threads meet at the barrier and one of them
+/// evaluates the true residual of the now quiescent `x`: the threads then
+/// all stop (below the tolerance, every thread at its cap, or a controller
+/// abort) or all lower the flags of threads short of their cap and go on.
+/// These stop meetings and the final residual are the run's only
+/// whole-matrix residual passes.
 ///
 /// # Panics
 /// Panics if `config.num_threads` is 0 or exceeds the number of rows, or if
@@ -142,9 +155,13 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
     let x = SharedVec::from_slice(x0);
     let flags: Vec<AtomicBool> = (0..t).map(|_| AtomicBool::new(false)).collect();
     let iter_counts: Vec<AtomicU64> = (0..t).map(|_| AtomicU64::new(0)).collect();
+    // Each thread's latest block-residual norm, ∞ before its first sweep.
+    let partials: Vec<AtomicU64> = (0..t)
+        .map(|_| AtomicU64::new(f64::INFINITY.to_bits()))
+        .collect();
     let barrier = Barrier::new(t);
     let nb = vecops::norm(b, config.norm).max(f64::MIN_POSITIVE);
-    let history = parking_lot::Mutex::new(Vec::<(f64, f64)>::new());
+    let meetings = AtomicU64::new(0);
 
     let method = config.method;
     // Controller plumbing: thread 0 hosts the controller and publishes the
@@ -169,6 +186,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
     // merge happens once, after the parallel region.
     let mut shards: Vec<Option<(Histogram, Timeline)>> = Vec::new();
     let mut relaxations = 0u64;
+    let mut history = Vec::new();
     let mut control_stats: Option<ControlStats> = None;
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -177,17 +195,18 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
             let x = &x;
             let flags = &flags;
             let iter_counts = &iter_counts;
+            let partials = &partials;
             let barrier = &barrier;
-            let history = &history;
+            let meetings = &meetings;
             let diag_inv = &diag_inv;
             let omega_cell = &omega_cell;
             let beta_cell = &beta_cell;
             let ctrl_abort = &ctrl_abort;
             let stop_all = &stop_all;
-            // Thread 0 doubles as the controller host: it already evaluates
-            // the global residual every iteration, which is the natural
-            // analogue of the simulators' monitor grid.
-            let mut ctrl = if tid == 0 { controller.take() } else { None };
+            // Thread 0 samples once per complete round: each thread's sweep
+            // count at the previous sample, the history, and the controller.
+            let mut rounds =
+                (tid == 0).then(|| (vec![0u64; t], Vec::<(f64, f64)>::new(), controller.take()));
             handles.push(scope.spawn(move |_| {
                 let mut iters = 0usize;
                 let mut relaxed = 0u64;
@@ -197,63 +216,43 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                 let mut res = vec![0.0; range.len()];
                 let mut x_own = x0[range.clone()].to_vec();
                 let mut x_prev = x_own.clone();
-                // Non-CSR formats sweep a thread-local snapshot: `touched`
-                // lists every column my rows reference (owned + ghosts),
-                // gathered from the shared array once per iteration.
-                let mut kernel = (config.format != StorageFormat::Csr).then(|| {
-                    let k = SweepKernel::build(a, range.clone(), config.format)
-                        .expect("storage format rejected for this matrix");
-                    let mut touched: Vec<usize> = range
-                        .clone()
-                        .flat_map(|i| a.row_indices(i).iter().copied())
-                        .collect();
-                    touched.sort_unstable();
-                    touched.dedup();
-                    (k, touched, vec![0.0; n])
+                // Step 1 sweeps a thread-local snapshot: `touched` lists
+                // every column my rows reference (owned + ghosts), gathered
+                // from the shared array once per iteration.
+                let kernel = SweepKernel::build(a, range.clone(), config.format)
+                    .expect("storage format rejected for this matrix");
+                let mut touched: Vec<usize> = range
+                    .clone()
+                    .flat_map(|i| a.row_indices(i).iter().copied())
+                    .collect();
+                touched.sort_unstable();
+                touched.dedup();
+                let mut x_local = vec![0.0; n];
+                let mut parts = vec![0.0; t];
+                let mut counts = vec![0u64; t];
+                let mut shard = config.obs.is_on().then(|| {
+                    let tl = Timeline::new(config.obs.timeline_capacity);
+                    (Histogram::new(), tl, config.obs.sampler())
                 });
-                let mut shard = if config.obs.is_on() {
-                    Some((
-                        Histogram::new(),
-                        Timeline::new(config.obs.timeline_capacity),
-                        config.obs.sampler(),
-                    ))
-                } else {
-                    None
-                };
                 'sweeps: loop {
                     // Sampled iteration timing: two clock reads per sampled
                     // iteration, nothing otherwise.
-                    let iter_start = if let Some((_, _, sampler)) = shard.as_mut() {
-                        sampler.hit().then(Instant::now)
-                    } else {
-                        None
-                    };
+                    let iter_start = shard
+                        .as_mut()
+                        .and_then(|(_, _, sampler)| sampler.hit().then(Instant::now));
                     // Optional fault-injection delay.
-                    if let Some(d) = config.delay {
-                        if d.thread == tid && !d.duration.is_zero() {
-                            std::thread::sleep(d.duration);
-                        }
+                    if let Some(d) = config.delay.filter(|d| d.thread == tid) {
+                        std::thread::sleep(d.duration);
                     }
-                    // Step 1: residual for my rows (racy reads of shared x).
-                    if let Some((k, touched, x_local)) = kernel.as_mut() {
-                        // Prefetch the ghost (and owned) entries my block
-                        // reads into a dense snapshot, then run the kernel
-                        // on it. The snapshot is one ordered pass over the
-                        // shared array — still "whatever information is
-                        // available", read just before the sweep.
-                        for &j in touched.iter() {
-                            x_local[j] = x.load(j);
-                        }
-                        k.residuals_into(a, x_local, &b[range.clone()], &mut res);
-                    } else {
-                        for (offset, i) in range.clone().enumerate() {
-                            let mut acc = 0.0;
-                            for (j, v) in a.row_iter(i) {
-                                acc += v * x.load(j);
-                            }
-                            res[offset] = b[i] - acc;
-                        }
+                    // Step 1: residual for my rows. The snapshot is one
+                    // ordered pass over the shared array — still "whatever
+                    // information is available", read just before the sweep.
+                    for &j in touched.iter() {
+                        x_local[j] = x.load(j);
                     }
+                    kernel.residuals_into(a, &x_local, &b[range.clone()], &mut res);
+                    partials[tid]
+                        .store(vecops::norm(&res, config.norm).to_bits(), Ordering::Relaxed);
                     // Step 2: correct my rows. A Switch is realised by
                     // driving β to zero rather than swapping the method.
                     let sweep_method = if ctrl_on {
@@ -279,82 +278,48 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                     iters += 1;
                     iter_counts[tid].store(iters as u64, Ordering::Relaxed);
 
-                    // Step 3: convergence test. The paper takes the norm of
-                    // the shared residual array; on a machine with fewer
-                    // cores than threads, long scheduler timeslices leave
-                    // other threads' residual rows arbitrarily stale, and
-                    // the stale-r test terminates runs that have not
-                    // converged. We therefore evaluate ‖b − A·x‖ from the
-                    // *shared x*, which is exactly what the shared-r norm
-                    // approximates when threads genuinely run concurrently.
-                    // One pass over the rows; the ∞-norm keeps a NaN row.
-                    let mut acc = 0.0f64;
-                    for i in 0..n {
-                        let mut row = 0.0;
-                        for (j, v) in a.row_iter(i) {
-                            row += v * x.load(j);
+                    // Step 3: the stop estimate from every thread's latest
+                    // partial.
+                    for (p, c) in parts.iter_mut().zip(partials) {
+                        *p = f64::from_bits(c.load(Ordering::Relaxed));
+                    }
+                    let estimate = vecops::norm(&parts, config.norm) / nb;
+                    if let Some((last, history, ctrl)) = rounds.as_mut() {
+                        for (k, c) in counts.iter_mut().zip(iter_counts) {
+                            *k = c.load(Ordering::Relaxed);
                         }
-                        let d = (b[i] - row).abs();
-                        acc = match config.norm {
-                            Norm::L1 => acc + d,
-                            Norm::L2 => acc + d * d,
-                            Norm::Inf => vecops::max_nan(acc, d),
-                        };
-                    }
-                    if config.norm == Norm::L2 {
-                        acc = acc.sqrt();
-                    }
-                    let res = acc / nb;
-                    if tid == 0 {
-                        history.lock().push((start.elapsed().as_secs_f64(), res));
-                    }
-                    if let Some(c) = ctrl.as_mut() {
-                        // Staleness on real threads: sweep-count lag behind
-                        // the fastest non-shed thread, the wall-clock-free
-                        // analogue of the simulators' delay-tick measure.
-                        let mut cmax = 0u64;
-                        for (v, cnt) in iter_counts.iter().enumerate() {
-                            if !c.is_shed(v) {
-                                cmax = cmax.max(cnt.load(Ordering::Relaxed));
+                        // Sweeps per live thread in this round: the most,
+                        // and the fewest with its thread.
+                        let mut most = 0u64;
+                        let mut fewest = (u64::MAX, 0usize);
+                        for v in 0..t {
+                            if ctrl.as_ref().is_none_or(|c| !c.is_shed(v)) {
+                                most = most.max(counts[v] - last[v]);
+                                fewest = fewest.min((counts[v] - last[v], v));
                             }
                         }
-                        let mut worst = 0usize;
-                        let mut staleness = 0.0f64;
-                        for (v, cnt) in iter_counts.iter().enumerate() {
-                            if c.is_shed(v) {
-                                continue;
-                            }
-                            let lag = cmax.saturating_sub(cnt.load(Ordering::Relaxed)) as f64;
-                            if lag > staleness {
-                                staleness = lag;
-                                worst = v;
-                            }
-                        }
-                        if let Some(d) = c.observe(Observation {
-                            residual: res,
-                            staleness,
-                            worst,
-                        }) {
-                            match d {
-                                Decision::Shrink { omega, beta }
-                                | Decision::Widen { omega, beta } => {
+                        if fewest.0 > 0 {
+                            history.push((start.elapsed().as_secs_f64(), estimate));
+                            last.copy_from_slice(&counts);
+                            if let Some(c) = ctrl.as_mut() {
+                                let obs = Observation {
+                                    residual: estimate,
+                                    staleness: most as f64 / fewest.0 as f64,
+                                    worst: fewest.1,
+                                };
+                                if c.observe(obs).is_some() {
+                                    let (omega, beta) = c.params();
                                     omega_cell.store(omega.to_bits(), Ordering::Relaxed);
                                     beta_cell.store(beta.to_bits(), Ordering::Relaxed);
+                                    if c.rescue_requested() {
+                                        ctrl_abort.store(true, Ordering::Release);
+                                    }
                                 }
-                                Decision::Switch { omega } => {
-                                    omega_cell.store(omega.to_bits(), Ordering::Relaxed);
-                                    beta_cell.store(0f64.to_bits(), Ordering::Relaxed);
-                                }
-                                Decision::Shed { .. } => {}
-                                Decision::Rescue => {}
-                            }
-                            if c.rescue_requested() {
-                                ctrl_abort.store(true, Ordering::Release);
                             }
                         }
                     }
                     if !flags[tid].load(Ordering::Relaxed)
-                        && (res < config.tol || iters >= config.max_iterations)
+                        && (estimate < config.tol || iters >= config.max_iterations)
                     {
                         flags[tid].store(true, Ordering::Release);
                     }
@@ -373,6 +338,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                     loop {
                         if aborted() || flags.iter().all(|f| f.load(Ordering::Acquire)) {
                             if barrier.wait().is_leader() {
+                                meetings.fetch_add(1, Ordering::Relaxed);
                                 let res = a.relative_residual(&x.snapshot(), b, config.norm);
                                 let capped = |c: &AtomicU64| {
                                     c.load(Ordering::Relaxed) >= config.max_iterations as u64
@@ -402,18 +368,23 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                     // of its timeslice.
                     std::thread::yield_now();
                 }
+                let (history, stats) = rounds.map_or((Vec::new(), None), |(_, history, ctrl)| {
+                    (history, ctrl.map(Controller::into_stats))
+                });
                 (
                     shard.map(|(hist, tl, _)| (hist, tl)),
                     relaxed,
-                    ctrl.map(Controller::into_stats),
+                    history,
+                    stats,
                 )
             }));
         }
-        for h in handles {
-            let (sh, relaxed, cs) = h.join().expect("a solver thread panicked");
+        for (tid, h) in handles.into_iter().enumerate() {
+            let (sh, relaxed, hist, cs) = h.join().expect("a solver thread panicked");
             shards.push(sh);
             relaxations += relaxed;
-            if cs.is_some() {
+            if tid == 0 {
+                history = hist;
                 control_stats = cs;
             }
         }
@@ -442,6 +413,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
         snap.set_counter("threads", t as u64);
         snap.set_counter(&format!("method/{}", config.method.name()), 1);
         snap.set_counter("relaxations", relaxations);
+        snap.set_counter("stop_meetings", meetings.into_inner());
         snap.set_gauge("wall_time_s", wall_time.as_secs_f64());
         snap.set_gauge("final_residual", final_residual);
         snap
@@ -450,7 +422,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
         x: x_final,
         wall_time,
         iterations,
-        residual_history: history.into_inner(),
+        residual_history: history,
         converged: final_residual < config.tol,
         final_residual,
         obs,

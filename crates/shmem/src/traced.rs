@@ -7,7 +7,6 @@
 
 use crate::versioned::VersionedVec;
 use aj_linalg::CsrMatrix;
-use aj_obs::{Histogram, ObsConfig, Snapshot};
 use aj_trace::{RelaxationEvent, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,30 +25,6 @@ pub fn run_traced(
     num_threads: usize,
     iterations: usize,
 ) -> (Trace, Vec<f64>) {
-    let (trace, x, _) = run_traced_obs(a, b, x0, num_threads, iterations, &ObsConfig::off());
-    (trace, x)
-}
-
-/// [`run_traced`] plus observability: when `obs` is on, each thread records a
-/// *version-lag* histogram — for each sampled relaxation, how many newer
-/// versions of each neighbour cell appeared between the read and the end of
-/// the relaxation. This is the live measurement of the staleness the §IV
-/// propagation analysis reconstructs post-hoc from the trace: lag 0 means the
-/// read was the latest write (Gauss–Seidel-like propagation), lag ≥ 1 means
-/// a racing writer overtook the value while it was in use.
-///
-/// Histograms land in the snapshot under `staleness/rank{tid}`.
-///
-/// # Panics
-/// Panics if `num_threads` is 0 or exceeds the number of rows.
-pub fn run_traced_obs(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    num_threads: usize,
-    iterations: usize,
-    obs: &ObsConfig,
-) -> (Trace, Vec<f64>, Option<Snapshot>) {
     let n = a.nrows();
     assert!(
         num_threads > 0 && num_threads <= n,
@@ -67,7 +42,7 @@ pub fn run_traced_obs(
     let x = VersionedVec::from_slice(x0);
     let stamp = AtomicU64::new(0);
 
-    let mut per_thread: Vec<(Vec<RelaxationEvent>, Option<Histogram>)> = Vec::new();
+    let mut per_thread: Vec<Vec<RelaxationEvent>> = Vec::new();
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
         for tid in 0..num_threads {
@@ -77,7 +52,6 @@ pub fn run_traced_obs(
             let diag = &diag;
             handles.push(scope.spawn(move |_| {
                 let mut events = Vec::with_capacity(iterations * range.len());
-                let mut shard = obs.is_on().then(|| (Histogram::new(), obs.sampler()));
                 for _ in 0..iterations {
                     for i in range.clone() {
                         // Jacobi relaxation of row i: the new value depends
@@ -95,22 +69,12 @@ pub fn run_traced_obs(
                         }
                         x.cell(i).write((b[i] - acc) / diag[i]);
                         let seq = stamp.fetch_add(1, Ordering::Relaxed);
-                        if let Some((hist, sampler)) = shard.as_mut() {
-                            if sampler.hit() {
-                                // Version lag of each read, measured now that
-                                // the relaxation is complete: writes that
-                                // landed while the value was in use.
-                                for &(j, s) in &reads {
-                                    hist.record(x.cell(j).version().saturating_sub(s));
-                                }
-                            }
-                        }
                         events.push(RelaxationEvent { row: i, seq, reads });
                     }
                     // Interleave fairly when threads outnumber cores.
                     std::thread::yield_now();
                 }
-                (events, shard.map(|(hist, _)| hist))
+                events
             }));
         }
         per_thread = handles
@@ -120,24 +84,8 @@ pub fn run_traced_obs(
     })
     .expect("traced solver thread panicked");
 
-    let snapshot = obs.is_on().then(|| {
-        let mut snap = Snapshot::new();
-        for (tid, (_, hist)) in per_thread.iter().enumerate() {
-            if let Some(hist) = hist {
-                if hist.count() > 0 {
-                    snap.merge_histogram(&format!("staleness/rank{tid}"), hist);
-                }
-            }
-        }
-        snap.set_counter("threads", num_threads as u64);
-        snap.set_counter("relaxations", (n * iterations) as u64);
-        snap
-    });
-    let events: Vec<RelaxationEvent> = per_thread
-        .into_iter()
-        .flat_map(|(events, _)| events)
-        .collect();
-    (Trace::from_events(n, events), x.snapshot(), snapshot)
+    let events: Vec<RelaxationEvent> = per_thread.into_iter().flatten().collect();
+    (Trace::from_events(n, events), x.snapshot())
 }
 
 #[cfg(test)]
@@ -195,32 +143,6 @@ mod tests {
         let (b, x0) = rhs::paper_problem(25, 9);
         let (_, x) = run_traced(&a, &b, &x0, 2, 2_000);
         assert!(a.relative_residual(&x, &b, aj_linalg::vecops::Norm::L1) < 1e-6);
-    }
-
-    #[test]
-    fn obs_records_version_lag_per_thread() {
-        let a = fd::paper_fd("fd40")
-            .unwrap()
-            .scale_to_unit_diagonal()
-            .unwrap();
-        let (b, x0) = rhs::paper_problem(40, 3);
-        let (trace, _, snap) = run_traced_obs(&a, &b, &x0, 4, 5, &ObsConfig::full());
-        let snap = snap.expect("obs on must yield a snapshot");
-        assert_eq!(trace.len(), 40 * 5);
-        let per_rank = snap.per_rank("staleness");
-        assert_eq!(per_rank.len(), 4, "one shard per thread");
-        // Full sampling sees every read: total samples = total off-diagonal
-        // reads recorded in the trace.
-        let reads: u64 = trace.events().iter().map(|e| e.reads.len() as u64).sum();
-        assert_eq!(snap.family_total("staleness").count(), reads);
-    }
-
-    #[test]
-    fn obs_off_yields_no_snapshot() {
-        let a = fd::laplacian_2d(3, 3).scale_to_unit_diagonal().unwrap();
-        let (b, x0) = rhs::paper_problem(9, 1);
-        let (_, _, snap) = run_traced_obs(&a, &b, &x0, 2, 2, &ObsConfig::off());
-        assert!(snap.is_none());
     }
 
     #[test]

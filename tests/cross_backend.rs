@@ -1,6 +1,7 @@
 //! Cross-crate integration: every backend must solve the same problem and
 //! agree with the others.
 
+use aj_obs::ObsConfig;
 use async_jacobi_repro::dmsim::shmem_sim::{
     run_shmem_async, run_shmem_async_rowwise, run_shmem_sync, ShmemSimConfig,
 };
@@ -213,6 +214,34 @@ fn real_threads_stop_short_of_the_cap_only_below_tolerance() {
             }
         }
     }
+}
+
+/// Real threads raise their flags from the block residuals their sweeps
+/// already take, so a run's whole-matrix residual passes are its stop
+/// meetings (plus the final residual): at least one, and far fewer than its
+/// thread sweeps.
+#[test]
+fn real_threads_take_whole_matrix_residuals_only_at_stop_meetings() {
+    let p = problem();
+    let threads = 4;
+    let cfg = ShmemConfig {
+        num_threads: threads,
+        obs: ObsConfig::full(),
+        ..threads_config(ResolvedMethod::Jacobi)
+    };
+    let t = async_jacobi_repro::shmem::solver::run(&p.a, &p.b, &p.x0, &cfg);
+    assert!(t.converged, "stopped at {}", t.final_residual);
+    let snap = t.obs.expect("obs on yields a snapshot");
+    let meetings = *snap
+        .counters
+        .get("stop_meetings")
+        .expect("the snapshot counts stop meetings");
+    let sweeps = snap.counters["relaxations"] / (p.n() / threads) as u64;
+    assert!(meetings >= 1, "a run stops only at a meeting");
+    assert!(
+        meetings * 10 <= sweeps,
+        "{meetings} stop meetings over {sweeps} thread sweeps"
+    );
 }
 
 #[test]
