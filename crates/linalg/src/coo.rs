@@ -1,8 +1,12 @@
 //! Coordinate-format (triplet) matrix builder.
 //!
-//! All generators in `aj-matrices` assemble into a [`CooMatrix`] and then
-//! convert to CSR once. Duplicate entries are *summed* on conversion, which
-//! is exactly the semantics finite-element assembly needs.
+//! The finite-difference generators and the Matrix Market reader in
+//! `aj-matrices` collect triplets into a [`CooMatrix`] and convert to CSR
+//! once. Repeated `(row, col)` entries are *summed* on conversion, in the
+//! order they were pushed: the first value, plus the second, plus the
+//! third, and so on. The finite-element assembly scatters its element
+//! matrices straight into CSR in the same order, so both paths produce the
+//! same bits.
 
 use crate::csr::CsrMatrix;
 
@@ -54,7 +58,8 @@ impl CooMatrix {
         self.vals.len()
     }
 
-    /// Adds `value` at `(row, col)`. Duplicates accumulate on conversion.
+    /// Adds `value` at `(row, col)`. Repeats accumulate on conversion, in
+    /// the order they were pushed.
     ///
     /// # Panics
     /// Panics if the position is out of bounds.
@@ -84,45 +89,61 @@ impl CooMatrix {
             .map(|((&r, &c), &v)| (r, c, v))
     }
 
-    /// Converts to CSR, summing duplicate entries and dropping entries that
-    /// cancel to exactly zero is *not* done (explicit zeros are kept so that
-    /// sparsity patterns stay predictable for tests).
+    /// Converts to CSR in O(nnz + nrows + ncols), summing repeated entries
+    /// in insertion order. Explicit zeros, and entries that cancel to zero,
+    /// are kept, so sparsity patterns stay predictable for tests.
+    ///
+    /// Two stable counting sorts, by column and then by row, leave the
+    /// triplets in (row, column) order with repeats in insertion order;
+    /// one pass then sums each run of repeats.
     pub fn to_csr(&self) -> CsrMatrix {
-        // Sort triplets by (row, col), then compress duplicates in one pass.
-        let n = self.nrows;
-        let mut order: Vec<usize> = (0..self.vals.len()).collect();
-        order.sort_unstable_by_key(|&k| (self.rows[k], self.cols[k]));
-
-        let mut indptr = Vec::with_capacity(n + 1);
+        let by_col = counting_sort(&self.cols, self.ncols, 0..self.vals.len());
+        let by_row = counting_sort(&self.rows, self.nrows, by_col);
+        let mut indptr = vec![0usize; self.nrows + 1];
         let mut indices = Vec::with_capacity(self.vals.len());
-        let mut values = Vec::with_capacity(self.vals.len());
-        indptr.push(0);
-        let mut cur_row = 0usize;
-        for &k in &order {
+        let mut values: Vec<f64> = Vec::with_capacity(self.vals.len());
+        let mut last = None;
+        for k in by_row {
             let (r, c, v) = (self.rows[k], self.cols[k], self.vals[k]);
-            while cur_row < r {
-                indptr.push(indices.len());
-                cur_row += 1;
+            if last == Some((r, c)) {
+                *values.last_mut().expect("a repeat follows its first entry") += v;
+            } else {
+                indices.push(c);
+                values.push(v);
+                indptr[r + 1] += 1;
+                last = Some((r, c));
             }
-            if let Some(&last_col) = indices.last() {
-                if *indptr.last().unwrap() < indices.len() && last_col == c {
-                    // Same row (we only close rows above) and same column:
-                    // accumulate.
-                    let lv: &mut f64 = values.last_mut().unwrap();
-                    *lv += v;
-                    continue;
-                }
-            }
-            indices.push(c);
-            values.push(v);
         }
-        while cur_row < n {
-            indptr.push(indices.len());
-            cur_row += 1;
+        for r in 0..self.nrows {
+            indptr[r + 1] += indptr[r];
         }
         CsrMatrix::from_raw_parts(self.nrows, self.ncols, indptr, indices, values)
             .expect("COO→CSR conversion produced invalid structure")
     }
+}
+
+/// The triplet positions of `order` grouped by `keys[k]` ascending, each
+/// group in `order`'s order (a stable counting sort over keys below
+/// `bound`).
+fn counting_sort(
+    keys: &[usize],
+    bound: usize,
+    order: impl IntoIterator<Item = usize>,
+) -> Vec<usize> {
+    let mut start = vec![0usize; bound + 1];
+    for &key in keys {
+        start[key + 1] += 1;
+    }
+    for key in 0..bound {
+        start[key + 1] += start[key];
+    }
+    let mut sorted = vec![0usize; keys.len()];
+    for k in order {
+        let slot = &mut start[keys[k]];
+        sorted[*slot] = k;
+        *slot += 1;
+    }
+    sorted
 }
 
 #[cfg(test)]

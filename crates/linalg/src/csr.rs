@@ -380,10 +380,39 @@ impl CsrMatrix {
         })
     }
 
+    /// Adds `shift(a_ii)` to every diagonal entry in place and keeps the
+    /// structure: `a_ii + shift(a_ii)`, the bits `add_scaled(1.0, D, 1.0)`
+    /// gives for the diagonal `D` of the shifts, with no merge and no new
+    /// arrays.
+    ///
+    /// # Errors
+    /// [`LinalgError::ZeroDiagonal`] for the first row that stores no
+    /// diagonal entry; the rows above it are already shifted.
+    pub fn shift_diagonal(&mut self, shift: impl Fn(f64) -> f64) -> Result<(), LinalgError> {
+        for i in 0..self.nrows.min(self.ncols) {
+            let at = self
+                .row_indices(i)
+                .binary_search(&i)
+                .map_err(|_| LinalgError::ZeroDiagonal { row: i })?;
+            let a_ii = &mut self.values[self.indptr[i] + at];
+            *a_ii += shift(*a_ii);
+        }
+        Ok(())
+    }
+
     /// Symmetric diagonal scaling `D^{-1/2} A D^{-1/2}` producing a unit
     /// diagonal, as the paper assumes throughout ("A is scaled to have unit
-    /// diagonal values"). Requires a strictly positive diagonal.
-    pub fn scale_to_unit_diagonal(&self) -> Result<CsrMatrix, LinalgError> {
+    /// diagonal values"). Scales the values in place; a caller that keeps
+    /// the unscaled matrix clones it first. Requires a square matrix with a
+    /// strictly positive diagonal.
+    pub fn scale_to_unit_diagonal(mut self) -> Result<CsrMatrix, LinalgError> {
+        if self.nrows != self.ncols {
+            return Err(LinalgError::DimensionMismatch {
+                op: "scale_to_unit_diagonal",
+                expected: self.nrows,
+                found: self.ncols,
+            });
+        }
         let diag = self.diagonal();
         for (i, &d) in diag.iter().enumerate() {
             if d <= 0.0 {
@@ -391,15 +420,12 @@ impl CsrMatrix {
             }
         }
         let inv_sqrt: Vec<f64> = diag.iter().map(|d| 1.0 / d.sqrt()).collect();
-        let mut out = self.clone();
         for i in 0..self.nrows {
-            let (start, end) = (self.indptr[i], self.indptr[i + 1]);
-            for k in start..end {
-                let j = out.indices[k];
-                out.values[k] *= inv_sqrt[i] * inv_sqrt[j];
+            for k in self.indptr[i]..self.indptr[i + 1] {
+                self.values[k] *= inv_sqrt[i] * inv_sqrt[self.indices[k]];
             }
         }
-        Ok(out)
+        Ok(self)
     }
 
     /// The principal submatrix `A[keep, keep]`, with rows/columns renumbered
@@ -662,6 +688,51 @@ mod tests {
             coo.to_csr().scale_to_unit_diagonal(),
             Err(LinalgError::ZeroDiagonal { row: 0 })
         ));
+    }
+
+    #[test]
+    fn scaling_rejects_rectangular_matrices() {
+        let mut coo = CooMatrix::new(2, 3);
+        coo.push(0, 0, 1.0);
+        coo.push(1, 1, 1.0);
+        coo.push(0, 2, 0.5);
+        assert!(matches!(
+            coo.to_csr().scale_to_unit_diagonal(),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn shift_diagonal_keeps_the_bits_of_the_merge() {
+        let mut coo = CooMatrix::new(3, 3);
+        for (i, d) in [0.3, 1.7, 2.9].into_iter().enumerate() {
+            coo.push(i, i, d);
+        }
+        coo.push_sym(0, 2, -0.1);
+        let a = coo.to_csr();
+        let sigma = 0.25;
+        let shifts: Vec<f64> = a.diagonal().iter().map(|d| sigma * d).collect();
+        let merged = a
+            .add_scaled(1.0, &CsrMatrix::from_diagonal(&shifts), 1.0)
+            .unwrap();
+        let mut shifted = a.clone();
+        shifted.shift_diagonal(|d| sigma * d).unwrap();
+        assert_eq!(shifted.indptr(), merged.indptr());
+        assert_eq!(shifted.indices(), merged.indices());
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&shifted), bits(&merged));
+    }
+
+    #[test]
+    fn shift_diagonal_reports_a_row_without_a_diagonal() {
+        let mut coo = CooMatrix::new(2, 2);
+        coo.push(0, 0, 1.0);
+        coo.push(1, 0, 1.0);
+        let mut a = coo.to_csr();
+        assert_eq!(
+            a.shift_diagonal(|d| d),
+            Err(LinalgError::ZeroDiagonal { row: 1 })
+        );
     }
 
     #[test]

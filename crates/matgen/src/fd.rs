@@ -121,9 +121,10 @@ pub fn random_conductance_2d(nx: usize, ny: usize, spread: f64, seed: u64) -> Cs
 /// operator of a parabolic (heat) equation: `A = L + σI`. Larger `σ` makes
 /// the matrix more diagonally dominant and Jacobi faster.
 pub fn parabolic_2d(nx: usize, ny: usize, sigma: f64) -> CsrMatrix {
-    let l = laplacian_2d(nx, ny);
-    let shift = CsrMatrix::from_diagonal(&vec![sigma; nx * ny]);
-    l.add_scaled(1.0, &shift, 1.0).expect("same dims")
+    let mut a = laplacian_2d(nx, ny);
+    a.shift_diagonal(|_| sigma)
+        .expect("the Laplacian stores its diagonal");
+    a
 }
 
 /// Dimensions of the paper's four FD test matrices, decoded from the row and

@@ -7,9 +7,17 @@
 //! `−cot(θ_k)/2` for the angle opposite the edge — *positive* when the
 //! angle is obtuse, which is how perturbed meshes lose weak diagonal
 //! dominance (and how the paper's FE matrix gets `ρ(G) > 1`).
+//!
+//! Assembly is O(nnz) and writes CSR directly: each interior vertex's row
+//! holds the vertex and the interior vertices it shares a triangle with,
+//! columns ascending, and the element matrices are added into those rows
+//! in triangle order. A repeated `(row, col)` entry is therefore the sum of
+//! its element contributions in the order the triangles come, the rule
+//! [`aj_linalg::CooMatrix::to_csr`] applies to triplets pushed in that
+//! order.
 
 use crate::mesh::TriangleMesh;
-use aj_linalg::{CooMatrix, CsrMatrix};
+use aj_linalg::CsrMatrix;
 
 /// Assembles the P1 stiffness matrix over the interior (non-Dirichlet)
 /// vertices of `mesh`. Returns the matrix together with the map from
@@ -25,11 +33,14 @@ pub fn assemble_p1_stiffness(mesh: &TriangleMesh) -> (CsrMatrix, Vec<usize>) {
         }
     }
     let n = vertex_of_unknown.len();
-    let mut coo = CooMatrix::with_capacity(n, n, 9 * mesh.triangles.len());
+    let (indptr, indices) = stiffness_pattern(mesh, &unknown_of_vertex, &vertex_of_unknown);
+    // Every stored entry receives at least one contribution, and `-0.0 + v`
+    // is `v` for every `v`, so each sum starts from its first term's bits.
+    let mut values = vec![-0.0; indices.len()];
     for (t, tri) in mesh.triangles.iter().enumerate() {
         let area = mesh.signed_area(t);
         assert!(area > 0.0, "triangle {t} has non-positive area");
-        let p: Vec<(f64, f64)> = tri.iter().map(|&v| mesh.vertices[v]).collect();
+        let p = tri.map(|v| mesh.vertices[v]);
         // Gradient coefficients.
         let b = [p[1].1 - p[2].1, p[2].1 - p[0].1, p[0].1 - p[1].1];
         let c = [p[2].0 - p[1].0, p[0].0 - p[2].0, p[1].0 - p[0].0];
@@ -38,17 +49,82 @@ pub fn assemble_p1_stiffness(mesh: &TriangleMesh) -> (CsrMatrix, Vec<usize>) {
             if ui == usize::MAX {
                 continue;
             }
+            let row = indptr[ui]..indptr[ui + 1];
             for j in 0..3 {
                 let uj = unknown_of_vertex[tri[j]];
                 if uj == usize::MAX {
                     continue;
                 }
                 let k_ij = (b[i] * b[j] + c[i] * c[j]) / (4.0 * area);
-                coo.push(ui, uj, k_ij);
+                let at = indices[row.clone()]
+                    .binary_search(&uj)
+                    .expect("the pattern holds every element coupling");
+                values[row.start + at] += k_ij;
             }
         }
     }
-    (coo.to_csr(), vertex_of_unknown)
+    let k = CsrMatrix::from_raw_parts(n, n, indptr, indices, values)
+        .expect("the stiffness pattern is valid CSR");
+    (k, vertex_of_unknown)
+}
+
+/// The stiffness pattern as CSR row pointers and column indices: row `u`
+/// holds `u` and every interior vertex that shares a triangle with it,
+/// columns ascending.
+fn stiffness_pattern(
+    mesh: &TriangleMesh,
+    unknown_of_vertex: &[usize],
+    vertex_of_unknown: &[usize],
+) -> (Vec<usize>, Vec<usize>) {
+    let nv = mesh.num_vertices();
+    let n = vertex_of_unknown.len();
+    // The triangles around each vertex, by a counting sort over corners.
+    let mut first = vec![0usize; nv + 1];
+    for tri in &mesh.triangles {
+        for &v in tri {
+            first[v + 1] += 1;
+        }
+    }
+    for v in 0..nv {
+        first[v + 1] += first[v];
+    }
+    let mut around = vec![0usize; first[nv]];
+    let mut next = first.clone();
+    for (t, tri) in mesh.triangles.iter().enumerate() {
+        for &v in tri {
+            around[next[v]] = t;
+            next[v] += 1;
+        }
+    }
+    // Each row's couplings, in the order its triangles meet them; `seen_by`
+    // stamps a column with the last row that listed it.
+    let mut indptr = Vec::with_capacity(n + 1);
+    let mut unsorted = Vec::with_capacity(7 * n);
+    let mut seen_by = vec![usize::MAX; n];
+    indptr.push(0);
+    for (u, &v) in vertex_of_unknown.iter().enumerate() {
+        for &t in &around[first[v]..first[v + 1]] {
+            for &w in &mesh.triangles[t] {
+                let uw = unknown_of_vertex[w];
+                if uw != usize::MAX && seen_by[uw] != u {
+                    seen_by[uw] = u;
+                    unsorted.push(uw);
+                }
+            }
+        }
+        indptr.push(unsorted.len());
+    }
+    // The pattern is symmetric, so writing `u` into the row of each of its
+    // couplings, for `u` ascending, fills every row in column order.
+    let mut indices = vec![0usize; unsorted.len()];
+    let mut fill = indptr[..n].to_vec();
+    for u in 0..n {
+        for &w in &unsorted[indptr[u]..indptr[u + 1]] {
+            indices[fill[w]] = u;
+            fill[w] += 1;
+        }
+    }
+    (indptr, indices)
 }
 
 /// Builds the paper-style FE test matrix: perturbed unit-square mesh,
@@ -66,15 +142,13 @@ pub fn fe_matrix(nx: usize, ny: usize, perturb: f64, seed: u64) -> CsrMatrix {
 /// before unit-diagonal scaling. The shift compresses the scaled spectrum by
 /// `1/(1+σ)`, so `ρ(G) < 1` holds with a σ-controlled margin at any mesh
 /// size — the thermomech_dm analogue uses this to stay Jacobi-convergent
-/// while keeping unstructured FE sparsity.
+/// while keeping unstructured FE sparsity. Shift and scaling act on the
+/// assembled values in place.
 pub fn fe_matrix_shifted(nx: usize, ny: usize, perturb: f64, sigma: f64, seed: u64) -> CsrMatrix {
     let mesh = crate::mesh::perturbed_unit_square(nx, ny, perturb, seed);
-    let (k, _) = assemble_p1_stiffness(&mesh);
-    let diag = k.diagonal();
-    let shifted_diag: Vec<f64> = diag.iter().map(|d| sigma * d).collect();
-    let a = k
-        .add_scaled(1.0, &CsrMatrix::from_diagonal(&shifted_diag), 1.0)
-        .expect("same dimensions");
+    let (mut a, _) = assemble_p1_stiffness(&mesh);
+    a.shift_diagonal(|k_ii| sigma * k_ii)
+        .expect("P1 stiffness stores its diagonal");
     a.scale_to_unit_diagonal().expect("positive diagonal")
 }
 

@@ -14,7 +14,14 @@ use aj_linalg::{CooMatrix, CsrMatrix, LinalgError};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
+/// The most triplets the reader reserves before it has read them.
+const MAX_RESERVED_TRIPLETS: usize = 1 << 16;
+
 /// Parses a Matrix Market stream into CSR.
+///
+/// A size line that declares more entries than its shape holds, a
+/// symmetric matrix that is not square, or a shape whose row or column
+/// counters cannot be allocated is an [`LinalgError::InvalidStructure`].
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix, LinalgError> {
     let mut lines = BufReader::new(reader).lines();
     let header = lines
@@ -79,7 +86,36 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix, LinalgError> 
         ));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, if symmetric { 2 * nnz } else { nnz });
+    if symmetric && nrows != ncols {
+        return Err(LinalgError::InvalidStructure(format!(
+            "a symmetric matrix must be square, not {nrows}×{ncols}"
+        )));
+    }
+    if nrows.checked_mul(ncols).is_some_and(|cells| nnz > cells) {
+        return Err(LinalgError::InvalidStructure(format!(
+            "size line declares {nnz} entries, more than a {nrows}×{ncols} matrix holds"
+        )));
+    }
+    // The conversion keeps one counter per row and per column: refuse a
+    // shape whose counters the allocator cannot hold instead of aborting.
+    for (dim, what) in [(nrows, "rows"), (ncols, "columns")] {
+        let fits = dim
+            .checked_add(1)
+            .is_some_and(|len| Vec::<usize>::new().try_reserve_exact(len).is_ok());
+        if !fits {
+            return Err(LinalgError::InvalidStructure(format!(
+                "size line declares {dim} {what}, more than memory holds"
+            )));
+        }
+    }
+    // Memory grows with the entries actually read, not with the count the
+    // size line declares.
+    let declared = if symmetric {
+        nnz.saturating_mul(2)
+    } else {
+        nnz
+    };
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, declared.min(MAX_RESERVED_TRIPLETS));
     let mut seen = 0usize;
     for line in lines {
         let line = line.map_err(|e| LinalgError::InvalidStructure(format!("I/O error: {e}")))?;
@@ -192,6 +228,23 @@ mod tests {
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n".as_bytes()
         )
         .is_err());
+    }
+
+    #[test]
+    fn size_lines_past_the_shape_or_memory_are_typed_errors() {
+        let rejected = |text: &str, says: &str| match read_matrix_market(text.as_bytes()) {
+            Err(LinalgError::InvalidStructure(msg)) => assert!(msg.contains(says), "{msg}"),
+            other => panic!("{text:?} gave {other:?}"),
+        };
+        let symmetric = "%%MatrixMarket matrix coordinate real symmetric\n";
+        let general = "%%MatrixMarket matrix coordinate real general\n";
+        rejected(&format!("{general}2 2 5\n"), "entries");
+        rejected(&format!("{symmetric}2 3 1\n1 3 1.0\n"), "square");
+        rejected(&format!("{general}18446744073709551615 1 0\n"), "rows");
+        rejected(&format!("{general}1 4611686018427387904 0\n"), "columns");
+        // A count that fits the shape reserves no more than it reads.
+        let a = read_matrix_market(format!("{general}1 1 1\n1 1 2.0\n").as_bytes()).unwrap();
+        assert_eq!(a.get(0, 0), 2.0);
     }
 
     #[test]

@@ -126,15 +126,17 @@ pub struct ShmemRun {
 /// The stop estimate is the norm of every thread's latest block-residual
 /// norm, over ‖b‖: no pass over the whole matrix, and exact for the 1-, 2-
 /// and ∞-norms when the partials are current. Termination follows the §V
-/// flag protocol: a thread whose estimate meets the tolerance (or that has
-/// reached its iteration cap) raises its flag but keeps relaxing until
-/// every flag is up. The partials were taken at different times, so when
-/// every flag is up the threads meet at the barrier and one of them
-/// evaluates the true residual of the now quiescent `x`: the threads then
-/// all stop (below the tolerance, every thread at its cap, or a controller
-/// abort) or all lower the flags of threads short of their cap and go on.
-/// These stop meetings and the final residual are the run's only
-/// whole-matrix residual passes.
+/// flag protocol: a thread whose estimate meets the tolerance raises its
+/// flag but keeps relaxing until every flag is up. A thread that reaches
+/// its iteration cap raises its flag and stops sweeping, so each thread
+/// sweeps at most `max_iterations` times. When every flag is up the
+/// threads meet at the barrier. If every thread is at its cap, or the
+/// controller aborted, they all stop. Otherwise the partials were taken at
+/// different times, so one thread evaluates the true residual of the now
+/// quiescent `x`: the threads then all stop (below the tolerance) or all
+/// lower the flags of threads short of their cap and go on. These stop
+/// meetings, counted as `stop_meetings`, and the final residual are the
+/// run's only whole-matrix residual passes.
 ///
 /// # Panics
 /// Panics if `config.num_threads` is 0 or exceeds the number of rows, or if
@@ -329,22 +331,23 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                         tl.push(start.elapsed().as_nanos() as u64, SpanKind::SweepEnd);
                     }
                     // Flags and the abort only rise between meetings, so once
-                    // one thread sees a reason to meet, every thread will.
-                    // Past the hard safety cap (4× the budget, never reached
-                    // in normal operation) a thread stops sweeping but keeps
-                    // coming to meetings, so no peer waits for it in vain.
-                    // Only a thread that panics misses a meeting.
+                    // one thread sees a reason to meet, every thread will. A
+                    // thread at its cap stops sweeping but keeps coming to
+                    // meetings, so no peer waits for it in vain. Only a
+                    // thread that panics misses a meeting.
                     let aborted = || ctrl_on && ctrl_abort.load(Ordering::Acquire);
                     loop {
                         if aborted() || flags.iter().all(|f| f.load(Ordering::Acquire)) {
                             if barrier.wait().is_leader() {
-                                meetings.fetch_add(1, Ordering::Relaxed);
-                                let res = a.relative_residual(&x.snapshot(), b, config.norm);
                                 let capped = |c: &AtomicU64| {
                                     c.load(Ordering::Relaxed) >= config.max_iterations as u64
                                 };
-                                let stop =
-                                    aborted() || res < config.tol || iter_counts.iter().all(capped);
+                                // Only a meeting that can go on takes the
+                                // whole-matrix residual.
+                                let stop = aborted() || iter_counts.iter().all(capped) || {
+                                    meetings.fetch_add(1, Ordering::Relaxed);
+                                    a.relative_residual(&x.snapshot(), b, config.norm) < config.tol
+                                };
                                 if !stop {
                                     for (f, c) in flags.iter().zip(iter_counts) {
                                         f.store(capped(c), Ordering::Relaxed);
@@ -357,7 +360,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], x0: &[f64], config: &ShmemConfig) -> ShmemR
                                 break 'sweeps;
                             }
                         }
-                        if iters < 4 * config.max_iterations {
+                        if iters < config.max_iterations {
                             break;
                         }
                         std::thread::yield_now();

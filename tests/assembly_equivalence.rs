@@ -1,12 +1,18 @@
-//! Per-solve rank assembly against reference copies of the original
-//! algorithms: `CommPlan::build` must produce the same plans, and
-//! `LocalSystem::build` / `LocalSystem::build_all` the same local matrices
-//! bit for bit, as the nparts × nparts table and the `HashMap` + COO
-//! assembly they replaced.
+//! Assembly against reference copies of the original algorithms, bit for
+//! bit:
+//!
+//! * per-solve rank assembly: `CommPlan::build` must produce the same plans,
+//!   and `LocalSystem::build` / `LocalSystem::build_all` the same local
+//!   matrices, as the nparts × nparts table and the `HashMap` + COO
+//!   assembly they replaced;
+//! * finite-element problem assembly: the direct CSR scatter with in-place
+//!   shift and scaling must produce the matrices of the COO assembly with
+//!   `add_scaled` and a copying scaling.
 
 use async_jacobi_repro::linalg::{CooMatrix, CsrMatrix};
-use async_jacobi_repro::matrices::fd;
-use async_jacobi_repro::matrices::suite::{suite_problems, Scale};
+use async_jacobi_repro::matrices::mesh::{perturbed_unit_square, TriangleMesh};
+use async_jacobi_repro::matrices::suite::{find_problem, suite_problems, Scale};
+use async_jacobi_repro::matrices::{assemble_p1_stiffness, fd, fe};
 use async_jacobi_repro::partition::{
     bfs_partition, block_partition, coordinate_bisection, CommPlan, LocalSystem, Partition,
     SubdomainPlan,
@@ -91,17 +97,25 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The first difference between two matrices, if any.
+fn matrix_mismatch(got: &CsrMatrix, want: &CsrMatrix) -> Option<&'static str> {
+    if (got.nrows(), got.ncols()) != (want.nrows(), want.ncols()) {
+        Some("shape")
+    } else if got.indptr() != want.indptr() {
+        Some("indptr")
+    } else if got.indices() != want.indices() {
+        Some("indices")
+    } else if bits(got.values()) != bits(want.values()) {
+        Some("value bits")
+    } else {
+        None
+    }
+}
+
 /// Describes the first difference between two local systems, if any.
 fn local_mismatch(got: &LocalSystem, want: &LocalSystem) -> Option<&'static str> {
-    let (g, w) = (&got.matrix, &want.matrix);
-    if (g.nrows(), g.ncols()) != (w.nrows(), w.ncols()) {
-        Some("shape")
-    } else if g.indptr() != w.indptr() {
-        Some("indptr")
-    } else if g.indices() != w.indices() {
-        Some("indices")
-    } else if bits(g.values()) != bits(w.values()) {
-        Some("value bits")
+    if let Some(what) = matrix_mismatch(&got.matrix, &want.matrix) {
+        Some(what)
     } else if bits(&got.diag_inv) != bits(&want.diag_inv) {
         Some("diag_inv bits")
     } else if got.global_owned != want.global_owned {
@@ -244,6 +258,108 @@ proptest! {
             if let Some(what) = local_mismatch(&got, &reference_local(&a, &permuted)) {
                 prop_assert!(false, "n = {n}, nparts = {nparts}: {what}");
             }
+        }
+    }
+}
+
+/// The original P1 assembly: every element coupling pushed as a triplet in
+/// triangle order, then `CooMatrix::to_csr`.
+fn reference_stiffness(mesh: &TriangleMesh) -> CsrMatrix {
+    let mut unknown_of_vertex = vec![usize::MAX; mesh.num_vertices()];
+    let mut n = 0;
+    for (v, &on_boundary) in mesh.boundary.iter().enumerate() {
+        if !on_boundary {
+            unknown_of_vertex[v] = n;
+            n += 1;
+        }
+    }
+    let mut coo = CooMatrix::with_capacity(n, n, 9 * mesh.triangles.len());
+    for (t, tri) in mesh.triangles.iter().enumerate() {
+        let area = mesh.signed_area(t);
+        let p: Vec<(f64, f64)> = tri.iter().map(|&v| mesh.vertices[v]).collect();
+        let b = [p[1].1 - p[2].1, p[2].1 - p[0].1, p[0].1 - p[1].1];
+        let c = [p[2].0 - p[1].0, p[0].0 - p[2].0, p[1].0 - p[0].0];
+        for i in 0..3 {
+            let ui = unknown_of_vertex[tri[i]];
+            if ui == usize::MAX {
+                continue;
+            }
+            for j in 0..3 {
+                let uj = unknown_of_vertex[tri[j]];
+                if uj == usize::MAX {
+                    continue;
+                }
+                coo.push(ui, uj, (b[i] * b[j] + c[i] * c[j]) / (4.0 * area));
+            }
+        }
+    }
+    coo.to_csr()
+}
+
+/// The original FE matrix: the reference stiffness, `K + σ·diag(K)` by
+/// `add_scaled` when shifted, then unit-diagonal scaling.
+fn reference_fe(nx: usize, perturb: f64, sigma: Option<f64>, seed: u64) -> CsrMatrix {
+    let k = reference_stiffness(&perturbed_unit_square(nx, nx, perturb, seed));
+    let a = match sigma {
+        Some(sigma) => {
+            let shift: Vec<f64> = k.diagonal().iter().map(|d| sigma * d).collect();
+            k.add_scaled(1.0, &CsrMatrix::from_diagonal(&shift), 1.0)
+                .unwrap()
+        }
+        None => k,
+    };
+    a.scale_to_unit_diagonal().unwrap()
+}
+
+#[test]
+fn fe_stiffness_matches_the_coo_assembly() {
+    // Unperturbed meshes have right angles, whose couplings are zeros of
+    // either sign; clearing the boundary keeps every vertex.
+    let mut open = perturbed_unit_square(6, 5, 0.3, 4);
+    open.boundary.iter_mut().for_each(|b| *b = false);
+    let meshes = [
+        perturbed_unit_square(2, 2, 0.0, 1),
+        perturbed_unit_square(8, 8, 0.0, 1),
+        perturbed_unit_square(9, 4, 0.2, 8),
+        perturbed_unit_square(16, 16, 0.45, 3),
+        open,
+    ];
+    for (m, mesh) in meshes.iter().enumerate() {
+        let (k, _) = assemble_p1_stiffness(mesh);
+        if let Some(what) = matrix_mismatch(&k, &reference_stiffness(mesh)) {
+            panic!("mesh {m}: {what}");
+        }
+    }
+}
+
+#[test]
+fn fe_problem_matrices_match_the_coo_assembly() {
+    let suite = |name: &str, scale| find_problem(name).unwrap().build(scale);
+    let cases = [
+        (
+            "fe",
+            fe::paper_fe_matrix(),
+            reference_fe(57, 0.45, None, 2018),
+        ),
+        (
+            "thermomech_dm:tiny",
+            suite("thermomech_dm", Scale::Tiny),
+            reference_fe(40, 0.12, Some(0.25), 0xD3),
+        ),
+        (
+            "thermomech_dm:small",
+            suite("thermomech_dm", Scale::Small),
+            reference_fe(140, 0.12, Some(0.25), 0xD3),
+        ),
+        (
+            "Dubcova2:tiny",
+            suite("Dubcova2", Scale::Tiny),
+            reference_fe(40, 0.45, None, 0xD0B),
+        ),
+    ];
+    for (name, got, want) in &cases {
+        if let Some(what) = matrix_mismatch(got, want) {
+            panic!("{name}: {what}");
         }
     }
 }

@@ -244,6 +244,35 @@ fn real_threads_take_whole_matrix_residuals_only_at_stop_meetings() {
     );
 }
 
+/// A real-thread run with `tol = 0` and cap `k`, the inner run of an
+/// outer solve, sweeps every thread exactly `k` times: a thread at its cap
+/// stops sweeping and waits for the meeting, which stops without taking
+/// the whole-matrix residual. Early finishers show only under some
+/// schedules, hence the repetitions.
+#[test]
+fn real_threads_sweep_exactly_to_their_cap() {
+    let a = async_jacobi_repro::matrices::fd::laplacian_2d(15, 15);
+    let p = Problem::from_matrix("grid:15x15", a, 1).unwrap();
+    let cfg = ShmemConfig {
+        num_threads: 4,
+        tol: 0.0,
+        max_iterations: 2,
+        obs: ObsConfig::full(),
+        ..Default::default()
+    };
+    for round in 0..20 {
+        let t = async_jacobi_repro::shmem::solver::run(&p.a, &p.b, &p.x0, &cfg);
+        assert_eq!(t.iterations, [2, 2, 2, 2], "round {round}");
+        let snap = t.obs.expect("obs on yields a snapshot");
+        assert_eq!(
+            snap.counters["relaxations"],
+            2 * p.n() as u64,
+            "round {round}"
+        );
+        assert_eq!(snap.counters["stop_meetings"], 0, "round {round}");
+    }
+}
+
 #[test]
 fn synchronous_engines_match_the_dense_reference_bit_for_bit_per_method() {
     // Synchronous mode is one global method iteration per step on every

@@ -316,6 +316,134 @@ proptest! {
     }
 }
 
+/// The summation-order rule of `CooMatrix::to_csr`, written the slow way:
+/// the triplets ordered by (row, column) with the standard library's
+/// stable sort, each run of repeats summed in that order.
+fn reference_to_csr(nrows: usize, ncols: usize, triplets: &[(usize, usize, f64)]) -> CsrMatrix {
+    let mut sorted = triplets.to_vec();
+    sorted.sort_by_key(|&(r, c, _)| (r, c));
+    let mut indptr = vec![0usize; nrows + 1];
+    let mut indices = Vec::new();
+    let mut values: Vec<f64> = Vec::new();
+    for (k, &(r, c, v)) in sorted.iter().enumerate() {
+        if k > 0 && (sorted[k - 1].0, sorted[k - 1].1) == (r, c) {
+            *values.last_mut().unwrap() += v;
+        } else {
+            indices.push(c);
+            values.push(v);
+            indptr[r + 1] = indices.len();
+        }
+    }
+    for r in 0..nrows {
+        indptr[r + 1] = indptr[r + 1].max(indptr[r]);
+    }
+    CsrMatrix::from_raw_parts(nrows, ncols, indptr, indices, values).unwrap()
+}
+
+/// Matrix Market header lines, valid and not.
+const MM_HEADERS: [&str; 9] = [
+    "%%MatrixMarket matrix coordinate real general",
+    "%%MatrixMarket matrix coordinate real symmetric",
+    "%%MatrixMarket matrix coordinate pattern symmetric",
+    "%%MatrixMarket matrix coordinate integer general",
+    "%%MATRIXMARKET MATRIX COORDINATE REAL GENERAL extra words",
+    "%%MatrixMarket matrix array real general",
+    "%%MatrixMarket matrix coordinate complex general",
+    "%%MatrixMarket matrix coordinate real",
+    "%%MatrixMarket vector coordinate real general",
+];
+
+/// Size-line fields: small, past any memory, past `usize`, negative, and
+/// not integers.
+const MM_SIZE_FIELDS: [&str; 12] = [
+    "0",
+    "1",
+    "2",
+    "3",
+    "4",
+    "-1",
+    "4611686018427387904",
+    "9223372036854775807",
+    "18446744073709551615",
+    "18446744073709551616",
+    "1e3",
+    "x",
+];
+
+/// A size line that declares more entries than its shape holds is a typed
+/// error, whatever the count: it sizes no allocation.
+#[test]
+fn matrix_market_counts_past_the_shape_are_typed_errors() {
+    use async_jacobi_repro::linalg::LinalgError;
+    for (symmetry, count) in [
+        ("symmetric", "4611686018427387904"),
+        ("general", "18446744073709551615"),
+    ] {
+        let text = format!("%%MatrixMarket matrix coordinate real {symmetry}\n2 2 {count}\n");
+        match async_jacobi_repro::matrices::mm::read_matrix_market(text.as_bytes()) {
+            Err(LinalgError::InvalidStructure(msg)) => assert_eq!(
+                msg,
+                format!("size line declares {count} entries, more than a 2×2 matrix holds")
+            ),
+            other => panic!("{symmetry} {count}: {other:?}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `CooMatrix::to_csr` sums repeated entries in insertion order, bit
+    /// for bit. Few distinct positions force repeats, rows past the drawn
+    /// ones stay empty, and magnitudes from 1e-8 to 1e8 make the order of
+    /// a sum show in its bits.
+    #[test]
+    fn coo_to_csr_sums_repeats_in_insertion_order(
+        nrows in 1usize..20,
+        ncols in 1usize..6,
+        draws in proptest::collection::vec((0usize..12, 0usize..6, -1.0f64..1.0, 0usize..17), 0..120),
+    ) {
+        let mut coo = CooMatrix::new(nrows, ncols);
+        let mut triplets = Vec::new();
+        for &(r, c, v, e) in &draws {
+            if r < nrows {
+                let t = (r, c % ncols, v * 10f64.powi(e as i32 - 8));
+                coo.push(t.0, t.1, t.2);
+                triplets.push(t);
+            }
+        }
+        let got = coo.to_csr();
+        let want = reference_to_csr(nrows, ncols, &triplets);
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(got.indptr(), want.indptr());
+        prop_assert_eq!(got.indices(), want.indices());
+        prop_assert!(bits(&got) == bits(&want), "sums differ: {:?} vs {:?}", got.values(), want.values());
+    }
+
+    /// The Matrix Market reader returns a matrix of the declared shape or
+    /// an error for any header and size line followed by a few entries:
+    /// it never panics and never sizes an allocation from a declared count.
+    #[test]
+    fn matrix_market_headers_and_size_lines_never_panic(
+        header in 0usize..9,
+        fields in proptest::collection::vec(0usize..12, 0..5),
+        entries in proptest::collection::vec((0usize..5, 0usize..5, -2.0f64..2.0), 0..4),
+    ) {
+        let size: Vec<&str> = fields.iter().map(|&f| MM_SIZE_FIELDS[f]).collect();
+        let mut text = format!("{}\n{}\n", MM_HEADERS[header], size.join(" "));
+        for (i, j, v) in &entries {
+            text += &format!("{i} {j} {v}\n");
+        }
+        let read = std::panic::catch_unwind(|| {
+            async_jacobi_repro::matrices::mm::read_matrix_market(text.as_bytes())
+        });
+        prop_assert!(read.is_ok(), "the reader panicked on {text:?}");
+        if let Ok(Ok(a)) = read {
+            prop_assert_eq!(format!("{} {}", a.nrows(), a.ncols()), format!("{} {}", size[0], size[1]));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 

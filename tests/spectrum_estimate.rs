@@ -86,7 +86,7 @@ fn rel(got: f64, want: f64) -> f64 {
 /// `richardson2` (ω, β) against the reference, within `tol` relative.
 fn compare(selector: &str, tol: f64) {
     let p = load_problem(selector, 2018).unwrap();
-    let scaled = p.a.scale_to_unit_diagonal().unwrap();
+    let scaled = p.a.clone().scale_to_unit_diagonal().unwrap();
     let reference = reorthogonalized_lanczos(&scaled, AUTO_LANCZOS_STEPS);
     let (lo, hi) = preconditioned_extremes(&p.a).unwrap();
     assert!(
@@ -157,7 +157,7 @@ fn estimate_is_exact_when_the_steps_span_the_space() {
     for selector in ["grid:6x6", "grid:8x8"] {
         compare(selector, 1e-12);
         let p = load_problem(selector, 2018).unwrap();
-        let dense = p.a.scale_to_unit_diagonal().unwrap().to_dense();
+        let dense = p.a.clone().scale_to_unit_diagonal().unwrap().to_dense();
         let ev = eigen::symmetric_eigenvalues(&dense).unwrap();
         let (lo, hi) = preconditioned_extremes(&p.a).unwrap();
         assert!(
