@@ -85,23 +85,23 @@ pub const MAX_DEPTH: usize = 128;
 /// Parses a JSON document. Errors carry the byte offset of the failure.
 /// Nesting deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
     let mut p = Parser {
-        bytes,
+        text: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != input.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`.
     pos: usize,
     /// Arrays and objects open around the current position.
     depth: usize,
@@ -113,7 +113,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -132,7 +132,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -214,57 +214,72 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Decodes a string literal in time linear in its length: each run up
+    /// to the next `"` or `\` is copied whole. Both are ASCII, so a run
+    /// starts and ends on char boundaries of the input.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push(self.escape()?);
                 }
             }
         }
+    }
+
+    /// Decodes the escape after a `\`. A `\u` high surrogate followed by a
+    /// `\u` low surrogate is one char; a lone or reversed surrogate is
+    /// rejected at the end of its four digits.
+    fn escape(&mut self) -> Result<char, String> {
+        let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000C}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let mut code = self
+                    .hex4(self.pos)
+                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                self.pos += 4;
+                if (0xD800..0xDC00).contains(&code)
+                    && self.text.as_bytes()[self.pos..].starts_with(b"\\u")
+                {
+                    if let Some(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 2) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        self.pos += 6;
+                    }
+                }
+                char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?
+            }
+            _ => return Err(self.err("unknown escape")),
+        })
+    }
+
+    /// The four hex digits at byte `at`, as `u32::from_str_radix` reads
+    /// them.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        u32::from_str_radix(self.text.get(at..at + 4)?, 16).ok()
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -290,8 +305,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -365,6 +380,36 @@ mod tests {
         write_escaped(&mut out, "a\"b\\c\nd\u{0001}");
         let v = parse(&out).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\nd\u{0001}"));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        let v = parse(r#"["\ud83d\ude00", "a\uD834\uDD1Eb", "\u00e9\u20ac"]"#).unwrap();
+        let strs: Vec<_> = v.as_arr().unwrap().iter().map(Value::as_str).collect();
+        assert_eq!(strs, [Some("\u{1F600}"), Some("a\u{1D11E}b"), Some("é€")]);
+    }
+
+    #[test]
+    fn string_errors_name_their_offset() {
+        for (doc, err) in [
+            // A lone or reversed surrogate fails after its four digits.
+            (r#""\ud83d""#, "bad \\u escape at byte 7"),
+            (r#""\ud83dx""#, "bad \\u escape at byte 7"),
+            (r#""\ud83d\u0041""#, "bad \\u escape at byte 7"),
+            (r#""\ud83d\ud83d""#, "bad \\u escape at byte 7"),
+            (r#""\ud83d\ude0""#, "bad \\u escape at byte 7"),
+            (r#""\ud83d\n""#, "bad \\u escape at byte 7"),
+            (r#""\ude00\ud83d""#, "bad \\u escape at byte 7"),
+            ("\"abc", "unterminated string at byte 4"),
+            ("\"é\\", "bad escape at byte 4"),
+            ("\"ab\\q\"", "unknown escape at byte 5"),
+            ("\"\\u12\"", "bad \\u escape at byte 3"),
+            ("\"\\u12é\"", "bad \\u escape at byte 3"),
+            ("\"\\u1é\"", "bad \\u escape at byte 3"),
+            ("{\"k\\x\":1}", "unknown escape at byte 5"),
+        ] {
+            assert_eq!(parse(doc), Err(err.into()), "{doc}");
+        }
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! nearest-rank sample quantile — are what let per-thread shards be merged
 //! in any order and still report honest percentiles. The timeline's claim
 //! is that a ring buffer never reorders: what survives is exactly the most
-//! recent events, in push order.
+//! recent events, in push order. The JSON reader's claim is that any string
+//! comes back from its escaped form, whichever escapes the writer chose.
 
+use aj_obs::json::{self, Value};
 use aj_obs::{Histogram, SpanKind, Timeline};
 use proptest::prelude::*;
+use std::fmt::Write as _;
 
 /// Samples spanning many orders of magnitude: a raw 64-bit draw shifted
 /// right by 0..64 bits, so every bucket of the log-scale histogram gets
@@ -30,6 +33,47 @@ fn hist_of(values: &[u64]) -> Histogram {
 fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
     sorted[rank.min(sorted.len()) - 1]
+}
+
+/// A string of ASCII, other Basic Multilingual Plane and supplementary
+/// chars: `(plane, raw)` picks one char per pair. Surrogate code points,
+/// which are no chars, become U+FFFD.
+fn mixed_string(raw: &[(u32, u32)]) -> String {
+    raw.iter()
+        .map(|&(plane, r)| {
+            let code = match plane % 3 {
+                0 => r % 0x80,
+                1 => 0x80 + r % (0x1_0000 - 0x80),
+                _ => 0x1_0000 + r % (0x11_0000 - 0x1_0000),
+            };
+            char::from_u32(code).unwrap_or('\u{FFFD}')
+        })
+        .collect()
+}
+
+/// `s` as a JSON string literal in ASCII only, the way ASCII-only encoders
+/// write it: every char outside printable ASCII as `\uXXXX`, and each
+/// supplementary char as its UTF-16 surrogate pair.
+fn ascii_escaped(s: &str, upper: bool) -> String {
+    let mut out = String::from("\"");
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            ' '..='~' => out.push(ch),
+            _ => {
+                for unit in ch.encode_utf16(&mut [0; 2]) {
+                    let _ = if upper {
+                        write!(out, "\\u{unit:04X}")
+                    } else {
+                        write!(out, "\\u{unit:04x}")
+                    };
+                }
+            }
+        }
+    }
+    out.push('"');
+    out
 }
 
 proptest! {
@@ -126,5 +170,26 @@ proptest! {
         prop_assert_eq!(&kept[..], &pushed[expect_start..]);
         // ...in push order (never reordered), with the remainder counted.
         prop_assert_eq!(tl.dropped(), expect_start as u64);
+    }
+
+    #[test]
+    fn escaped_strings_parse_back_to_themselves(
+        raw in collection::vec((0u32..3, 0u32..u32::MAX), 0..48),
+        upper in 0u32..2,
+    ) {
+        let s = mixed_string(&raw);
+        let ascii = ascii_escaped(&s, upper == 1);
+        prop_assert!(ascii.is_ascii());
+        prop_assert_eq!(json::parse(&ascii), Ok(Value::Str(s.clone())));
+
+        let mut written = String::new();
+        json::write_escaped(&mut written, &s);
+        prop_assert_eq!(json::parse(&written), Ok(Value::Str(s.clone())));
+
+        // Both forms also round-trip as object keys next to each other.
+        let doc = format!("{{{ascii}:{written}}}");
+        let mut want = std::collections::BTreeMap::new();
+        want.insert(s.clone(), Value::Str(s));
+        prop_assert_eq!(json::parse(&doc), Ok(Value::Obj(want)));
     }
 }
