@@ -26,7 +26,6 @@ use aj_linalg::vecops::Norm;
 use aj_linalg::{kernel, CsrMatrix, StorageFormat, SweepKernel};
 use aj_obs::{ObsConfig, SpanKind};
 use aj_partition::{CommPlan, LocalSystem, Partition};
-use std::rc::Rc;
 
 /// How a rank relaxes its own subdomain each sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,8 +154,7 @@ struct Rank {
     /// it just as it keeps `x`, which is the restart semantics.
     x_prev: Vec<f64>,
     b: Vec<f64>,
-    /// For each neighbour: `(positions into our owned vector to send,
-    ///  ghost-slot positions at the receiver)`.
+    /// One put per out-neighbour each sweep.
     sends: Vec<SendPlan>,
     iterations: u64,
     /// Eager-variant state: did any ghost change since the last sweep?
@@ -180,14 +178,16 @@ struct Rank {
     report_faults: LinkParams,
 }
 
+/// One directed link's put. The receiver's ghost window is laid out by
+/// in-neighbour ([`aj_partition::SubdomainPlan::ghosts`]), so the values
+/// land as one contiguous run starting at `slot`.
 struct SendPlan {
     to: usize,
-    /// Local owned indices whose values are sent.
-    source_local: Vec<usize>,
-    /// Ghost-tail slot index at the *receiver* for each value. Shared
-    /// (`Rc`) so each put event carries a pointer-sized handle instead of
-    /// cloning the index list; the simulation is single-threaded.
-    target_slot: Rc<[usize]>,
+    /// Positions in the sender's owned vector of the values sent, in the
+    /// receiver's ghost order.
+    source: Vec<u32>,
+    /// First ghost-tail slot of this sender's run at the receiver.
+    slot: u32,
     /// Resolved fault parameters for this directed link (clean when no
     /// fault plan is active).
     faults: LinkParams,
@@ -210,6 +210,7 @@ fn build_ranks(
     // Base offset of each rank's span in the flat ghost-generation table
     // (one entry per in-neighbour, `recv_from` order); see `gen_base`.
     let gen_base = gen_base(plan);
+    let owned_pos = plan.owned_positions();
     LocalSystem::build_all(a, plan)
         .into_iter()
         .enumerate()
@@ -219,38 +220,29 @@ fn build_ranks(
             x.extend(sp.owned.iter().map(|&g| x0[g]));
             x.extend(sp.ghosts.iter().map(|&g| x0[g]));
             let b_local: Vec<f64> = sp.owned.iter().map(|&g| b[g]).collect();
-            // Plan lists are ascending, so a sent value's owned position and
-            // its ghost slot at the receiver are binary searches.
             let sends = sp
                 .send_to
                 .iter()
                 .map(|(to, globals)| {
                     let receiver = plan.plan(*to);
+                    let (k, (_, run)) = receiver
+                        .recv_runs()
+                        .enumerate()
+                        .find(|(_, (from, _))| *from == p)
+                        .expect("send_to mirrors recv_from");
+                    debug_assert_eq!(
+                        globals[..],
+                        receiver.ghosts[run.clone()],
+                        "send list {p}→{to} is not the receiver's ghost run"
+                    );
                     SendPlan {
                         to: *to,
-                        source_local: globals
-                            .iter()
-                            .map(|g| sp.owned.binary_search(g).expect("send index not owned"))
-                            .collect(),
-                        target_slot: globals
-                            .iter()
-                            .map(|g| {
-                                receiver
-                                    .ghosts
-                                    .binary_search(g)
-                                    .expect("send index not a ghost of the receiver")
-                            })
-                            .collect::<Vec<_>>()
-                            .into(),
+                        source: globals.iter().map(|&g| owned_pos[g]).collect(),
+                        slot: run.start as u32,
                         faults: fault_plan
                             .map(|fp| fp.link_params(p, *to))
                             .unwrap_or_default(),
-                        gen_idx: (gen_base[*to]
-                            + receiver
-                                .recv_from
-                                .binary_search_by_key(&p, |(s, _)| *s)
-                                .expect("send_to mirrors recv_from"))
-                            as u32,
+                        gen_idx: (gen_base[*to] + k) as u32,
                     }
                 })
                 .collect();
@@ -300,17 +292,18 @@ enum Event {
     /// the rank's current `sweep_epoch` or the sweep is stale (the rank
     /// crashed while it was in flight) and is discarded.
     Sweep { rank: usize, epoch: u64 },
-    /// A put lands in `rank`'s window. `slots` shares the sender's
-    /// [`SendPlan::target_slot`]; `values` comes from (and returns to) the
-    /// payload pool. `gen_idx`/`sent` identify the sender's entry in the
-    /// flat ghost-generation table and the sweep tick that generated the
+    /// A put lands in `rank`'s window: `values` overwrite the ghost-tail
+    /// run that starts at the sender's [`SendPlan::slot`], in one copy;
+    /// the buffer comes from (and returns to) the payload pool.
+    /// `gen_idx`/`sent` identify the sender's entry in the flat
+    /// ghost-generation table and the sweep tick that generated the
     /// payload — observability uses them to age ghost data; the solver
     /// itself never reads them.
     PutArrive {
         rank: usize,
         gen_idx: u32,
         sent: u64,
-        slots: Rc<[usize]>,
+        slot: u32,
         values: Vec<f64>,
     },
     /// A residual report reaches the root (termination protocol).
@@ -521,19 +514,12 @@ pub fn run_dist_async_plan(
 
                 // One-sided puts toward every neighbour.
                 for s in 0..ranks[r].sends.len() {
-                    let (to, gen_idx, slots, vals, volume, lp) = {
-                        let sp = &ranks[r].sends[s];
+                    let (to, gen_idx, slot, vals, volume, lp) = {
+                        let (x, sp) = (&ranks[r].x, &ranks[r].sends[s]);
                         let mut vals = payload_pool.pop().unwrap_or_default();
                         vals.clear();
-                        vals.extend(sp.source_local.iter().map(|&l| ranks[r].x[l]));
-                        (
-                            sp.to,
-                            sp.gen_idx,
-                            Rc::clone(&sp.target_slot),
-                            vals,
-                            sp.source_local.len(),
-                            sp.faults,
-                        )
+                        vals.extend(sp.source.iter().map(|&l| x[l as usize]));
+                        (sp.to, sp.gen_idx, sp.slot, vals, sp.source.len(), sp.faults)
                     };
                     comm.puts += 1;
                     comm.values += volume as u64;
@@ -576,7 +562,7 @@ pub fn run_dist_async_plan(
                                 rank: to,
                                 gen_idx,
                                 sent: tick,
-                                slots: Rc::clone(&slots),
+                                slot,
                                 values: copy,
                             },
                         );
@@ -587,7 +573,7 @@ pub fn run_dist_async_plan(
                             rank: to,
                             gen_idx,
                             sent: tick,
-                            slots,
+                            slot,
                             values: vals,
                         },
                     );
@@ -672,7 +658,7 @@ pub fn run_dist_async_plan(
                 rank: r,
                 gen_idx,
                 sent,
-                slots,
+                slot,
                 values,
             } => {
                 if !ranks[r].alive {
@@ -685,10 +671,8 @@ pub fn run_dist_async_plan(
                     payload_pool.push(values);
                     continue;
                 }
-                let n_owned = ranks[r].local.n_owned();
-                for (&slot, &v) in slots.iter().zip(values.iter()) {
-                    ranks[r].x[n_owned + slot] = v;
-                }
+                let start = ranks[r].local.n_owned() + slot as usize;
+                ranks[r].x[start..start + values.len()].copy_from_slice(&values);
                 payload_pool.push(values);
                 if let Some(o) = run.obs.as_mut() {
                     // Last writer wins, exactly like the window itself: a

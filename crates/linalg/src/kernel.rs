@@ -254,10 +254,20 @@ impl SweepKernel {
     }
 }
 
-/// The scalar row loop: `out[k] = b_blk[k] − (A x)[rows.start + k]`.
+/// The scalar row loop: `out[k] = b_blk[k] − (A x)[rows.start + k]`, each
+/// row summed in column order from `0.0`, the bits of
+/// [`CsrMatrix::row_dot`], with no bounds check on the reads of `x`.
 fn csr_residuals(a: &CsrMatrix, rows: Range<usize>, x: &[f64], b_blk: &[f64], out: &mut [f64]) {
+    assert_eq!(x.len(), a.ncols(), "kernel: x length mismatch");
     for (k, i) in rows.enumerate() {
-        out[k] = b_blk[k] - a.row_dot(i, x);
+        let mut acc = 0.0;
+        for (&j, &v) in a.row_indices(i).iter().zip(a.row_values(i)) {
+            // SAFETY: every `CsrMatrix` constructor keeps each column below
+            // `ncols` (`from_raw_parts` checks it), and `x.len() == ncols`
+            // is asserted above.
+            acc += v * unsafe { *x.get_unchecked(j) };
+        }
+        out[k] = b_blk[k] - acc;
     }
 }
 

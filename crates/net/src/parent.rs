@@ -182,15 +182,15 @@ fn broadcast(writers: &Writers, ranks: usize, msg: &Msg) -> u64 {
 }
 
 /// Builds one rank's job message from its plan and local system.
+/// `owned_pos` is [`CommPlan::owned_positions`].
 fn build_job(
     sp: &SubdomainPlan,
     ls: &LocalSystem,
+    owned_pos: &[u32],
     b: &[f64],
     x0: &[f64],
     cfg: &NetConfig,
 ) -> JobMsg {
-    let local_owned = |g: usize| sp.owned.binary_search(&g).expect("send index not owned");
-    let ghost_slot = |g: usize| sp.ghosts.binary_search(&g).expect("recv index not a ghost");
     JobMsg {
         n_owned: ls.n_owned(),
         n_ghost: ls.n_ghost(),
@@ -207,13 +207,9 @@ fn build_job(
         sends: sp
             .send_to
             .iter()
-            .map(|(q, globals)| (*q, globals.iter().map(|&g| local_owned(g)).collect()))
+            .map(|(q, globals)| (*q, globals.iter().map(|&g| owned_pos[g] as usize).collect()))
             .collect(),
-        recvs: sp
-            .recv_from
-            .iter()
-            .map(|(q, globals)| (*q, globals.iter().map(|&g| ghost_slot(g)).collect()))
-            .collect(),
+        recvs: sp.recv_runs().map(|(q, run)| (q, run.collect())).collect(),
         method: MethodMsg::encode(&cfg.method),
         format: cfg.format.name().to_string(),
         sell_c: match cfg.format {
@@ -377,10 +373,11 @@ pub fn run_net(
         .to_string();
     listener.set_nonblocking(true).map_err(|e| e.to_string())?;
 
+    let owned_pos = plan.owned_positions();
     let jobs = Arc::new(
         plan.iter()
             .zip(&LocalSystem::build_all(a, plan))
-            .map(|(sp, ls)| build_job(sp, ls, b, x0, cfg))
+            .map(|(sp, ls)| build_job(sp, ls, &owned_pos, b, x0, cfg))
             .collect::<Vec<_>>(),
     );
     let writers: Writers = Arc::new(Mutex::new(HashMap::new()));

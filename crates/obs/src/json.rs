@@ -215,8 +215,9 @@ impl<'a> Parser<'a> {
     }
 
     /// Decodes a string literal in time linear in its length: each run up
-    /// to the next `"` or `\` is copied whole. Both are ASCII, so a run
-    /// starts and ends on char boundaries of the input.
+    /// to the next `"`, `\` or control char is copied whole. All three are
+    /// ASCII, so a run starts and ends on char boundaries of the input. A
+    /// raw control char (U+0000–U+001F) is an error: JSON escapes them.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -224,7 +225,7 @@ impl<'a> Parser<'a> {
             let rest = &self.text.as_bytes()[self.pos..];
             let run = rest
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(rest.len());
             out.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
@@ -234,10 +235,11 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(out);
                 }
-                _ => {
+                Some(b'\\') => {
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -276,39 +278,59 @@ impl<'a> Parser<'a> {
         })
     }
 
-    /// The four hex digits at byte `at`, as `u32::from_str_radix` reads
-    /// them.
+    /// The four hex digits at byte `at`; `None` unless all four are ASCII
+    /// hex digits (no sign, no fewer).
     fn hex4(&self, at: usize) -> Option<u32> {
-        u32::from_str_radix(self.text.get(at..at + 4)?, 16).ok()
+        let digits = self.text.as_bytes().get(at..at + 4)?;
+        digits
+            .iter()
+            .try_fold(0, |code, &d| Some(code << 4 | char::from(d).to_digit(16)?))
     }
 
+    /// A number as RFC 8259 spells it: an optional `-`, then `0` or a digit
+    /// run that does not start with `0`, then optionally `.` and at least
+    /// one digit, then optionally an exponent with at least one digit. An
+    /// error names the first byte that breaks that form.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                return Err(self.err("invalid number"));
+            }
+        } else {
+            self.digits()?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         self.text[start..self.pos]
             .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("invalid number"))
+    }
+
+    /// Skips one or more ASCII digits.
+    fn digits(&mut self) -> Result<(), String> {
+        let first = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == first {
+            return Err(self.err("invalid number"));
+        }
+        Ok(())
     }
 }
 
@@ -407,8 +429,58 @@ mod tests {
             ("\"\\u12é\"", "bad \\u escape at byte 3"),
             ("\"\\u1é\"", "bad \\u escape at byte 3"),
             ("{\"k\\x\":1}", "unknown escape at byte 5"),
+            // `\u` takes exactly four hex digits: no sign, no fewer.
+            ("\"\\u+041\"", "bad \\u escape at byte 3"),
+            ("\"\\u-041\"", "bad \\u escape at byte 3"),
+            ("\"\\u 041\"", "bad \\u escape at byte 3"),
+            ("\"\\ud83d\\u+c00\"", "bad \\u escape at byte 7"),
+            // Control chars must be escaped.
+            ("\"a\u{0}b\"", "control character in string at byte 2"),
+            ("\"tab\there\"", "control character in string at byte 4"),
+            ("[\"\n\"]", "control character in string at byte 2"),
+            ("{\"k\u{1f}\":1}", "control character in string at byte 3"),
         ] {
             assert_eq!(parse(doc), Err(err.into()), "{doc}");
+        }
+        // DEL and everything above U+001F pass unescaped.
+        assert_eq!(
+            parse("\"\u{7f}\u{80}\"").unwrap().as_str(),
+            Some("\u{7f}\u{80}")
+        );
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for (doc, err) in [
+            ("01", "invalid number at byte 1"),
+            ("-01", "invalid number at byte 2"),
+            ("00", "invalid number at byte 1"),
+            ("[1, 02]", "invalid number at byte 5"),
+            ("1.", "invalid number at byte 2"),
+            ("1.e5", "invalid number at byte 2"),
+            ("[1.]", "invalid number at byte 3"),
+            ("-", "invalid number at byte 1"),
+            ("-.5", "invalid number at byte 1"),
+            ("1e", "invalid number at byte 2"),
+            ("1e+", "invalid number at byte 3"),
+            ("-a", "invalid number at byte 1"),
+        ] {
+            assert_eq!(parse(doc), Err(err.into()), "{doc}");
+        }
+        for (doc, want) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("-0.0e0", -0.0),
+            ("10", 10.0),
+            ("1e5", 1e5),
+            ("1E+5", 1e5),
+            ("2.5e-3", 2.5e-3),
+            ("0e7", 0.0),
+            ("1e308", 1e308),
+        ] {
+            let got = parse(doc).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{doc}");
         }
     }
 

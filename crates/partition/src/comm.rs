@@ -8,22 +8,39 @@
 
 use crate::partition::Partition;
 use aj_linalg::CsrMatrix;
+use std::ops::Range;
 
 /// The communication schedule of one subdomain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubdomainPlan {
     /// Global row indices owned by this part (ascending).
     pub owned: Vec<usize>,
-    /// Global indices of the ghost layer (ascending): columns referenced by
-    /// owned rows but owned by other parts.
+    /// Global indices of the ghost layer: columns referenced by owned rows
+    /// but owned by other parts, grouped by owning part (ascending) and
+    /// ascending within each owner. Each `recv_from` list is therefore one
+    /// contiguous run of `ghosts`, starting where the earlier lists end, so
+    /// a neighbour's values land in a ghost window with one copy. Under
+    /// contiguous parts (a block partition) this is plain ascending order.
     pub ghosts: Vec<usize>,
     /// For each neighbour we receive from: `(neighbour part, global indices
-    /// received)` — a partition of `ghosts` by owner, ascending by part.
+    /// received)`, ascending by part; their concatenation is `ghosts`.
     pub recv_from: Vec<(usize, Vec<usize>)>,
     /// For each neighbour we send to: `(neighbour part, owned global indices
     /// they need)`, ascending by part. Symmetric matrices make this the
     /// mirror of the neighbour's `recv_from`.
     pub send_to: Vec<(usize, Vec<usize>)>,
+}
+
+impl SubdomainPlan {
+    /// Each in-neighbour with the positions in `ghosts` its values occupy,
+    /// in `recv_from` order: the window run a put from it lands in.
+    pub fn recv_runs(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        self.recv_from.iter().scan(0, |start, (q, list)| {
+            let run = *start..*start + list.len();
+            *start = run.end;
+            Some((*q, run))
+        })
+    }
 }
 
 /// Communication plans for every part of a partition.
@@ -39,7 +56,7 @@ impl CommPlan {
     ///
     /// Runs in O(nnz + ghosts·log ghosts) time and O(n + ghosts) memory:
     /// a per-column stamp drops repeated references, each part's ghosts are
-    /// sorted and then grouped by owner, and the receive lists are
+    /// sorted and then grouped by owner in place, and the receive lists are
     /// transposed into send lists, so nothing is sized by `nparts²`.
     pub fn build(a: &CsrMatrix, partition: &Partition) -> CommPlan {
         assert_eq!(a.nrows(), partition.len(), "matrix/partition size mismatch");
@@ -52,7 +69,6 @@ impl CommPlan {
         let mut stamp = vec![usize::MAX; a.nrows()];
         let mut ghosts = Vec::with_capacity(nparts);
         let mut recv_from: Vec<Vec<(usize, Vec<usize>)>> = Vec::with_capacity(nparts);
-        let mut by_owner: Vec<usize> = Vec::new();
         for (p, rows) in parts.iter().enumerate() {
             let mut mine: Vec<usize> = Vec::new();
             for &i in rows {
@@ -66,10 +82,9 @@ impl CommPlan {
             mine.sort_unstable();
             // The stable sort keeps each owner's run ascending; with
             // contiguous parts the runs already come in owner order.
-            by_owner.clone_from(&mine);
-            by_owner.sort_by_key(|&g| partition.part_of(g));
+            mine.sort_by_key(|&g| partition.part_of(g));
             let mut recv: Vec<(usize, Vec<usize>)> = Vec::new();
-            for &g in &by_owner {
+            for &g in &mine {
                 let q = partition.part_of(g);
                 match recv.last_mut() {
                     Some((last, list)) if *last == q => list.push(g),
@@ -118,6 +133,21 @@ impl CommPlan {
     /// Iterate over all plans.
     pub fn iter(&self) -> impl Iterator<Item = &SubdomainPlan> {
         self.plans.iter()
+    }
+
+    /// Each global row's position in its owner's `owned` list: the local
+    /// index a part reads each value of its `send_to` lists from, without a
+    /// search per value.
+    pub fn owned_positions(&self) -> Vec<u32> {
+        let n = self.plans.iter().map(|sp| sp.owned.len()).sum();
+        assert!(n <= u32::MAX as usize, "too many rows for u32 positions");
+        let mut pos = vec![0u32; n];
+        for sp in &self.plans {
+            for (l, &g) in sp.owned.iter().enumerate() {
+                pos[g] = l as u32;
+            }
+        }
+        pos
     }
 
     /// Total communication volume per iteration over all parts (each value

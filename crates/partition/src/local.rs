@@ -121,9 +121,10 @@ impl LocalIndex {
 
     /// Owned rows map columns to `0..n_owned` and ghosts to
     /// `n_owned..n_owned+n_ghost`. With ascending `owned` and `ghosts`
-    /// lists (every [`CommPlan`]) a row's owned columns, then its ghosts,
-    /// each in global order, are already in local-column order, so they are
-    /// written as they come; any other plan sorts each row.
+    /// lists (every [`CommPlan`] of contiguous parts) a row's owned columns,
+    /// then its ghosts, each in global order, are already in local-column
+    /// order, so they are written as they come; any other plan sorts each
+    /// row.
     fn extract(&mut self, a: &CsrMatrix, plan: &SubdomainPlan) -> LocalSystem {
         let n_owned = plan.owned.len();
         let width = n_owned + plan.ghosts.len();

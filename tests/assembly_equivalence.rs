@@ -4,7 +4,8 @@
 //! * per-solve rank assembly: `CommPlan::build` must produce the same plans,
 //!   and `LocalSystem::build` / `LocalSystem::build_all` the same local
 //!   matrices, as the nparts × nparts table and the `HashMap` + COO
-//!   assembly they replaced;
+//!   assembly they replaced, and every part's ghosts must be its receive
+//!   lists end to end;
 //! * finite-element problem assembly: the direct CSR scatter with in-place
 //!   shift and scaling must produce the matrices of the COO assembly with
 //!   `add_scaled` and a copying scaling.
@@ -22,6 +23,7 @@ use std::collections::HashMap;
 
 /// The original plan construction: an nparts × nparts table of receive
 /// lists, read once per part for `recv_from` and transposed for `send_to`.
+/// The ghosts are the receive lists in owner order.
 fn reference_plans(a: &CsrMatrix, partition: &Partition) -> Vec<SubdomainPlan> {
     let nparts = partition.nparts();
     let parts = partition.parts();
@@ -43,8 +45,7 @@ fn reference_plans(a: &CsrMatrix, partition: &Partition) -> Vec<SubdomainPlan> {
     }
     (0..nparts)
         .map(|p| {
-            let mut ghosts: Vec<usize> = recv[p].iter().flatten().copied().collect();
-            ghosts.sort_unstable();
+            let ghosts: Vec<usize> = recv[p].iter().flatten().copied().collect();
             SubdomainPlan {
                 owned: parts[p].clone(),
                 ghosts,
@@ -183,6 +184,33 @@ fn non_contiguous_partitions_match_the_reference_assembly() {
     }
 }
 
+/// Every part's receive lists are consecutive runs of its ghosts that
+/// cover them, so a put lands in a ghost window with one copy, and every
+/// send list is the receiver's list from the sender.
+fn check_receive_runs(plan: &CommPlan) -> Result<(), String> {
+    for (p, sp) in plan.iter().enumerate() {
+        let mut off = 0;
+        for (q, list) in &sp.recv_from {
+            if sp.ghosts.get(off..off + list.len()) != Some(&list[..]) {
+                return Err(format!(
+                    "part {p}: the list from {q} is not ghosts[{off}..]"
+                ));
+            }
+            off += list.len();
+        }
+        if off != sp.ghosts.len() {
+            return Err(format!("part {p}: ghosts past the receive lists"));
+        }
+        for (q, sent) in &sp.send_to {
+            let back = plan.plan(*q).recv_from.iter().find(|(s, _)| *s == p);
+            if back.map(|(_, list)| list) != Some(sent) {
+                return Err(format!("parts {p}→{q}: send list is not the receive list"));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A symmetric pattern on `n` rows with a nonzero diagonal, from raw
 /// `(row, col, value)` draws folded into range.
 fn symmetric_matrix(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
@@ -229,6 +257,38 @@ proptest! {
         let partition = Partition::from_assignment(nparts, assignment);
         if let Err(e) = check_assembly(&a, &partition) {
             prop_assert!(false, "n = {n}, nparts = {nparts}: {e}");
+        }
+    }
+
+    /// Block, BFS, coordinate-bisection and random partitions of a grid
+    /// all get ghost windows laid out by in-neighbour.
+    #[test]
+    fn receive_lists_are_consecutive_ghost_runs(
+        nx in 2usize..20,
+        ny in 2usize..20,
+        parts in 1usize..40,
+        owners in proptest::collection::vec(0usize..1000, 400),
+        keys in proptest::collection::vec(0u64..1_000_000, 60),
+    ) {
+        let a = fd::laplacian_2d(nx, ny);
+        let n = a.nrows();
+        let nparts = parts.min(n);
+        let coords: Vec<(f64, f64)> = (0..n)
+            .map(|r| ((r / ny) as f64, (r % ny) as f64))
+            .collect();
+        let mut assignment: Vec<usize> = owners[..n].iter().map(|&o| o % nparts).collect();
+        for (p, &row) in shuffled(n, &keys).iter().take(nparts).enumerate() {
+            assignment[row] = p;
+        }
+        for (name, partition) in [
+            ("block", block_partition(n, nparts)),
+            ("bfs", bfs_partition(&a, nparts)),
+            ("coordinate bisection", coordinate_bisection(&coords, nparts)),
+            ("random", Partition::from_assignment(nparts, assignment)),
+        ] {
+            if let Err(e) = check_receive_runs(&CommPlan::build(&a, &partition)) {
+                prop_assert!(false, "{name}, {nx}×{ny} in {nparts} parts: {e}");
+            }
         }
     }
 

@@ -12,7 +12,8 @@ use async_jacobi_repro::linalg::vecops::{self, Norm};
 use async_jacobi_repro::model::{
     run_async_model, run_async_model_method, run_sync_model, run_sync_model_method, DelaySchedule,
 };
-use async_jacobi_repro::partition::block_partition;
+use async_jacobi_repro::partition::partitioners::grid_coordinates;
+use async_jacobi_repro::partition::{bfs_partition, block_partition, coordinate_bisection};
 use async_jacobi_repro::shmem::ShmemConfig;
 use async_jacobi_repro::Problem;
 
@@ -358,6 +359,35 @@ fn partitioning_choice_does_not_change_sync_solution() {
     // Sync distributed Jacobi is exactly global Jacobi regardless of the
     // partitioning, so the iterates agree to machine precision.
     assert!(vecops::rel_diff(&p4.x, &p12.x) < 1e-12);
+}
+
+#[test]
+fn dist_async_runs_on_partitions_that_are_not_contiguous() {
+    // BFS and bisection parts own scattered rows, so their ghosts in owner
+    // order are not ascending: the puts must still land where each rank's
+    // local matrix reads them.
+    let p = problem();
+    let mut cfg = DistConfig::new(p.n(), 5);
+    cfg.tol = TOL;
+    for (name, partition) in [
+        ("bfs", bfs_partition(&p.a, 9)),
+        (
+            "coordinate bisection",
+            coordinate_bisection(&grid_coordinates(12, 12), 9),
+        ),
+    ] {
+        let out = run_dist_async(&p.a, &p.b, &p.x0, &partition, &cfg);
+        let res = p.a.relative_residual(&out.x, &p.b, cfg.norm);
+        assert!(out.converged && res < TOL, "{name}: residual {res}");
+        let again = run_dist_async(&p.a, &p.b, &p.x0, &partition, &cfg);
+        assert_eq!(bits(&again.x), bits(&out.x), "{name} must replay bitwise");
+        assert_eq!(again.time, out.time, "{name}");
+        assert_eq!(again.relaxations, out.relaxations, "{name}");
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
